@@ -21,10 +21,10 @@ import time
 import numpy as np
 
 from .cachesim import DemandVector, FileLibrary, measure, run_round, transcript_to_json, write_trace_csv
-from .errors import DivergenceError, InvalidParameter, ParseError, PdakitError
+from .errors import DivergenceError, InvalidParameter, InvalidPda, ParseError, PdakitError
 from .graph import BipartiteColoredGraph, graph_to_pda, greedy_strong_color, pda_to_graph, subsample
 from .neural import TrainConfig, load_checkpoint, rollout, save_checkpoint, train, write_log_csv
-from .pda import STAR, Pda, construct_mn_pda, pda_from_text, pda_to_text, verify
+from .pda import Pda, construct_mn_pda, header_violations, parse_pda_text, pda_from_text, pda_to_text, verify
 from .seqcodec import (
     assemble_array,
     default_star_pattern,
@@ -36,15 +36,6 @@ from .seqcodec import (
 
 BENCH_ROWS = 16
 BENCH_STARS = 12
-
-
-def _grid_text(grid, k, f, z, s, comments):
-    """Text format for a raw grid; mirrors pda_to_text for unvalidated arrays."""
-    lines = [f"# {c}" for c in comments]
-    lines.append(f"{k} {f} {z} {s}")
-    for i in range(f):
-        lines.append(" ".join("*" if v == STAR else str(v) for v in grid[i].tolist()))
-    return "\n".join(lines) + "\n"
 
 
 def _uncolored_graph(adjacency):
@@ -81,8 +72,6 @@ def _parse_sizes(text):
 def cmd_verify(args):
     with open(args.path) as fh:
         text = fh.read()
-    from .pda import header_violations, parse_pda_text
-
     grid, k, f, z, s = parse_pda_text(text)
     report = verify(grid, z=z)
     extra = header_violations(grid, z, s)
@@ -116,7 +105,6 @@ def cmd_pipeline(args):
     if args.colorer == "greedy":
         colored = greedy_strong_color(_uncolored_graph(adjacency), order="random", seed=args.seed)
         p = graph_to_pda(colored)
-        grid, s, valid, violations = p.grid, p.s, True, ()
     else:
         if not args.checkpoint:
             raise InvalidParameter("the neural colorer needs --checkpoint")
@@ -130,19 +118,18 @@ def cmd_pipeline(args):
         ep = rollout(adjacency, params, mode="greedy", seed=args.seed,
                      use_mask=not args.no_mask)
         grid = assemble_array(adjacency, ep.edges, ep.colors)
-        s = max(ep.colors, default=0)
-        report = verify(grid, z=z)
-        valid, violations = report.valid, report.violations
+        try:
+            p = Pda.from_grid(grid, z=z)
+        except InvalidPda as exc:
+            with open(args.out, "w") as fh:
+                fh.write(pda_to_text(grid, comments))
+            print(f"invalid array written to {args.out}: {len(exc.violations)} violations")
+            for v in exc.violations:
+                print(f"  {v}")
+            return 1
 
     with open(args.out, "w") as fh:
-        fh.write(_grid_text(grid, k, f, z, s, comments))
-    if not valid:
-        print(f"invalid array written to {args.out}: {len(violations)} violations")
-        for v in violations:
-            print(f"  {v}")
-        return 1
-
-    p = Pda.from_grid(grid, z=z)
+        fh.write(pda_to_text(p, comments))
     report = measure(p, trials=args.trials, seed=args.seed)
     print(
         f"valid array written to {args.out}: K={k} F={f} Z={z} S={p.s} "
@@ -185,10 +172,7 @@ def cmd_augment(args):
     for n in range(args.count):
         g, delta = combos[n % len(combos)]
         sub = subsample(g, delta, rng_seed=int(master.integers(2**63)))
-        p = graph_to_pda(sub)
-        if not verify(p.grid, z=p.z).valid:
-            raise PdakitError("subsampled array failed re-verification")
-        pairs.append(training_pair_from_pda(p))
+        pairs.append(training_pair_from_pda(graph_to_pda(sub)))
     meta = {
         "tool": "pdakit augment",
         "seed": args.seed,

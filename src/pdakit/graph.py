@@ -5,15 +5,16 @@ on one side, packet rows on the other, one edge per integer cell.  The
 array is valid exactly when every user vertex has the same degree and the
 edge coloring is strong (same-colored edges are pairwise non-adjacent and
 share no common neighboring edge).  This module converts both ways,
-validates colorings, provides a greedy colorer baseline, and subsamples
-edges per user to mint new valid arrays from existing ones.
+provides a greedy colorer baseline, and subsamples edges per user to mint
+new valid arrays from existing ones.  Colorings are checked on the graph's
+grid by the pair-condition kernel that ``verify`` runs.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -25,7 +26,7 @@ from .errors import (
     InvalidPda,
     ParseError,
 )
-from .pda import STAR, Pda, verify
+from .pda import COND_COLUMN_STARS, STAR, Pda, _pair_violations, verify
 
 Edge = tuple[int, int, Optional[int]]
 
@@ -92,41 +93,38 @@ def _grid_to_graph(grid: np.ndarray) -> BipartiteColoredGraph:
     return BipartiteColoredGraph(k=k, f=f, edges=tuple(edges))
 
 
+def _edge_grid(g: BipartiteColoredGraph) -> np.ndarray:
+    """The f-by-k grid of a fully colored graph: edge colors, stars elsewhere."""
+    if not g.is_fully_colored():
+        raise IncompleteColoring("graph has uncolored edges")
+    grid = np.zeros((g.f, g.k), dtype=np.int64)
+    for u, v, c in g.edges:
+        grid[v, u] = c
+    return grid
+
+
 def is_strong_coloring(g: BipartiteColoredGraph) -> bool:
     """True iff every same-colored pair is an induced matching.
 
     For edges (k1,f1), (k2,f2) of equal color this requires k1 != k2,
-    f1 != f2, and neither (k1,f2) nor (k2,f1) present in the graph.
+    f1 != f2, and neither (k1,f2) nor (k2,f1) present in the graph: the
+    array pair condition on the graph's grid.
     """
-    if not g.is_fully_colored():
-        raise IncompleteColoring("graph has uncolored edges")
-    present = {(u, v) for u, v, _ in g.edges}
-    by_color: dict[int, list[tuple[int, int]]] = {}
-    for u, v, c in g.edges:
-        by_color.setdefault(c, []).append((u, v))
-    for members in by_color.values():
-        for a in range(len(members)):
-            k1, f1 = members[a]
-            for b in range(a + 1, len(members)):
-                k2, f2 = members[b]
-                if k1 == k2 or f1 == f2:
-                    return False
-                if (k1, f2) in present or (k2, f1) in present:
-                    return False
-    return True
+    return not _pair_violations(_edge_grid(g))
 
 
 def graph_to_pda(g: BipartiteColoredGraph) -> Pda:
-    """Inverse of pda_to_graph; requires equal user degrees and a strong coloring."""
-    degrees = g.k_degrees()
-    if g.k >= 1 and len(set(degrees)) > 1:
-        raise DegreeViolation(f"user degrees differ: {sorted(set(degrees))}")
-    if not is_strong_coloring(g):
-        raise ColoringViolation("edge coloring is not strong")
-    grid = np.zeros((g.f, g.k), dtype=np.int64)
-    for u, v, c in g.edges:
-        grid[v, u] = c
-    return Pda.from_grid(grid)
+    """Inverse of pda_to_graph; requires equal user degrees and a strong coloring.
+
+    Validated once, by Pda.from_grid; a column-star violation is a degree one.
+    """
+    grid = _edge_grid(g)
+    try:
+        return Pda.from_grid(grid)
+    except InvalidPda as exc:
+        if any(v.condition == COND_COLUMN_STARS for v in exc.violations):
+            raise DegreeViolation(f"user degrees differ: {sorted(set(g.k_degrees()))}") from None
+        raise ColoringViolation("edge coloring is not strong") from None
 
 
 def greedy_strong_color(

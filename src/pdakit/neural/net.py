@@ -14,7 +14,7 @@ differences in the tests; no autograd anywhere.  All math is float64.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 

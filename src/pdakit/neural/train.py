@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import csv
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np

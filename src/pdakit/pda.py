@@ -18,9 +18,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -104,25 +104,44 @@ def as_grid(raw) -> np.ndarray:
 
 def canonicalize_colors(grid: np.ndarray) -> np.ndarray:
     """Renumber colors 1..s by first occurrence in column-major order."""
-    mapping: dict[int, int] = {}
-    for j in range(grid.shape[1]):
-        col = grid[:, j]
-        for v in col[col != STAR]:
-            v = int(v)
-            if v not in mapping:
-                mapping[v] = len(mapping) + 1
+    cols = grid.T
+    colored = cols != STAR
+    _, first, inverse = np.unique(cols[colored], return_index=True, return_inverse=True)
+    rank = np.empty_like(first)
+    rank[np.argsort(first)] = np.arange(1, first.size + 1)
     out = np.zeros_like(grid)
-    for v, c in mapping.items():
-        out[grid == v] = c
+    out.T[colored] = rank[inverse.ravel()]
     return out
 
 
-def _color_buckets(grid: np.ndarray) -> dict[int, list[tuple[int, int]]]:
-    buckets: dict[int, list[tuple[int, int]]] = {}
-    ii, jj = np.nonzero(grid != STAR)
-    for i, j in zip(ii.tolist(), jj.tolist()):
-        buckets.setdefault(int(grid[i, j]), []).append((i, j))
-    return buckets
+def _pair_violations(grid: np.ndarray) -> list[Violation]:
+    """Every equal-integer cell pair that breaks the pair condition.
+
+    Cells are grouped by color class and all within-class pairs are tested
+    in one vectorized pass.  Order: colors by first row-major occurrence,
+    cells row-major within a color, pairs in ``itertools.combinations``
+    order; a pair sharing a row or column is reported as ``pair-distinct``
+    even when a cross position is also filled.
+    """
+    flat = grid.ravel()
+    cells = np.flatnonzero(flat != STAR)
+    cells = cells[np.argsort(flat[cells], kind="stable")]
+    color = flat[cells]
+    # Pair each cell (a) with every later cell (b) of its own color class.
+    later = np.searchsorted(color, color, side="right") - np.arange(cells.size) - 1
+    a = np.repeat(np.arange(cells.size), later)
+    b = a + 1 + np.arange(a.size) - np.repeat(np.cumsum(later) - later, later)
+    r, c = np.divmod(cells, grid.shape[1])
+    ra, ca, rb, cb = r[a], c[a], r[b], c[b]
+    distinct = (ra == rb) | (ca == cb)
+    bad = np.flatnonzero(distinct | (grid[ra, cb] != STAR) | (grid[rb, ca] != STAR))
+    # Classes are sorted by value so far; report them by their first row-major cell.
+    first = cells[np.searchsorted(color, color[a[bad]])]
+    bad = bad[np.argsort(first, kind="stable")]
+    return [
+        Violation(COND_PAIR_DISTINCT if d else COND_PAIR_CROSS, ((i1, j1), (i2, j2)))
+        for d, i1, j1, i2, j2 in zip(*(x[bad].tolist() for x in (distinct, ra, ca, rb, cb)))
+    ]
 
 
 def verify(raw, z: Optional[int] = None) -> VerifyReport:
@@ -130,22 +149,17 @@ def verify(raw, z: Optional[int] = None) -> VerifyReport:
 
     ``z`` defaults to the star count of column 0.  A declared ``z`` that
     disagrees with any column is reported as a violation, not an error.
-    Runs in O(cells + sum of squared color-class sizes) by bucketing cells
-    per color.
+    Column-star violations come first, then those of the pair kernel.
+    Runs in O(cells log cells + sum of squared color-class sizes) in numpy.
     """
     grid = as_grid(raw)
     stars_per_col = (grid == STAR).sum(axis=0)
     if z is None:
         z = int(stars_per_col[0])
-    violations: list[Violation] = []
-    for j in np.nonzero(stars_per_col != z)[0].tolist():
-        violations.append(Violation(COND_COLUMN_STARS, (int(j),)))
-    for cells in _color_buckets(grid).values():
-        for (i1, j1), (i2, j2) in itertools.combinations(cells, 2):
-            if i1 == i2 or j1 == j2:
-                violations.append(Violation(COND_PAIR_DISTINCT, ((i1, j1), (i2, j2))))
-            elif grid[i1, j2] != STAR or grid[i2, j1] != STAR:
-                violations.append(Violation(COND_PAIR_CROSS, ((i1, j1), (i2, j2))))
+    violations = [
+        Violation(COND_COLUMN_STARS, (j,)) for j in np.flatnonzero(stars_per_col != z).tolist()
+    ]
+    violations += _pair_violations(grid)
     return VerifyReport(valid=not violations, violations=tuple(violations), z=z)
 
 
@@ -206,23 +220,6 @@ class Pda:
 
 
 @dataclass(frozen=True)
-class SystemParams:
-    """A (users, cache size, library size) caching system."""
-
-    k_users: int
-    cache_size: int
-    library_size: int
-
-    def __post_init__(self):
-        if not self.library_size > self.k_users >= 1:
-            raise InvalidParameter(
-                f"need library_size > k_users >= 1, got N={self.library_size}, K={self.k_users}"
-            )
-        if not 0 <= self.cache_size <= self.library_size:
-            raise InvalidParameter(f"cache size {self.cache_size} outside [0, {self.library_size}]")
-
-
-@dataclass(frozen=True)
 class RateReport:
     delivery_rate: Fraction
     memory_ratio: Fraction
@@ -274,12 +271,24 @@ def construct_mn_pda(k_users: int, t: int) -> Pda:
 # after the F rows other than comments or blank lines is rejected.
 
 
-def pda_to_text(p: Pda, comments: Sequence[str] = ()) -> str:
+def pda_to_text(p, comments: Sequence[str] = ()) -> str:
+    """Text of a Pda, or of an unvalidated raw grid (Z: column 0's stars)."""
+    if isinstance(p, Pda):
+        grid, z = p.grid, p.z
+    else:
+        grid = as_grid(p)
+        z = int((grid[:, 0] == STAR).sum())
+    f, k = grid.shape
     lines = [f"# {c}" for c in comments]
-    lines.append(f"{p.k} {p.f} {p.z} {p.s}")
-    for i in range(p.f):
-        lines.append(" ".join("*" if v == STAR else str(v) for v in p.grid[i].tolist()))
+    lines.append(f"{k} {f} {z} {int(grid.max(initial=0))}")
+    for row in grid.tolist():
+        lines.append(" ".join("*" if v == STAR else str(v) for v in row))
     return "\n".join(lines) + "\n"
+
+
+def _is_decimal(tok: str) -> bool:
+    """ASCII digits only: ``str.isdigit`` alone also admits tokens like ``²``."""
+    return tok.isascii() and tok.isdigit()
 
 
 def parse_pda_text(text: str) -> tuple[np.ndarray, int, int, int, int]:
@@ -301,11 +310,10 @@ def parse_pda_text(text: str) -> tuple[np.ndarray, int, int, int, int]:
                     f"line {lineno}: header must be 'K F Z S', got {len(tokens)} tokens",
                     line=lineno, token=0,
                 )
-            try:
-                k_expected, f_expected, z_decl, s_decl = (int(t) for t in tokens)
-            except ValueError:
+            if not all(_is_decimal(t) for t in tokens):
                 raise ParseError(f"line {lineno}: non-integer header token", line=lineno, token=0)
-            if k_expected < 1 or f_expected < 1 or z_decl < 0 or s_decl < 0:
+            k_expected, f_expected, z_decl, s_decl = (int(t) for t in tokens)
+            if k_expected < 1 or f_expected < 1:
                 raise ParseError(f"line {lineno}: header values out of range", line=lineno, token=0)
             header = tokens
             continue
@@ -322,7 +330,7 @@ def parse_pda_text(text: str) -> tuple[np.ndarray, int, int, int, int]:
         for pos, tok in enumerate(tokens):
             if tok == "*":
                 row.append(STAR)
-            elif tok.isdigit() and tok != "0" and not tok.startswith("0"):
+            elif _is_decimal(tok) and not tok.startswith("0"):
                 row.append(int(tok))
             else:
                 raise ParseError(f"line {lineno}: bad token {tok!r}", line=lineno, token=pos)

@@ -105,18 +105,9 @@ def pda_to_adjacency(p) -> AdjacencyMatrix:
     return AdjacencyMatrix(mask=grid != STAR)
 
 
-def extract_edge_sequence(a: AdjacencyMatrix, order: str = "column") -> tuple[EdgeCell, ...]:
-    """Edge cells (i, j) of the mask in canonical column-major order.
-
-    order="row" walks rows first instead; it exists only for ordering
-    experiments and nothing else in the package uses it.
-    """
-    if order == "column":
-        jj, ii = np.nonzero(a.mask.T)
-    elif order == "row":
-        ii, jj = np.nonzero(a.mask)
-    else:
-        raise InvalidParameter(f"unknown edge order {order!r}")
+def extract_edge_sequence(a: AdjacencyMatrix) -> tuple[EdgeCell, ...]:
+    """Edge cells (i, j) of the mask in canonical column-major order."""
+    jj, ii = np.nonzero(a.mask.T)
     return tuple(zip(ii.tolist(), jj.tolist()))
 
 

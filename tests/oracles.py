@@ -40,6 +40,54 @@ def oracle_verify(grid, z=None):
     return True
 
 
+def oracle_violations(grid, z=None):
+    """Every violated condition, listed literally, as (condition, cells) tuples.
+
+    Column star counts come first, by column.  Then, for each color in order
+    of its first row-major occurrence, every pair of its cells (row-major,
+    earlier cell first) whose rows or columns coincide ("pair-distinct") or
+    whose cross cells are not both stars ("pair-cross").
+    """
+    rows = [list(r) for r in grid]
+    f = len(rows)
+    k = len(rows[0])
+    if z is None:
+        z = sum(1 for i in range(f) if rows[i][0] == STAR)
+    out = []
+    for j in range(k):
+        if sum(1 for i in range(f) if rows[i][j] == STAR) != z:
+            out.append(("column-stars", (j,)))
+    cells = [(i, j) for i in range(f) for j in range(k) if rows[i][j] != STAR]
+    colors = []
+    for i, j in cells:
+        if rows[i][j] not in colors:
+            colors.append(rows[i][j])
+    for color in colors:
+        members = [(i, j) for i, j in cells if rows[i][j] == color]
+        for a in range(len(members)):
+            for b in range(a + 1, len(members)):
+                (i1, j1), (i2, j2) = members[a], members[b]
+                if i1 == i2 or j1 == j2:
+                    out.append(("pair-distinct", ((i1, j1), (i2, j2))))
+                elif rows[i1][j2] != STAR or rows[i2][j1] != STAR:
+                    out.append(("pair-cross", ((i1, j1), (i2, j2))))
+    return out
+
+
+def oracle_canonical(grid):
+    """Colors renumbered 1, 2, ... by first occurrence walking column by column."""
+    rows = [list(r) for r in grid]
+    f = len(rows)
+    k = len(rows[0])
+    new = {}
+    for j in range(k):
+        for i in range(f):
+            v = rows[i][j]
+            if v != STAR and v not in new:
+                new[v] = len(new) + 1
+    return [[STAR if v == STAR else new[v] for v in row] for row in rows]
+
+
 def oracle_strong_coloring(k_count, f_count, edges):
     """Definition-level strong edge coloring check on a colored bipartite graph.
 

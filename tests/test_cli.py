@@ -55,6 +55,13 @@ class TestVerify:
         assert run("verify", tmp_path / "nope.pda") == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_superscript_digit_is_a_parse_error(self, tmp_path, capsys):
+        path = tmp_path / "a.pda"
+        path.write_text("2 2 1 1\n* \u00b2\n1 *\n", encoding="utf-8")
+        assert run("verify", path) == 2
+        err = capsys.readouterr().err
+        assert "line 2" in err and "Traceback" not in err
+
 
 class TestConstruct:
     def test_output_reverifies(self, tmp_path):

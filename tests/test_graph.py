@@ -89,9 +89,13 @@ class TestRoundTrip:
             pda_to_graph([[1, 1]])
 
     def test_unequal_degrees_cannot_assemble(self):
-        g = BipartiteColoredGraph(k=2, f=2, edges=((0, 0, 1), (0, 1, 2), (1, 0, 3)))
-        with pytest.raises(DegreeViolation):
-            graph_to_pda(g)
+        for edges in (
+            ((0, 0, 1), (0, 1, 2), (1, 0, 3)),
+            # user 0 also has both its edges colored 1: the degree error wins
+            ((0, 0, 1), (0, 1, 1), (1, 0, 2)),
+        ):
+            with pytest.raises(DegreeViolation):
+                graph_to_pda(BipartiteColoredGraph(k=2, f=2, edges=edges))
 
     def test_weak_coloring_cannot_assemble(self):
         # same color on two edges at the same user

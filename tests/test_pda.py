@@ -8,7 +8,6 @@ from pdakit.pda import (
     COND_PAIR_DISTINCT,
     STAR,
     Pda,
-    SystemParams,
     canonicalize_colors,
     construct_mn_pda,
     header_violations,
@@ -73,6 +72,15 @@ class TestVerify:
             grid = oracles.random_grid(rng)
             assert verify(grid).valid == oracles.oracle_verify(grid)
 
+    def test_violations_match_literal_enumeration_in_order(self):
+        rng = np.random.default_rng(20261018)
+        for _ in range(2000):
+            grid = oracles.random_grid(rng, max_f=7, max_k=7)
+            declared = int(rng.integers(0, len(grid) + 1))
+            for z in (None, declared):
+                got = [(v.condition, v.cells) for v in verify(grid, z).violations]
+                assert got == oracles.oracle_violations(grid, z)
+
 
 class TestCanonicalForm:
     def test_renumbers_by_column_major_first_occurrence(self):
@@ -83,6 +91,15 @@ class TestCanonicalForm:
     def test_gap_colors_compacted(self):
         out = canonicalize_colors(np.array([[4, S], [S, 4]]))
         assert out.tolist() == [[1, S], [S, 1]]
+
+    def test_matches_column_major_oracle(self):
+        rng = np.random.default_rng(20261018)
+        for _ in range(500):
+            grid = np.asarray(oracles.random_grid(rng, max_f=8, max_k=8, max_colors=9))
+            # scatter the colors over a wide, gappy range first
+            relabel = np.concatenate([[S], rng.permutation(1000)[:9] + 1])
+            grid = relabel[grid]
+            assert canonicalize_colors(grid).tolist() == oracles.oracle_canonical(grid.tolist())
 
     def test_idempotent(self):
         rng = np.random.default_rng(7)
@@ -186,17 +203,6 @@ class TestRate:
                 assert rate(p).memory_ratio == Fraction(stars, p.f)
 
 
-class TestSystemParams:
-    def test_valid(self):
-        SystemParams(k_users=3, cache_size=1, library_size=4)
-
-    def test_invalid(self):
-        with pytest.raises(InvalidParameter):
-            SystemParams(k_users=3, cache_size=1, library_size=3)
-        with pytest.raises(InvalidParameter):
-            SystemParams(k_users=2, cache_size=5, library_size=4)
-
-
 class TestTextFormat:
     def test_round_trip(self):
         p = construct_mn_pda(4, 2)
@@ -219,9 +225,11 @@ class TestTextFormat:
         assert exc.value.line == 4
 
     def test_bad_token_position(self):
-        with pytest.raises(ParseError) as exc:
-            parse_pda_text("2 2 1 1\n* x\n1 *\n")
-        assert (exc.value.line, exc.value.token) == (2, 1)
+        # "\u00b2" (superscript two) passes str.isdigit but not int()
+        for tok in ("x", "\u00b2"):
+            with pytest.raises(ParseError) as exc:
+                parse_pda_text(f"2 2 1 1\n* {tok}\n1 *\n")
+            assert (exc.value.line, exc.value.token) == (2, 1)
 
     def test_wrong_width(self):
         with pytest.raises(ParseError):
@@ -230,6 +238,12 @@ class TestTextFormat:
     def test_missing_rows(self):
         with pytest.raises(ParseError):
             parse_pda_text("2 2 1 1\n* 1\n")
+
+    def test_header_tokens_are_ascii_decimals(self):
+        # int() alone would take the Arabic-Indic digit one and a sign
+        for header in ("2 2 1 \u0661", "+2 2 1 1", "2 2 1 \u00b2"):
+            with pytest.raises(ParseError):
+                parse_pda_text(f"{header}\n* 1\n1 *\n")
 
     def test_zero_token_rejected(self):
         with pytest.raises(ParseError):

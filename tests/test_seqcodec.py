@@ -84,14 +84,6 @@ class TestEdgeSequence:
         a = mask([[False, True], [True, False]])
         assert extract_edge_sequence(a) == ((1, 0), (0, 1))
 
-    def test_row_major_experiment_flag(self):
-        a = mask([[False, True], [True, False]])
-        assert extract_edge_sequence(a, order="row") == ((0, 1), (1, 0))
-
-    def test_unknown_order_rejected(self):
-        with pytest.raises(InvalidParameter):
-            extract_edge_sequence(mask([[True]]), order="spiral")
-
     def test_empty_when_fully_cached(self):
         assert extract_edge_sequence(mask([[False], [False]])) == ()
 
