@@ -27,34 +27,9 @@ from .pda import STAR, Pda, as_grid
 Cache = dict[tuple[int, int], bytes]  # (file, row) -> packet
 
 
-class _ArrayView:
-    """Grid access without validity checks.
-
-    The simulator deliberately runs on broken arrays too: that is how a
-    bad coloring shows up as DecodeError instead of silently passing.
-    """
-
-    def __init__(self, grid):
-        self.grid = as_grid(grid)
-
-    @property
-    def f(self):
-        return self.grid.shape[0]
-
-    @property
-    def k(self):
-        return self.grid.shape[1]
-
-    @property
-    def s(self):
-        return int(self.grid.max(initial=0))
-
-    def star_rows(self, col):
-        return tuple(np.nonzero(self.grid[:, col] == STAR)[0].tolist())
-
-
-def _view(p):
-    return p if isinstance(p, (Pda, _ArrayView)) else _ArrayView(p)
+def _grid(p) -> np.ndarray:
+    """The array's grid, unvalidated: broken arrays must reach decode."""
+    return p.grid if isinstance(p, Pda) else as_grid(p)
 
 
 @dataclass(frozen=True)
@@ -151,11 +126,11 @@ class Transcript:
         return self.broadcasts[slot - 1]
 
 
-def _check_demand(d, p, lib: FileLibrary) -> DemandVector:
+def _check_demand(d, users: int, lib: FileLibrary) -> DemandVector:
     if not isinstance(d, DemandVector):
         d = DemandVector(d=tuple(d))
-    if len(d) != p.k:
-        raise InvalidParameter(f"demand has {len(d)} entries for {p.k} users")
+    if len(d) != users:
+        raise InvalidParameter(f"demand has {len(d)} entries for {users} users")
     if any(x > lib.n_files for x in d.d):
         raise InvalidParameter(f"demand {d.d} exceeds library of {lib.n_files} files")
     return d
@@ -169,13 +144,13 @@ def _xor(a: bytes, b: bytes) -> bytes:
 
 def place(p, lib: FileLibrary) -> list[Cache]:
     """Fill each user's cache: every file's packet at the column's star rows."""
-    p = _view(p)
-    if lib.f != p.f:
-        raise DimensionError(f"library has {lib.f} packets per file, array has {p.f} rows")
+    grid = _grid(p)
+    if lib.f != len(grid):
+        raise DimensionError(f"library has {lib.f} packets per file, array has {len(grid)} rows")
     caches: list[Cache] = []
-    for k in range(p.k):
+    for k in range(grid.shape[1]):
         cache: Cache = {}
-        for j in p.star_rows(k):
+        for j in np.nonzero(grid[:, k] == STAR)[0].tolist():
             for file in range(1, lib.n_files + 1):
                 cache[(file, j)] = lib.packet(file, j)
         caches.append(cache)
@@ -184,18 +159,16 @@ def place(p, lib: FileLibrary) -> list[Cache]:
 
 def deliver(p, lib: FileLibrary, d) -> Transcript:
     """One broadcast per slot s: XOR of W_{demand(k), j} over cells holding s."""
-    p = _view(p)
-    if lib.f != p.f:
-        raise DimensionError(f"library has {lib.f} packets per file, array has {p.f} rows")
-    d = _check_demand(d, p, lib)
+    grid = _grid(p)
+    if lib.f != len(grid):
+        raise DimensionError(f"library has {lib.f} packets per file, array has {len(grid)} rows")
+    d = _check_demand(d, grid.shape[1], lib)
     cells_by_slot: dict[int, list[tuple[int, int]]] = {}
-    for j in range(p.f):
-        for k in range(p.k):
-            s = int(p.grid[j, k])
-            if s != STAR:
-                cells_by_slot.setdefault(s, []).append((j, k))
+    for (j, k), s in np.ndenumerate(grid):
+        if s != STAR:
+            cells_by_slot.setdefault(int(s), []).append((j, k))
     broadcasts = []
-    for s in range(1, p.s + 1):
+    for s in range(1, int(grid.max(initial=0)) + 1):
         payload = bytes(lib.packet_size)
         contributors = []
         for j, k in cells_by_slot.get(s, ()):
@@ -215,17 +188,15 @@ def decode(k: int, cache: Cache, transcript: Transcript, d, p) -> bytes:
     valid array guarantees are cached.  A missing one means the array is
     broken and raises DecodeError.
     """
-    p = _view(p)
+    grid = _grid(p)
     if not isinstance(d, DemandVector):
         d = DemandVector(d=tuple(d))
     want = d[k]
     rows: list[bytes] = []
-    star_set = set(p.star_rows(k))
-    for j in range(p.f):
-        if j in star_set:
+    for j, s in enumerate(grid[:, k].tolist()):
+        if s == STAR:
             rows.append(cache[(want, j)])
             continue
-        s = int(p.grid[j, k])
         bc = transcript.by_slot(s)
         payload = bc.payload
         own = (want, j)
@@ -250,12 +221,13 @@ class RoundResult:
 
 def run_round(p, lib: FileLibrary, d) -> RoundResult:
     """place + deliver + decode for every user, checked bit-exactly."""
-    p = _view(p)
-    d = _check_demand(d, p, lib)
-    caches = place(p, lib)
-    transcript = deliver(p, lib, d)
-    decoded = tuple(decode(k, caches[k], transcript, d, p) for k in range(p.k))
-    all_ok = all(decoded[k] == lib.file_bytes(d[k]) for k in range(p.k))
+    grid = _grid(p)
+    users = grid.shape[1]
+    d = _check_demand(d, users, lib)
+    caches = place(grid, lib)
+    transcript = deliver(grid, lib, d)
+    decoded = tuple(decode(k, caches[k], transcript, d, grid) for k in range(users))
+    all_ok = all(decoded[k] == lib.file_bytes(d[k]) for k in range(users))
     return RoundResult(transcript=transcript, decoded=decoded, all_ok=all_ok)
 
 

@@ -151,6 +151,8 @@ def cmd_pipeline(args):
 
 
 def cmd_augment(args):
+    if args.count < 0:
+        raise InvalidParameter(f"--count must be >= 0, got {args.count}")
     sources = [_parse_source(s) for s in args.source]
     combos = []
     for k, t in sources:

@@ -33,24 +33,22 @@ from .params import GruParams, ModelParams, clip_grads
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    return 0.5 * (1.0 + np.tanh(0.5 * x))
 
 
 # --- GRU cell -------------------------------------------------------------
 
 
 def _gru_forward(x: np.ndarray, y_prev: np.ndarray, gp: GruParams):
-    r = _sigmoid(gp.u_reset @ x + gp.w_reset @ y_prev + gp.b_reset)
-    z = _sigmoid(gp.u_update @ x + gp.w_update @ y_prev + gp.b_update)
-    wsy = gp.w_cand @ y_prev
-    cand = np.tanh(gp.u_cand @ x + r * wsy + gp.b_cand)
+    h = y_prev.shape[0]
+    ux = gp.u @ x
+    wy = gp.w @ y_prev
+    gates = _sigmoid(ux[: 2 * h] + wy[: 2 * h] + gp.b[: 2 * h])
+    r, z = gates[:h], gates[h:]
+    cand = np.tanh(ux[2 * h :] + r * wy[2 * h :] + gp.b[2 * h :])
     y = z * y_prev + (1.0 - z) * cand
-    return y, (x, y_prev, r, z, wsy, cand)
+    # whole buffers only: a cached slice would keep its base array alive
+    return y, (x, y_prev, gates, wy, cand)
 
 
 def gru_step(x, y_prev, gp: GruParams) -> np.ndarray:
@@ -62,7 +60,7 @@ def gru_step(x, y_prev, gp: GruParams) -> np.ndarray:
     """
     x = np.asarray(x, dtype=float)
     y_prev = np.asarray(y_prev, dtype=float)
-    h, m = gp.u_reset.shape
+    h, m = gp.w.shape[1], gp.u.shape[1]
     if x.shape != (m,):
         raise ShapeError(f"input has shape {x.shape}, expected ({m},)")
     if y_prev.shape != (h,):
@@ -73,33 +71,19 @@ def gru_step(x, y_prev, gp: GruParams) -> np.ndarray:
 
 def _gru_backward(dy, cache, gp: GruParams, grads, prefix: str):
     """Accumulate parameter gradients; return (dy_prev, dx)."""
-    x, y_prev, r, z, wsy, cand = cache
-    dz = dy * (y_prev - cand)
-    dcand = dy * (1.0 - z)
-    dy_prev = dy * z
-
-    da_c = dcand * (1.0 - cand * cand)
-    grads[prefix + ".u_cand"] += np.outer(da_c, x)
-    grads[prefix + ".b_cand"] += da_c
-    dr = da_c * wsy
-    dwsy = da_c * r
-    grads[prefix + ".w_cand"] += np.outer(dwsy, y_prev)
-    dy_prev = dy_prev + gp.w_cand.T @ dwsy
-
-    da_r = dr * r * (1.0 - r)
-    grads[prefix + ".u_reset"] += np.outer(da_r, x)
-    grads[prefix + ".w_reset"] += np.outer(da_r, y_prev)
-    grads[prefix + ".b_reset"] += da_r
-    dy_prev = dy_prev + gp.w_reset.T @ da_r
-
-    da_z = dz * z * (1.0 - z)
-    grads[prefix + ".u_update"] += np.outer(da_z, x)
-    grads[prefix + ".w_update"] += np.outer(da_z, y_prev)
-    grads[prefix + ".b_update"] += da_z
-    dy_prev = dy_prev + gp.w_update.T @ da_z
-
-    dx = gp.u_cand.T @ da_c + gp.u_reset.T @ da_r + gp.u_update.T @ da_z
-    return dy_prev, dx
+    x, y_prev, gates, wy, cand = cache
+    h = cand.shape[0]
+    r, z = gates[:h], gates[h:]
+    da_c = dy * (1.0 - z) * (1.0 - cand * cand)
+    da_r = da_c * wy[2 * h :] * r * (1.0 - r)
+    da_z = dy * (y_prev - cand) * z * (1.0 - z)
+    da = np.concatenate([da_r, da_z, da_c])
+    # the candidate sees w @ y_prev through the reset gate
+    dwy = np.concatenate([da_r, da_z, da_c * r])
+    grads[prefix + ".u"] += np.outer(da, x)
+    grads[prefix + ".w"] += np.outer(dwy, y_prev)
+    grads[prefix + ".b"] += da
+    return dy * z + gp.w.T @ dwy, gp.u.T @ da
 
 
 # --- encoder ----------------------------------------------------------------

@@ -21,7 +21,10 @@ from ..errors import DimensionError, InvalidParameter, ParseError
 INIT_SCALE = 0.5
 
 CHECKPOINT_FORMAT = "pdakit-checkpoint"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
+# Gate blocks along axis 0 of each GRU tensor.  Version 1 files stored
+# each block on its own, as <gru>.<u|w|b>_<gate>.
+GATES = ("reset", "update", "cand")
 
 
 @dataclass(frozen=True)
@@ -41,38 +44,30 @@ class ModelConfig:
 
 @dataclass
 class GruParams:
-    """One gate set: reset r, update z, candidate state.
+    """One GRU, gate blocks stacked along axis 0: reset, update, candidate.
 
-    u_* act on the input, w_* on the previous hidden state, b_* are
-    biases.  The candidate carries its own bias.
+    u (3h, m) acts on the input, w (3h, h) on the previous hidden state,
+    b (3h,) holds the biases.  The candidate carries its own bias.
     """
 
-    u_reset: np.ndarray
-    w_reset: np.ndarray
-    b_reset: np.ndarray
-    u_update: np.ndarray
-    w_update: np.ndarray
-    b_update: np.ndarray
-    u_cand: np.ndarray
-    w_cand: np.ndarray
-    b_cand: np.ndarray
+    u: np.ndarray
+    w: np.ndarray
+    b: np.ndarray
 
     @classmethod
     def init(cls, in_dim: int, hidden_dim: int, rng: np.random.Generator) -> "GruParams":
-        def u():
-            return rng.uniform(-INIT_SCALE, INIT_SCALE, size=(hidden_dim, in_dim))
-
-        def w():
-            return rng.uniform(-INIT_SCALE, INIT_SCALE, size=(hidden_dim, hidden_dim))
-
-        def b():
-            return rng.uniform(-INIT_SCALE, INIT_SCALE, size=hidden_dim)
-
-        return cls(
-            u_reset=u(), w_reset=w(), b_reset=b(),
-            u_update=u(), w_update=w(), b_update=b(),
-            u_cand=u(), w_cand=w(), b_cand=b(),
-        )
+        # Gate by gate, u then w then b: this draw order fixes what each
+        # seed gives, so it must not follow the stacked layout.
+        blocks = [
+            (
+                rng.uniform(-INIT_SCALE, INIT_SCALE, size=(hidden_dim, in_dim)),
+                rng.uniform(-INIT_SCALE, INIT_SCALE, size=(hidden_dim, hidden_dim)),
+                rng.uniform(-INIT_SCALE, INIT_SCALE, size=hidden_dim),
+            )
+            for _ in GATES
+        ]
+        u, w, b = (np.concatenate(parts) for parts in zip(*blocks))
+        return cls(u=u, w=w, b=b)
 
     def tensor_items(self, prefix: str) -> Iterator[tuple[str, np.ndarray]]:
         for f in fields(self):
@@ -216,27 +211,41 @@ def save_checkpoint(path, params: ModelParams, meta: dict | None = None) -> None
         fh.write("\n")
 
 
+def _read_tensor(tensors: dict, name: str, shape: tuple) -> np.ndarray:
+    entry = tensors[name]
+    data = np.asarray(entry["data"], dtype=float).reshape(entry["shape"])
+    if data.shape != shape:
+        raise ParseError(f"tensor {name} has shape {data.shape}, expected {shape}")
+    if not np.isfinite(data).all():
+        raise ParseError(f"tensor {name} holds a non-finite value")
+    return data
+
+
 def load_checkpoint(path) -> tuple[ModelParams, dict]:
+    """Read a version 2 file, or a version 1 file with per-gate tensors."""
     with open(path) as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ParseError(f"bad checkpoint JSON: {exc}") from exc
-    if doc.get("format") != CHECKPOINT_FORMAT:
-        raise ParseError(f"not a checkpoint file: format={doc.get('format')!r}")
-    if doc.get("version") != CHECKPOINT_VERSION:
-        raise ParseError(f"unsupported checkpoint version {doc.get('version')!r}")
+    fmt = doc.get("format") if isinstance(doc, dict) else None
+    if fmt != CHECKPOINT_FORMAT:
+        raise ParseError(f"not a checkpoint file: format={fmt!r}")
+    version = doc.get("version")
+    if isinstance(version, bool) or version not in (1, CHECKPOINT_VERSION):
+        raise ParseError(f"unsupported checkpoint version {version!r}")
     try:
         config = ModelConfig(**{k: int(v) for k, v in doc["config"].items()})
         params = ModelParams.init(config, seed=0)
+        tensors = doc["tensors"]
         for name, t in params.tensor_items():
-            entry = doc["tensors"][name]
-            data = np.asarray(entry["data"], dtype=float).reshape(entry["shape"])
-            if data.shape != t.shape:
-                raise ParseError(
-                    f"tensor {name} has shape {data.shape}, expected {t.shape}"
+            if version == 1 and "." in name:
+                block = (t.shape[0] // 3,) + t.shape[1:]
+                t[...] = np.concatenate(
+                    [_read_tensor(tensors, f"{name}_{gate}", block) for gate in GATES]
                 )
-            t[...] = data
-    except (KeyError, TypeError, ValueError) as exc:
+            else:
+                t[...] = _read_tensor(tensors, name, t.shape)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad checkpoint structure: {exc}") from exc
     return params, doc.get("meta", {})

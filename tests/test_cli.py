@@ -171,6 +171,13 @@ class TestAugment:
         assert len(lines) == 1
         assert json.loads(lines[0])["_meta"]["count"] == 0
 
+    def test_negative_count_is_an_input_error(self, tmp_path, capsys):
+        path = tmp_path / "c.jsonl"
+        assert run("augment", "--source", "4,1", "--count", -5,
+                   "--seed", 0, "--out", path) == 2
+        assert "--count must be >= 0" in capsys.readouterr().err
+        assert not path.exists()
+
     def test_same_seed_same_bytes(self, tmp_path):
         a = make_corpus(tmp_path, seed=9, name="a.jsonl")
         b = make_corpus(tmp_path, seed=9, name="b.jsonl")

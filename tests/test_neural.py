@@ -39,6 +39,7 @@ from pdakit.neural import (
     train,
     write_log_csv,
 )
+from pdakit.neural.net import _sigmoid
 from pdakit.pda import construct_mn_pda, verify
 from pdakit.seqcodec import (
     AdjacencyMatrix,
@@ -76,25 +77,21 @@ def random_adjacency(rng, max_f=5, max_k=5):
 class TestGruStep:
     def test_zero_weights_zero_state(self):
         gp = GruParams.init(3, 2, np.random.default_rng(0))
-        for name in ("reset", "update", "cand"):
-            getattr(gp, "u_" + name)[...] = 0.0
-            getattr(gp, "w_" + name)[...] = 0.0
-            getattr(gp, "b_" + name)[...] = 0.0
+        for gate in range(3):
+            rows = slice(2 * gate, 2 * gate + 2)
+            gp.u[rows] = 0.0
+            gp.w[rows] = 0.0
+            gp.b[rows] = 0.0
         y = gru_step(np.ones(3), np.zeros(2), gp)
         # z = 1/2, cand = tanh(0) = 0, y = 0.5*0 + 0.5*0
         assert np.array_equal(y, np.zeros(2))
 
     def test_scalar_cell_matches_hand_formula(self):
         gp = GruParams.init(1, 1, np.random.default_rng(0))
-        gp.u_reset[...] = 0.3
-        gp.w_reset[...] = -0.2
-        gp.b_reset[...] = 0.1
-        gp.u_update[...] = 0.5
-        gp.w_update[...] = 0.4
-        gp.b_update[...] = -0.3
-        gp.u_cand[...] = 0.7
-        gp.w_cand[...] = 0.2
-        gp.b_cand[...] = 0.05
+        # rows: reset, update, candidate
+        gp.u[0], gp.w[0], gp.b[0] = 0.3, -0.2, 0.1
+        gp.u[1], gp.w[1], gp.b[1] = 0.5, 0.4, -0.3
+        gp.u[2], gp.w[2], gp.b[2] = 0.7, 0.2, 0.05
         x, y_prev = 0.9, -0.4
 
         r = 1.0 / (1.0 + math.exp(-(0.3 * x - 0.2 * y_prev + 0.1)))
@@ -105,6 +102,18 @@ class TestGruStep:
         got = gru_step(np.array([x]), np.array([y_prev]), gp)
         assert got.shape == (1,)
         assert got[0] == pytest.approx(want, abs=1e-15)
+
+    def test_sigmoid_cannot_overflow_and_matches_piecewise_form(self):
+        with np.errstate(all="raise"):
+            ends = _sigmoid(np.array([-1000.0, 1000.0]))
+        assert np.array_equal(ends, [0.0, 1.0])
+        x = np.linspace(-40.0, 40.0, 100001)
+        pos = x >= 0
+        want = np.empty_like(x)
+        want[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+        ex = np.exp(x[~pos])
+        want[~pos] = ex / (1.0 + ex)
+        assert np.max(np.abs(_sigmoid(x) - want)) <= 5e-16
 
     def test_state_stays_bounded(self):
         rng = np.random.default_rng(7)
@@ -582,6 +591,34 @@ class TestClipGrads:
         assert np.array_equal(grads["a"], np.zeros(3))
 
 
+class TestInit:
+    def test_seed_draws_the_per_gate_blocks_in_order(self):
+        d, h = 3, 2
+        params = ModelParams.init(ModelConfig(f_max=4, k_max=3, embed_dim=d, hidden_dim=h))
+        rng = np.random.default_rng(0)
+
+        def draw(*shape):
+            return rng.uniform(-0.5, 0.5, size=shape)
+
+        embed = draw(d, 7)
+        blocks = {}
+        for gru, m in (("fwd", d), ("bwd", d), ("dec", 2 * h + d)):
+            for gate in range(3):
+                blocks[gru, "u", gate] = draw(h, m)
+                blocks[gru, "w", gate] = draw(h, h)
+                blocks[gru, "b", gate] = draw(h)
+        rest = [draw(h, 2 * h), draw(h, h), draw(h), draw(d)]
+
+        assert np.array_equal(params.embed, embed)
+        for (gru, part, gate), block in blocks.items():
+            stacked = getattr(getattr(params, gru), part)
+            assert np.array_equal(stacked[gate * h : (gate + 1) * h], block)
+        for got, want in zip(
+            (params.attn_enc, params.attn_dec, params.attn_v, params.start), rest
+        ):
+            assert np.array_equal(got, want)
+
+
 class TestCheckpoint:
     def test_round_trip_is_bitwise(self, tmp_path):
         params = tiny_params(seed=21, d=5, h=3)
@@ -592,6 +629,59 @@ class TestCheckpoint:
         assert np.array_equal(loaded.flatten(), params.flatten())
         assert meta == {"epoch": 7, "corpus": "mn"}
 
+    def test_reads_version_1_per_gate_tensors(self, tmp_path):
+        import json
+
+        params = tiny_params(seed=4, d=3, h=4)
+        h = params.config.hidden_dim
+        tensors = {}
+        for name, t in params.tensor_items():
+            if "." in name:
+                for gate, label in enumerate(("reset", "update", "cand")):
+                    block = t[gate * h : (gate + 1) * h]
+                    tensors[f"{name}_{label}"] = {
+                        "shape": list(block.shape), "data": block.ravel().tolist()
+                    }
+            else:
+                tensors[name] = {"shape": list(t.shape), "data": t.ravel().tolist()}
+        doc = {
+            "format": "pdakit-checkpoint",
+            "version": 1,
+            "config": {"f_max": 4, "k_max": 4, "embed_dim": 3, "hidden_dim": 4},
+            "tensors": tensors,
+            "meta": {"epoch": 2},
+        }
+        path = tmp_path / "v1.json"
+        path.write_text(json.dumps(doc))
+        loaded, meta = load_checkpoint(path)
+        assert np.array_equal(loaded.flatten(), params.flatten())
+        assert meta == {"epoch": 2}
+
+        save_checkpoint(path, loaded)
+        saved = json.loads(path.read_text())
+        assert saved["version"] == 2
+        assert saved["tensors"]["fwd.u"]["shape"] == [12, 3]
+        assert not any(name.endswith("_reset") for name in saved["tensors"])
+
+        tensors["fwd.w_update"]["shape"] = [2, 8]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ParseError):
+            load_checkpoint(path)
+
+    def test_rejects_non_finite_tensors(self, tmp_path):
+        import json
+
+        path = tmp_path / "model.json"
+        save_checkpoint(path, tiny_params(seed=0))
+        doc = json.loads(path.read_text())
+        for bad, token in ((float("nan"), "NaN"), (float("-inf"), "-Infinity")):
+            broken = json.loads(json.dumps(doc))
+            broken["tensors"]["start"]["data"][0] = bad
+            path.write_text(json.dumps(broken))
+            assert token in path.read_text()
+            with pytest.raises(ParseError, match="non-finite"):
+                load_checkpoint(path)
+
     def test_rejects_foreign_and_broken_files(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
@@ -600,9 +690,14 @@ class TestCheckpoint:
         path.write_text('{"format": "something-else", "version": 1}\n')
         with pytest.raises(ParseError):
             load_checkpoint(path)
-        path.write_text('{"format": "pdakit-checkpoint", "version": 99}\n')
-        with pytest.raises(ParseError):
-            load_checkpoint(path)
+        for version in ("99", "0", "3", '"2"', "null", "true"):
+            path.write_text(f'{{"format": "pdakit-checkpoint", "version": {version}}}\n')
+            with pytest.raises(ParseError, match="unsupported checkpoint version"):
+                load_checkpoint(path)
+        for text in ('[1, 2]\n', '{"format": "pdakit-checkpoint", "version": 2, "config": []}\n'):
+            path.write_text(text)
+            with pytest.raises(ParseError):
+                load_checkpoint(path)
 
     def test_rejects_missing_and_misshapen_tensors(self, tmp_path):
         import json
