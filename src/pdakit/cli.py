@@ -243,7 +243,7 @@ def cmd_train(args):
 def cmd_simulate(args):
     with open(args.pda) as fh:
         p = pda_from_text(fh.read())
-    n_files = args.files if args.files else p.k + 1
+    n_files = p.k + 1 if args.files is None else args.files
     report = measure(p, trials=args.trials, seed=args.seed,
                      n_files=n_files, packet_size=args.packet_size)
     print(

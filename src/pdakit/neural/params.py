@@ -235,7 +235,11 @@ def load_checkpoint(path) -> tuple[ModelParams, dict]:
     if isinstance(version, bool) or version not in (1, CHECKPOINT_VERSION):
         raise ParseError(f"unsupported checkpoint version {version!r}")
     try:
-        config = ModelConfig(**{k: int(v) for k, v in doc["config"].items()})
+        widths = doc["config"]
+        for name, value in widths.items():
+            if type(value) is not int:
+                raise ParseError(f"checkpoint config {name}={value!r} is not an integer")
+        config = ModelConfig(**widths)
         params = ModelParams.init(config, seed=0)
         tensors = doc["tensors"]
         for name, t in params.tensor_items():

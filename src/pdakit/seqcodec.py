@@ -173,7 +173,11 @@ def default_star_pattern(k: int, f: int, z: int) -> tuple[tuple[int, ...], ...]:
 
 @dataclass(frozen=True)
 class TrainingPair:
-    """One (placement, coloring) sample: edges in canonical order."""
+    """One (placement, coloring) sample: edges in canonical order.
+
+    The edges must be a placement's: cells of the F-by-K grid, distinct,
+    in column-major order, F - Z of them in every column.
+    """
 
     k: int
     f: int
@@ -186,11 +190,25 @@ class TrainingPair:
             raise LengthMismatch(
                 f"{len(self.edges)} edges but {len(self.colors)} colors"
             )
+        if self.k < 1 or self.f < 1 or not 0 <= self.z <= self.f:
+            raise InvalidParameter(f"bad placement shape k={self.k}, f={self.f}, z={self.z}")
         expected = self.k * (self.f - self.z)
         if len(self.edges) != expected:
             raise InvalidParameter(
                 f"edge count {len(self.edges)} is not K(F-Z) = {expected}"
             )
+        per_column = [0] * self.k
+        last = (-1, -1)
+        for i, j in self.edges:
+            if not (0 <= i < self.f and 0 <= j < self.k):
+                raise InvalidPlacement(f"edge ({i}, {j}) outside [0, {self.f}) x [0, {self.k})")
+            if (j, i) <= last:
+                raise InvalidPlacement(f"edge ({i}, {j}) repeats or breaks column-major order")
+            last = (j, i)
+            per_column[j] += 1
+        for j, count in enumerate(per_column):
+            if count != self.f - self.z:
+                raise InvalidPlacement(f"column {j} has {count} edges, expected F-Z = {self.f - self.z}")
 
     def adjacency(self) -> AdjacencyMatrix:
         mask = np.zeros((self.f, self.k), dtype=bool)
@@ -218,13 +236,19 @@ def _pair_to_obj(pair: TrainingPair) -> dict:
     }
 
 
+def _json_int(v) -> int:
+    if type(v) is not int:
+        raise ValueError(f"{v!r} is not an integer")
+    return v
+
+
 def _pair_from_obj(obj: dict) -> TrainingPair:
     return TrainingPair(
-        k=int(obj["K"]),
-        f=int(obj["F"]),
-        z=int(obj["Z"]),
-        edges=tuple((int(i), int(j)) for i, j in obj["edges"]),
-        colors=tuple(int(c) for c in obj["colors"]),
+        k=_json_int(obj["K"]),
+        f=_json_int(obj["F"]),
+        z=_json_int(obj["Z"]),
+        edges=tuple((_json_int(i), _json_int(j)) for i, j in obj["edges"]),
+        colors=tuple(_json_int(c) for c in obj["colors"]),
     )
 
 
@@ -261,7 +285,8 @@ def read_corpus(path) -> tuple[dict, list[TrainingPair]]:
                 continue
             try:
                 pairs.append(_pair_from_obj(obj))
-            except (KeyError, TypeError, ValueError) as exc:
+            except (KeyError, TypeError, ValueError, InvalidParameter, InvalidPlacement,
+                    LengthMismatch) as exc:
                 raise ParseError(
                     f"bad sample on corpus line {lineno}: {exc}", line=lineno
                 ) from exc

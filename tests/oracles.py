@@ -88,6 +88,59 @@ def oracle_canonical(grid):
     return [[STAR if v == STAR else new[v] for v in row] for row in rows]
 
 
+def oracle_round(grid, packets, demand):
+    """One coded caching round written out packet by packet with Python bytes.
+
+    packets[n][j] is packet row j of file n + 1; demand[u] is user u's file.
+    Returns (broadcasts, decoded).  broadcasts[s - 1] is (payload,
+    contributors) for slot s in 1..max(grid): contributors are the
+    (demand, row) of the cells holding s in row-major order, and payload
+    is their XOR.  decoded[u] is user u's file, or ("missing", packet,
+    slot) for the first packet user u needs but does not cache, scanning
+    rows in column order, then each slot's other contributors in order.
+    """
+    rows = [list(r) for r in grid]
+    f = len(rows)
+    k = len(rows[0])
+    size = len(packets[0][0])
+
+    def xor(a, b):
+        return bytes(x ^ y for x, y in zip(a, b))
+
+    broadcasts = []
+    for s in range(1, max(max(r) for r in rows) + 1):
+        payload = bytes(size)
+        contributors = []
+        for i in range(f):
+            for j in range(k):
+                if rows[i][j] == s:
+                    payload = xor(payload, packets[demand[j] - 1][i])
+                    contributors.append((demand[j], i))
+        broadcasts.append((payload, contributors))
+    decoded = []
+    for u in range(k):
+        want = demand[u]
+        cached = {(n + 1, i) for n in range(len(packets)) for i in range(f) if rows[i][u] == STAR}
+        out = b""
+        for i in range(f):
+            s = rows[i][u]
+            if s == STAR:
+                out += packets[want - 1][i]
+                continue
+            payload, contributors = broadcasts[s - 1]
+            others = list(contributors)
+            others.remove((want, i))
+            missing = [c for c in others if c not in cached]
+            if missing:
+                out = ("missing", missing[0], s)
+                break
+            for n, j in others:
+                payload = xor(payload, packets[n - 1][j])
+            out += payload
+        decoded.append(out)
+    return broadcasts, decoded
+
+
 def oracle_strong_coloring(k_count, f_count, edges):
     """Definition-level strong edge coloring check on a colored bipartite graph.
 

@@ -1,12 +1,16 @@
+import hashlib
 import itertools
 import json
+from collections.abc import Mapping
 
 import numpy as np
 import pytest
 
 from pdakit.cachesim import (
+    Broadcast,
     DemandVector,
     FileLibrary,
+    Transcript,
     decode,
     deliver,
     measure,
@@ -16,7 +20,9 @@ from pdakit.cachesim import (
     write_trace_csv,
 )
 from pdakit.errors import DecodeError, DimensionError, InvalidParameter
+from pdakit.graph import BipartiteColoredGraph, graph_to_pda, greedy_strong_color
 from pdakit.pda import STAR, Pda, construct_mn_pda
+from pdakit.seqcodec import default_star_pattern, placement_to_adjacency
 
 import oracles
 
@@ -41,6 +47,31 @@ class TestLibrary:
         lib = FileLibrary.random(2, 3, packet_size=4, seed=0)
         assert lib.file_bytes(2) == b"".join(lib.packets[1])
         assert len(lib.file_bytes(1)) == 12
+
+    @pytest.mark.parametrize("shape, digest", [
+        ((1, 1, 1, 0), "d2e2adf7177b7a8afddbc12d1634cf23ea1a71020f6a1308070a16400fb68fde"),
+        ((2, 3, 1, 4), "0426bdd91f4c31be070cba09a864e7d6f910960d77c53c7d8d0fca81c56cf702"),
+        ((3, 5, 3, 1), "84d386ba7188643b9ac093b9bd5b71d1b1b006afff755b5000af20748228ba3b"),
+        ((2, 7, 5, 9), "d3681824247509fa523f95d57f7f8c37063cb5c72fd4e3053d9e236f77ef7576"),
+        ((4, 4, 6, 2), "8974d84ec775443deb7a9bc5ac1f58d2e04e22d4031ee0781a80bd8c6f3e2ac0"),
+        ((3, 4, 64, 7), "511d74f3f722a340797b11cb74ce7c4f79cecb8c606910694d025c77d142893c"),
+        ((2, 2, 4097, 5), "ff8cc96c60576aa75a9b62e6a9762e32e7a30840218c6459aac7ff7df2044f4a"),
+    ])
+    def test_random_bytes_are_pinned(self, shape, digest):
+        # (files, packets per file, packet size, seed); the digests are of
+        # the files' bytes drawn one packet at a time by rng.bytes
+        n, f, size, seed = shape
+        lib = FileLibrary.random(n, f, packet_size=size, seed=seed)
+        joined = b"".join(lib.file_bytes(i + 1) for i in range(n))
+        assert hashlib.sha256(joined).hexdigest() == digest
+
+    def test_one_read_only_array_behind_every_view(self):
+        lib = FileLibrary.random(3, 4, packet_size=5, seed=0)
+        assert lib.data.shape == (3, 4, 5) and not lib.data.flags.writeable
+        view = lib.packets[2][1]
+        assert view == lib.packet(3, 1) and view.readonly
+        assert np.shares_memory(np.frombuffer(view, dtype=np.uint8), lib.data)
+        assert FileLibrary(lib.packets).packets == lib.packets
 
     def test_unequal_packet_rejected(self):
         with pytest.raises(InvalidParameter):
@@ -81,6 +112,18 @@ class TestPlace:
         lib = FileLibrary.random(2, 5, packet_size=4, seed=0)
         with pytest.raises(DimensionError):
             place(CROSS, lib)
+
+    def test_caches_are_read_only_mappings(self):
+        lib = small_lib(CROSS, n_files=2)
+        cache = place(CROSS, lib)[1]
+        assert isinstance(cache, Mapping)
+        assert list(cache) == [(1, 1), (2, 1)]
+        assert (2, 1) in cache and (np.int64(1), np.int64(1)) in cache
+        for key in ((1, 0), (0, 1), (3, 1), (1, 2), (1, -1), "ab", 7, (1, 1, 1)):
+            assert key not in cache
+        with pytest.raises(KeyError):
+            cache[(1, 0)]
+        assert dict(cache) == {(1, 1): lib.packet(1, 1), (2, 1): lib.packet(2, 1)}
 
 
 class TestDeliver:
@@ -157,6 +200,23 @@ class TestDecode:
         with pytest.raises(DecodeError):
             decode(0, caches[0], t, (1, 2), grid)
 
+    def test_contributor_outside_the_library_is_not_cached(self):
+        lib = small_lib(CROSS, n_files=2)
+        caches = place(CROSS, lib)
+        bc = deliver(CROSS, lib, (1, 2)).broadcasts[0]
+        assert bc.contributors == ((2, 0), (1, 1))
+        for file in (0, 3):
+            t = Transcript(broadcasts=(Broadcast(1, bc.payload, ((file, 0), (1, 1))),))
+            with pytest.raises(DecodeError, match=rf"lacks packet \({file}, 0\)"):
+                decode(0, caches[0], t, (1, 2), CROSS)
+
+    def test_cache_of_another_user_is_rejected(self):
+        lib = small_lib(CROSS, n_files=2)
+        caches = place(CROSS, lib)
+        t = deliver(CROSS, lib, (1, 2))
+        with pytest.raises(DecodeError, match="cache lacks star rows"):
+            decode(0, caches[1], t, (1, 2), CROSS)
+
     def test_broken_pair_fuzz(self):
         # duplicate an existing color somewhere that ruins the star-cross
         # structure; the simulator must notice for every such array
@@ -199,6 +259,64 @@ class TestDecode:
             for pkt in pkts[1:]:
                 payload = bytes(x ^ y for x, y in zip(payload, pkt))
             assert payload == pkts[0]
+
+
+def greedy_grid(k, f, z, seed):
+    adj = placement_to_adjacency(z, f, k, default_star_pattern(k, f, z))
+    g = BipartiteColoredGraph(
+        k=k, f=f, edges=tuple((int(j), int(i), None) for i, j in np.argwhere(adj.mask))
+    )
+    return graph_to_pda(greedy_strong_color(g, order="random", seed=seed)).grid.tolist()
+
+
+def break_pair(grid, rng):
+    """Copy one cell's color to a random other cell."""
+    grid = [list(row) for row in grid]
+    cells = [(i, j) for i, row in enumerate(grid) for j, v in enumerate(row) if v != S]
+    i1, j1 = cells[int(rng.integers(0, len(cells)))]
+    i2, j2 = int(rng.integers(0, len(grid))), int(rng.integers(0, len(grid[0])))
+    grid[i2][j2] = grid[i1][j1]
+    return grid
+
+
+class TestAgainstOracle:
+    def test_rounds_match_packet_by_packet_oracle(self):
+        rng = np.random.default_rng(20261018)
+        grids = [oracles.mn_grid(k, t) for k, t in [(2, 1), (3, 1), (4, 2), (5, 2), (6, 3)]]
+        grids += [greedy_grid(k, f, z, seed) for seed, (k, f, z) in
+                  enumerate([(4, 4, 2), (5, 10, 4), (6, 20, 10), (8, 4, 3)])]
+        grids += [break_pair(grids[int(rng.integers(0, len(grids)))], rng) for _ in range(40)]
+        grids += [oracles.random_grid(rng) for _ in range(120)]
+        outcomes = {"decoded": 0, "missing": 0}
+        for n, grid in enumerate(grids):
+            f, k = len(grid), len(grid[0])
+            for size in (1, 3, 8, 64):
+                n_files = int(rng.integers(1, max(k - 1, 1) + 1))   # N < K: demands repeat
+                lib = FileLibrary.random(n_files, f, packet_size=size, seed=n)
+                demand = tuple(int(x) for x in rng.integers(1, n_files + 1, size=k))
+                packets = [[lib.packet(file, j) for j in range(f)] for file in range(1, n_files + 1)]
+                broadcasts, decoded = oracles.oracle_round(grid, packets, demand)
+
+                t = deliver(grid, lib, demand)
+                assert [(b.slot, b.payload, list(b.contributors)) for b in t.broadcasts] == [
+                    (s, payload, contributors)
+                    for s, (payload, contributors) in enumerate(broadcasts, start=1)
+                ]
+                first = next(((u, out) for u, out in enumerate(decoded)
+                              if isinstance(out, tuple)), None)
+                if first is None:
+                    result = run_round(grid, lib, demand)
+                    assert result.decoded == tuple(decoded) and result.all_ok
+                    outcomes["decoded"] += 1
+                else:
+                    u, (_, packet, slot) = first
+                    with pytest.raises(DecodeError) as info:
+                        run_round(grid, lib, demand)
+                    assert str(info.value) == (
+                        f"user {u} lacks packet {packet} needed to decode slot {slot}"
+                    )
+                    outcomes["missing"] += 1
+        assert min(outcomes.values()) > 200
 
 
 class TestRounds:

@@ -248,6 +248,20 @@ class TestTrain:
         assert run(*train_args(corpus, tmp_path / "m.json", tmp_path / "l.csv",
                                holdout=4)) == 2
 
+    @pytest.mark.parametrize("edges", [
+        [[1, 0], [0, 2]],    # column 2 of a 2-user placement
+        [[1, 0], [1, 0]],    # one edge twice
+        [[-1, 0], [0, 1]],   # row -1
+    ])
+    def test_corpus_sample_that_is_no_placement_is_an_input_error(self, tmp_path, capsys, edges):
+        corpus = tmp_path / "corpus.jsonl"
+        good = {"K": 2, "F": 2, "Z": 1, "edges": [[1, 0], [0, 1]], "colors": [1, 1]}
+        bad = dict(good, edges=edges)
+        corpus.write_text("".join(json.dumps(obj) + "\n" for obj in ({"_meta": {}}, good, bad)))
+        assert run(*train_args(corpus, tmp_path / "m.json", tmp_path / "l.csv")) == 2
+        assert "corpus line 3" in capsys.readouterr().err
+        assert not (tmp_path / "m.json").exists()
+
 
 class TestSimulate:
     def test_rates_and_artifacts(self, tmp_path, capsys):
@@ -278,6 +292,15 @@ class TestSimulate:
         path = tmp_path / "bad.pda"
         path.write_text("hello\n")
         assert run("simulate", "--pda", path) == 2
+
+    def test_non_positive_file_count_is_an_input_error(self, tmp_path, capsys):
+        pda = tmp_path / "mn21.pda"
+        assert run("construct", "--users", 2, "--t", 1, "--out", pda) == 0
+        capsys.readouterr()
+        for files in (0, -2):
+            assert run("simulate", "--pda", pda, "--files", files) == 2
+            out, err = capsys.readouterr()
+            assert "delivery_rate" not in out and "error:" in err
 
 
 class TestBench:

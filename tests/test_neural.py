@@ -682,6 +682,20 @@ class TestCheckpoint:
             with pytest.raises(ParseError, match="non-finite"):
                 load_checkpoint(path)
 
+    def test_config_values_must_be_json_integers(self, tmp_path):
+        import json
+
+        path = tmp_path / "model.json"
+        save_checkpoint(path, tiny_params(seed=0, h=4))
+        doc = json.loads(path.read_text())
+        assert doc["config"]["hidden_dim"] == 4
+        for bad in (4.7, 4.0, "4", True):
+            broken = json.loads(json.dumps(doc))
+            broken["config"]["hidden_dim"] = bad
+            path.write_text(json.dumps(broken))
+            with pytest.raises(ParseError, match="hidden_dim"):
+                load_checkpoint(path)
+
     def test_rejects_foreign_and_broken_files(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")

@@ -242,6 +242,27 @@ class TestCorpus:
             read_corpus(path)
         assert info.value.line == 2
 
+    @pytest.mark.parametrize("sample", [
+        {"K": 2, "F": 2, "Z": 1, "edges": [[1, 0], [0, 2]]},                   # column >= K
+        {"K": 2, "F": 2, "Z": 1, "edges": [[1, 0], [2, 1]]},                   # row >= F
+        {"K": 2, "F": 2, "Z": 1, "edges": [[-1, 0], [0, 1]]},                  # negative row
+        {"K": 2, "F": 2, "Z": 1, "edges": [[1, 0], [1, 0]]},                   # duplicate edge
+        {"K": 2, "F": 2, "Z": 1, "edges": [[0, 1], [1, 0]]},                   # row-major order
+        {"K": 2, "F": 3, "Z": 1, "edges": [[0, 0], [2, 0], [1, 0], [1, 1]]},   # rows unsorted
+        {"K": 2, "F": 3, "Z": 1, "edges": [[0, 0], [1, 0], [2, 0], [1, 1]]},   # 3 + 1 per column
+        {"K": 0, "F": 2, "Z": 1, "edges": []},                                 # no users
+        {"K": 2, "F": 2, "Z": 1, "edges": [[1.5, 0], [0, 1]]},                 # float row
+        {"K": "2", "F": 2, "Z": 1, "edges": [[1, 0], [0, 1]]},                 # string K
+        {"K": 2, "F": 2, "Z": True, "edges": [[1, 0], [0, 1]]},                # boolean Z
+    ])
+    def test_sample_that_is_no_placement_is_a_parse_error(self, tmp_path, sample):
+        path = tmp_path / "bad.jsonl"
+        obj = dict(sample, colors=list(range(1, len(sample["edges"]) + 1)))
+        path.write_text('{"_meta": {}}\n' + json.dumps(obj) + "\n")
+        with pytest.raises(ParseError) as info:
+            read_corpus(path)
+        assert info.value.line == 2
+
     def test_pair_length_mismatch(self):
         with pytest.raises(LengthMismatch):
             TrainingPair(k=1, f=2, z=1, edges=((0, 0),), colors=(1, 2))
