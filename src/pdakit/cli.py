@@ -21,7 +21,7 @@ import time
 import numpy as np
 
 from .cachesim import DemandVector, FileLibrary, measure, run_round, transcript_to_json, write_trace_csv
-from .errors import DivergenceError, InvalidParameter, InvalidPda, ParseError, PdakitError
+from .errors import DivergenceError, InvalidParameter, InvalidPda, ParseError, PdakitError, read_text
 from .graph import BipartiteColoredGraph, graph_to_pda, greedy_strong_color, pda_to_graph, subsample
 from .neural import TrainConfig, load_checkpoint, rollout, save_checkpoint, train, write_log_csv
 from .pda import Pda, construct_mn_pda, header_violations, parse_pda_text, pda_from_text, pda_to_text, verify
@@ -59,6 +59,14 @@ def _parse_source(text):
     return k, t
 
 
+def _seed(text):
+    """argparse type for --seed: numpy seeds are non-negative integers."""
+    seed = int(text)
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"seed must be >= 0, got {seed}")
+    return seed
+
+
 def _parse_sizes(text):
     try:
         sizes = [int(tok) for tok in text.split(",") if tok.strip()]
@@ -70,9 +78,7 @@ def _parse_sizes(text):
 
 
 def cmd_verify(args):
-    with open(args.path) as fh:
-        text = fh.read()
-    grid, k, f, z, s = parse_pda_text(text)
+    grid, k, f, z, s = parse_pda_text(read_text(args.path))
     report = verify(grid, z=z)
     extra = header_violations(grid, z, s)
     if report.valid and not extra:
@@ -153,13 +159,15 @@ def cmd_pipeline(args):
 def cmd_augment(args):
     if args.count < 0:
         raise InvalidParameter(f"--count must be >= 0, got {args.count}")
+    if args.delta is not None and args.delta < 1:
+        raise InvalidParameter(f"--delta must be >= 1, got {args.delta}")
     sources = [_parse_source(s) for s in args.source]
     combos = []
     for k, t in sources:
         p = construct_mn_pda(k, t)
         deg = p.f - p.z
-        deltas = [args.delta] if args.delta else list(range(1, deg))
-        legal = [d for d in deltas if 0 < d < deg]
+        deltas = [args.delta] if args.delta is not None else list(range(1, deg))
+        legal = [d for d in deltas if d < deg]
         if not legal:
             print(f"warning: source {k},{t} has no legal delta (degree {deg}), skipped",
                   file=sys.stderr)
@@ -179,7 +187,7 @@ def cmd_augment(args):
         "tool": "pdakit augment",
         "seed": args.seed,
         "sources": list(args.source),
-        "delta": args.delta if args.delta else "all",
+        "delta": "all" if args.delta is None else args.delta,
         "count": args.count,
     }
     written = write_corpus(args.out, pairs, meta=meta)
@@ -192,7 +200,7 @@ def cmd_train(args):
     if not pairs:
         raise InvalidParameter(f"corpus {args.corpus} holds no training pairs")
     holdout = args.holdout
-    if holdout >= len(pairs):
+    if not 0 <= holdout < len(pairs):
         raise InvalidParameter(
             f"cannot hold out {holdout} of {len(pairs)} pairs"
         )
@@ -241,8 +249,7 @@ def cmd_train(args):
 
 
 def cmd_simulate(args):
-    with open(args.pda) as fh:
-        p = pda_from_text(fh.read())
+    p = pda_from_text(read_text(args.pda))
     n_files = p.k + 1 if args.files is None else args.files
     report = measure(p, trials=args.trials, seed=args.seed,
                      n_files=n_files, packet_size=args.packet_size)
@@ -329,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--users", type=int, required=True)
     sp.add_argument("--rows", type=int, required=True, help="packets per file F")
     sp.add_argument("--stars", type=int, required=True, help="cached packets per user Z")
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=_seed, default=0)
     sp.add_argument("--colorer", choices=["greedy", "neural"], default="greedy")
     sp.add_argument("--checkpoint", help="trained model (required for neural)")
     sp.add_argument("--no-mask", action="store_true",
@@ -344,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="subset-construction source; repeatable")
     sp.add_argument("--count", type=int, required=True, help="pairs to emit")
     sp.add_argument("--delta", type=int, help="edges kept per user (default: every legal value)")
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=_seed, default=0)
     sp.add_argument("--out", required=True, help="output corpus (JSON lines)")
     sp.set_defaults(func=cmd_augment)
 
@@ -362,13 +369,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--clip-norm", type=float, default=5.0)
     sp.add_argument("--holdout", type=int, default=0,
                     help="score the valid-rate column on this many trailing pairs")
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=_seed, default=0)
     sp.set_defaults(func=cmd_train)
 
     sp = sub.add_parser("simulate", help="run delivery rounds over an array file")
     sp.add_argument("--pda", required=True, help="array in text format")
     sp.add_argument("--trials", type=int, default=20)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=_seed, default=0)
     sp.add_argument("--files", type=int, help="library size (default K+1)")
     sp.add_argument("--packet-size", type=int, default=64)
     sp.add_argument("--transcript", help="optional transcript JSON for one round")
@@ -379,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--sizes", default="64,128,256,512,1024,2048,4096",
                     help="comma-separated edge counts")
     sp.add_argument("--checkpoint", required=True)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=_seed, default=0)
     sp.add_argument("--out", required=True, help="output timing CSV")
     sp.set_defaults(func=cmd_bench)
 

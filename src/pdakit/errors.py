@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the parse-boundary rules they back."""
 
 
 class PdakitError(Exception):
@@ -95,3 +95,19 @@ class ParseError(PdakitError):
         super().__init__(message)
         self.line = line
         self.token = token
+
+
+def read_text(path) -> str:
+    """The whole file as text; bytes that are not UTF-8 are a ParseError."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: not UTF-8 text at byte {exc.start}") from None
+
+
+def json_int(value, what: str) -> int:
+    """A JSON integer as read by ``json``; bool, float and string are ParseError."""
+    if type(value) is not int:
+        raise ParseError(f"{what} {value!r} is not an integer")
+    return value

@@ -25,6 +25,7 @@ from .errors import (
     InvalidParameter,
     InvalidPda,
     ParseError,
+    json_int,
 )
 from .pda import COND_COLUMN_STARS, STAR, Pda, _pair_violations, verify
 
@@ -241,7 +242,10 @@ def graph_from_json(text: str) -> BipartiteColoredGraph:
     except json.JSONDecodeError as exc:
         raise ParseError(f"bad graph JSON: {exc}") from exc
     try:
-        edges = tuple((int(u), int(v), None if c is None else int(c)) for u, v, c in doc["edges"])
-        return BipartiteColoredGraph(k=int(doc["k"]), f=int(doc["f"]), edges=edges)
+        edges = tuple(
+            (json_int(u, "user"), json_int(v, "packet"), None if c is None else json_int(c, "color"))
+            for u, v, c in doc["edges"]
+        )
+        return BipartiteColoredGraph(k=json_int(doc["k"], "k"), f=json_int(doc["f"], "f"), edges=edges)
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad graph JSON structure: {exc}") from exc

@@ -9,12 +9,12 @@ vector view used by finite-difference checks and gradient clipping.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields
-from typing import Iterator
+from copy import deepcopy
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from ..errors import DimensionError, InvalidParameter, ParseError
+from ..errors import DimensionError, InvalidParameter, ParseError, json_int, read_text
 
 # Uniform init half-width.  Pointer logits are products of several weight
 # tensors, so a much smaller scale starts training on a flat plateau.
@@ -37,9 +37,9 @@ class ModelConfig:
     hidden_dim: int
 
     def __post_init__(self):
-        for name in ("f_max", "k_max", "embed_dim", "hidden_dim"):
-            if getattr(self, name) < 1:
-                raise InvalidParameter(f"{name} must be >= 1")
+        for f in fields(self):
+            if getattr(self, f.name) < 1:
+                raise InvalidParameter(f"{f.name} must be >= 1")
 
 
 @dataclass
@@ -69,9 +69,8 @@ class GruParams:
         u, w, b = (np.concatenate(parts) for parts in zip(*blocks))
         return cls(u=u, w=w, b=b)
 
-    def tensor_items(self, prefix: str) -> Iterator[tuple[str, np.ndarray]]:
-        for f in fields(self):
-            yield f"{prefix}.{f.name}", getattr(self, f.name)
+    def tensor_items(self, prefix: str) -> list[tuple[str, np.ndarray]]:
+        return [(f"{prefix}.{f.name}", getattr(self, f.name)) for f in fields(self)]
 
 
 @dataclass
@@ -116,17 +115,14 @@ class ModelParams:
         )
 
     def tensor_items(self) -> list[tuple[str, np.ndarray]]:
-        """All tensors in a fixed order; names key checkpoints and grads."""
-        items = [("embed", self.embed)]
-        items += list(self.fwd.tensor_items("fwd"))
-        items += list(self.bwd.tensor_items("bwd"))
-        items += list(self.dec.tensor_items("dec"))
-        items += [
-            ("attn_enc", self.attn_enc),
-            ("attn_dec", self.attn_dec),
-            ("attn_v", self.attn_v),
-            ("start", self.start),
-        ]
+        """All tensors in field order, each GRU as its u, w, b; names key checkpoints and grads."""
+        items = []
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, GruParams):
+                items += value.tensor_items(f.name)
+            elif isinstance(value, np.ndarray):
+                items.append((f.name, value))
         return items
 
     def zero_grads(self) -> dict[str, np.ndarray]:
@@ -150,20 +146,7 @@ class ModelParams:
         return out
 
     def copy(self) -> "ModelParams":
-        def gru_copy(g: GruParams) -> GruParams:
-            return GruParams(**{f.name: getattr(g, f.name).copy() for f in fields(g)})
-
-        return ModelParams(
-            config=self.config,
-            embed=self.embed.copy(),
-            fwd=gru_copy(self.fwd),
-            bwd=gru_copy(self.bwd),
-            dec=gru_copy(self.dec),
-            attn_enc=self.attn_enc.copy(),
-            attn_dec=self.attn_dec.copy(),
-            attn_v=self.attn_v.copy(),
-            start=self.start.copy(),
-        )
+        return deepcopy(self)
 
     def all_finite(self) -> bool:
         return all(np.isfinite(t).all() for _, t in self.tensor_items())
@@ -194,12 +177,7 @@ def save_checkpoint(path, params: ModelParams, meta: dict | None = None) -> None
     doc = {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
-        "config": {
-            "f_max": params.config.f_max,
-            "k_max": params.config.k_max,
-            "embed_dim": params.config.embed_dim,
-            "hidden_dim": params.config.hidden_dim,
-        },
+        "config": asdict(params.config),
         "tensors": {
             name: {"shape": list(t.shape), "data": t.ravel().tolist()}
             for name, t in params.tensor_items()
@@ -223,11 +201,10 @@ def _read_tensor(tensors: dict, name: str, shape: tuple) -> np.ndarray:
 
 def load_checkpoint(path) -> tuple[ModelParams, dict]:
     """Read a version 2 file, or a version 1 file with per-gate tensors."""
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"bad checkpoint JSON: {exc}") from exc
+    try:
+        doc = json.loads(read_text(path))
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"bad checkpoint JSON: {exc}") from exc
     fmt = doc.get("format") if isinstance(doc, dict) else None
     if fmt != CHECKPOINT_FORMAT:
         raise ParseError(f"not a checkpoint file: format={fmt!r}")
@@ -235,11 +212,10 @@ def load_checkpoint(path) -> tuple[ModelParams, dict]:
     if isinstance(version, bool) or version not in (1, CHECKPOINT_VERSION):
         raise ParseError(f"unsupported checkpoint version {version!r}")
     try:
-        widths = doc["config"]
-        for name, value in widths.items():
-            if type(value) is not int:
-                raise ParseError(f"checkpoint config {name}={value!r} is not an integer")
-        config = ModelConfig(**widths)
+        config = ModelConfig(
+            **{name: json_int(value, f"checkpoint config {name}")
+               for name, value in doc["config"].items()}
+        )
         params = ModelParams.init(config, seed=0)
         tensors = doc["tensors"]
         for name, t in params.tensor_items():

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import csv
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional, Sequence
 
 import numpy as np
@@ -42,14 +42,11 @@ class TrainConfig:
             raise InvalidParameter("epoch counts must be >= 0")
         if self.batch_size < 1:
             raise InvalidParameter("batch_size must be >= 1")
+        if not self.clip_norm > 0:
+            raise InvalidParameter(f"clip_norm must be > 0, got {self.clip_norm}")
 
     def model_config(self) -> ModelConfig:
-        return ModelConfig(
-            f_max=self.f_max,
-            k_max=self.k_max,
-            embed_dim=self.embed_dim,
-            hidden_dim=self.hidden_dim,
-        )
+        return ModelConfig(**{f.name: getattr(self, f.name) for f in fields(ModelConfig)})
 
 
 @dataclass(frozen=True)
@@ -131,61 +128,41 @@ def train(
         )
     )
 
-    epoch = 0
-    for _ in range(config.supervised_epochs):
-        epoch += 1
+    for epoch in range(1, config.supervised_epochs + config.reinforce_epochs + 1):
+        supervised = epoch <= config.supervised_epochs
         t0 = time.perf_counter()
         last_good = params.copy()
         order = rng.permutation(len(pairs))
         losses = []
+        rewards = []
         for lo in range(0, len(order), config.batch_size):
-            batch = [
-                (pairs[i].edges, pairs[i].colors)
-                for i in order[lo : lo + config.batch_size]
-            ]
-            loss, grads = supervised_loss(batch, params)
+            batch = order[lo : lo + config.batch_size]
+            if supervised:
+                loss, grads = supervised_loss(
+                    [(pairs[i].edges, pairs[i].colors) for i in batch], params
+                )
+                step = -config.learning_rate
+            else:
+                episodes = [
+                    rollout(pairs[i].adjacency(), params, mode="sample",
+                            seed=[config.seed, epoch, int(i)], use_mask=False)
+                    for i in batch
+                ]
+                rewards += [ep.reward for ep in episodes]
+                objective, grads = reinforce_objective_and_grad(episodes, params)
+                loss, step = -objective, config.reinforce_learning_rate
             clip_grads(grads, config.clip_norm)
-            params.apply_step(grads, -config.learning_rate)
+            params.apply_step(grads, step)
             losses.append(loss)
         epoch_loss = float(np.mean(losses))
         _guard_finite(params, epoch_loss, epoch, last_good)
         rate, mean_reward = evaluate()
         rows.append(
             LogRow(
-                epoch=epoch, phase="supervised", loss=epoch_loss,
-                mean_reward=mean_reward, valid_rate=rate,
-                wall_ms=int((time.perf_counter() - t0) * 1000),
-            )
-        )
-
-    for _ in range(config.reinforce_epochs):
-        epoch += 1
-        t0 = time.perf_counter()
-        last_good = params.copy()
-        order = rng.permutation(len(pairs))
-        objectives = []
-        rewards = []
-        for lo in range(0, len(order), config.batch_size):
-            episodes = []
-            for i in order[lo : lo + config.batch_size]:
-                ep = rollout(
-                    pairs[i].adjacency(), params, mode="sample",
-                    seed=[config.seed, epoch, int(i)], use_mask=False,
-                )
-                episodes.append(ep)
-                rewards.append(ep.reward)
-            objective, grads = reinforce_objective_and_grad(episodes, params)
-            clip_grads(grads, config.clip_norm)
-            params.apply_step(grads, config.reinforce_learning_rate)
-            objectives.append(objective)
-        epoch_loss = float(-np.mean(objectives))
-        _guard_finite(params, epoch_loss, epoch, last_good)
-        rate, _ = evaluate()
-        rows.append(
-            LogRow(
-                epoch=epoch, phase="reinforce", loss=epoch_loss,
-                mean_reward=float(np.mean(rewards)), valid_rate=rate,
-                wall_ms=int((time.perf_counter() - t0) * 1000),
+                epoch=epoch, phase="supervised" if supervised else "reinforce",
+                loss=epoch_loss,
+                mean_reward=mean_reward if supervised else float(np.mean(rewards)),
+                valid_rate=rate, wall_ms=int((time.perf_counter() - t0) * 1000),
             )
         )
 

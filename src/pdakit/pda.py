@@ -64,7 +64,8 @@ def as_grid(raw) -> np.ndarray:
 
     Accepts a 2-D collection whose entries are positive integers (colors)
     or one of ``0``, ``None``, ``"*"`` (stars).  Raises MalformedGrid for
-    ragged rows, empty grids, or any other entry.
+    ragged rows, empty grids, or any other entry.  An int64 ndarray comes
+    back as itself, not a copy: callers that keep the grid must copy it.
     """
     if isinstance(raw, np.ndarray):
         if raw.ndim != 2 or raw.size == 0:
@@ -74,7 +75,7 @@ def as_grid(raw) -> np.ndarray:
         else:
             if (raw < 0).any():
                 raise MalformedGrid("negative entry in grid")
-            return raw.astype(np.int64, copy=True)
+            return raw.astype(np.int64, copy=False)
     rows = list(raw)
     if not rows:
         raise MalformedGrid("empty grid")

@@ -26,6 +26,8 @@ from .errors import (
     LengthMismatch,
     MalformedGrid,
     ParseError,
+    json_int,
+    read_text,
 )
 from .pda import STAR, Pda, as_grid, construct_mn_pda
 
@@ -221,8 +223,9 @@ class TrainingPair:
 
 
 def training_pair_from_pda(p) -> TrainingPair:
-    a, edges, colors = sequences_from_pda(p)
-    p = p if isinstance(p, Pda) else Pda.from_grid(p)
+    if not isinstance(p, Pda):
+        p = Pda.from_grid(p)
+    _, edges, colors = sequences_from_pda(p)
     return TrainingPair(k=p.k, f=p.f, z=p.z, edges=edges, colors=colors)
 
 
@@ -236,19 +239,13 @@ def _pair_to_obj(pair: TrainingPair) -> dict:
     }
 
 
-def _json_int(v) -> int:
-    if type(v) is not int:
-        raise ValueError(f"{v!r} is not an integer")
-    return v
-
-
 def _pair_from_obj(obj: dict) -> TrainingPair:
     return TrainingPair(
-        k=_json_int(obj["K"]),
-        f=_json_int(obj["F"]),
-        z=_json_int(obj["Z"]),
-        edges=tuple((_json_int(i), _json_int(j)) for i, j in obj["edges"]),
-        colors=tuple(_json_int(c) for c in obj["colors"]),
+        k=json_int(obj["K"], "K"),
+        f=json_int(obj["F"], "F"),
+        z=json_int(obj["Z"], "Z"),
+        edges=tuple((json_int(i, "edge row"), json_int(j, "edge column")) for i, j in obj["edges"]),
+        colors=tuple(json_int(c, "color") for c in obj["colors"]),
     )
 
 
@@ -271,23 +268,22 @@ def read_corpus(path) -> tuple[dict, list[TrainingPair]]:
     """Read a JSONL corpus back into (meta, samples)."""
     meta: dict = {}
     pairs: list[TrainingPair] = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"bad JSON on corpus line {lineno}: {exc}", line=lineno) from exc
-            if lineno == 1 and "_meta" in obj:
-                meta = obj["_meta"]
-                continue
-            try:
-                pairs.append(_pair_from_obj(obj))
-            except (KeyError, TypeError, ValueError, InvalidParameter, InvalidPlacement,
-                    LengthMismatch) as exc:
-                raise ParseError(
-                    f"bad sample on corpus line {lineno}: {exc}", line=lineno
-                ) from exc
+    for lineno, line in enumerate(read_text(path).split("\n"), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"bad JSON on corpus line {lineno}: {exc}", line=lineno) from exc
+        if lineno == 1 and isinstance(obj, dict) and "_meta" in obj:
+            meta = obj["_meta"]
+            continue
+        try:
+            pairs.append(_pair_from_obj(obj))
+        except (KeyError, TypeError, ValueError, InvalidParameter, InvalidPlacement,
+                LengthMismatch, ParseError) as exc:
+            raise ParseError(
+                f"bad sample on corpus line {lineno}: {exc}", line=lineno
+            ) from exc
     return meta, pairs

@@ -1,10 +1,13 @@
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from pdakit import cli
+from pdakit.errors import PdakitError
+from pdakit.graph import graph_from_json
 from pdakit.neural import ModelConfig, ModelParams, load_checkpoint, save_checkpoint
 from pdakit.pda import construct_mn_pda, parse_pda_text, pda_to_text, verify
 from pdakit.seqcodec import read_corpus
@@ -178,6 +181,13 @@ class TestAugment:
         assert "--count must be >= 0" in capsys.readouterr().err
         assert not path.exists()
 
+    def test_zero_delta_is_an_input_error(self, tmp_path, capsys):
+        path = tmp_path / "c.jsonl"
+        assert run("augment", "--source", "4,1", "--count", 3, "--delta", 0,
+                   "--seed", 0, "--out", path) == 2
+        assert "--delta must be >= 1" in capsys.readouterr().err
+        assert not path.exists()
+
     def test_same_seed_same_bytes(self, tmp_path):
         a = make_corpus(tmp_path, seed=9, name="a.jsonl")
         b = make_corpus(tmp_path, seed=9, name="b.jsonl")
@@ -247,6 +257,20 @@ class TestTrain:
         corpus = make_corpus(tmp_path, count=4)
         assert run(*train_args(corpus, tmp_path / "m.json", tmp_path / "l.csv",
                                holdout=4)) == 2
+
+    def test_negative_clip_norm_is_an_input_error(self, tmp_path, capsys):
+        corpus = make_corpus(tmp_path, count=4)
+        ckpt = tmp_path / "m.json"
+        assert run(*train_args(corpus, ckpt, tmp_path / "l.csv"), "--clip-norm=-1") == 2
+        assert "clip_norm must be > 0" in capsys.readouterr().err
+        assert not ckpt.exists()
+
+    def test_negative_holdout_is_an_input_error(self, tmp_path, capsys):
+        corpus = make_corpus(tmp_path, count=4)
+        ckpt = tmp_path / "m.json"
+        assert run(*train_args(corpus, ckpt, tmp_path / "l.csv", holdout=-1)) == 2
+        assert "cannot hold out -1 of 4 pairs" in capsys.readouterr().err
+        assert not ckpt.exists()
 
     @pytest.mark.parametrize("edges", [
         [[1, 0], [0, 2]],    # column 2 of a 2-user placement
@@ -323,3 +347,150 @@ class TestBench:
         assert run("bench", "--sizes", "18", "--checkpoint", ckpt,
                    "--out", tmp_path / "b.csv") == 2
         assert "multiple" in capsys.readouterr().err
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("command", ["verify", "simulate", "train", "pipeline", "bench"])
+    def test_file_that_is_not_utf8_is_a_parse_error(self, tmp_path, capsys, command):
+        bad = tmp_path / "latin1"
+        bad.write_bytes(b"3 3 1 3\n* 1 2\n\xe9 * 3\n")
+        args = {
+            "verify": ["verify", bad],
+            "simulate": ["simulate", "--pda", bad],
+            "train": train_args(bad, tmp_path / "c.json", tmp_path / "l.csv"),
+            "pipeline": ["pipeline", "--users", 3, "--rows", 3, "--stars", 1,
+                         "--colorer", "neural", "--checkpoint", bad, "--out", tmp_path / "o.pda"],
+            "bench": ["bench", "--sizes", 16, "--checkpoint", bad, "--out", tmp_path / "b.csv"],
+        }[command]
+        assert run(*args) == 2
+        assert "not UTF-8 text at byte 14" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [
+        ["augment", "--source", "4,1", "--count", 2, "--out", "out"],
+        ["pipeline", "--users", 3, "--rows", 3, "--stars", 1, "--out", "out"],
+        ["simulate", "--pda", "mn31.pda", "--transcript", "out"],
+        ["train", "--corpus", "c.jsonl", "--checkpoint", "out", "--log", "l.csv"],
+        ["bench", "--checkpoint", "m.json", "--sizes", 16, "--out", "out"],
+    ], ids=["augment", "pipeline", "simulate", "train", "bench"])
+    def test_negative_seed_is_an_input_error(self, tmp_path, monkeypatch, capsys, command):
+        monkeypatch.chdir(tmp_path)
+        make_corpus(tmp_path, count=4, name="c.jsonl")
+        write_checkpoint(tmp_path / "m.json", f_max=16, k_max=8)
+        (tmp_path / "mn31.pda").write_text(pda_to_text(construct_mn_pda(3, 1)))
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            run(*command, "--seed", -1)
+        assert exc.value.code == 2
+        assert "seed must be >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
+GOLDEN = Path(__file__).parent / "golden"
+# Bytes a mutation inserts or writes: mostly the tokens of the formats read.
+FUZZ_BYTES = b"0123456789-+.eE*,:[]{}\" \n#\xe9\xff"
+
+
+def _mutate(data: bytes, rng) -> bytes:
+    buf = bytearray(data)
+    for _ in range(int(rng.integers(1, 4))):
+        pos = int(rng.integers(len(buf) + 1))
+        op = int(rng.integers(5))
+        if op == 0:
+            buf[pos:pos] = bytes([FUZZ_BYTES[int(rng.integers(len(FUZZ_BYTES)))]])
+        elif op == 1:
+            del buf[pos:pos + int(rng.integers(1, 4))]
+        elif op == 2 and pos < len(buf):
+            buf[pos] = int(rng.integers(256))
+        elif op == 3 and pos < len(buf):
+            buf[pos] = FUZZ_BYTES[int(rng.integers(len(FUZZ_BYTES)))]
+        else:
+            del buf[pos:]
+    return bytes(buf)
+
+
+def _fuzz_argv(rng):
+    """A random command line and the file it reads ("" for none).
+
+    Numbers are mostly in their legal range, sometimes zero or negative.
+    """
+    def num(lo, hi):
+        return int(rng.integers(lo, max(lo, hi) + 1) if rng.random() < 0.85 else rng.integers(-2, 1))
+
+    command = ["verify", "simulate", "train", "pipeline", "bench", "augment", "construct"][
+        int(rng.integers(7))]
+    if command == "verify":
+        return ["verify", "input"], "construct_mn42.pda"
+    if command == "simulate":
+        argv = ["simulate", "--pda", "input", "--seed", num(0, 9), "--trials", num(1, 3),
+                "--packet-size", num(1, 16)]
+        return argv + (["--files", num(1, 6)] if rng.random() < 0.5 else []), "construct_mn42.pda"
+    if command == "train":
+        return train_args("input", "m.json", "l.csv", epochs=num(0, 2),
+                          reinforce_epochs=num(0, 2), batch_size=num(1, 8),
+                          embed_dim=num(1, 4), hidden_dim=num(1, 4), holdout=num(0, 2),
+                          clip_norm=[5.0, 0.5, 0.0, -1.0][int(rng.integers(4))],
+                          seed=num(0, 9)), "corpus.jsonl"
+    if command == "pipeline":
+        rows = num(1, 6)
+        argv = ["pipeline", "--users", num(2, 6), "--rows", rows, "--stars", num(0, rows),
+                "--trials", num(1, 3), "--seed", num(0, 9), "--out", "o.pda"]
+        if rng.random() < 0.5:
+            return argv, ""
+        argv += ["--colorer", "neural", "--checkpoint", "input"]
+        return argv + (["--no-mask"] if rng.random() < 0.5 else []), "model.json"
+    if command == "bench":
+        return ["bench", "--checkpoint", "input", "--sizes", f"{num(0, 3) * 4},{num(0, 6)}",
+                "--seed", num(0, 9), "--out", "b.csv"], "model.json"
+    if command == "augment":
+        k = num(2, 6)
+        argv = ["augment", "--source", f"{k},{num(1, k)}", "--count", num(0, 4),
+                "--seed", num(0, 9), "--out", "c.jsonl"]
+        return argv + (["--delta", num(1, 4)] if rng.random() < 0.5 else []), ""
+    users = num(2, 7)
+    return ["construct", "--users", users, "--t", num(1, users), "--out", "a.pda"], ""
+
+
+def _exit_code(argv) -> int:
+    try:
+        return cli.main([str(a) for a in argv])
+    except SystemExit as exc:
+        return exc.code
+
+
+class TestExitCodeFuzz:
+    """Corrupted golden files and random arguments end in a contract exit code."""
+
+    RUNS = 600
+
+    def test_every_run_ends_in_a_contract_exit_code(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        write_checkpoint(tmp_path / "model.json", f_max=6, k_max=6)
+        sources = {p.name: p.read_bytes() for p in GOLDEN.iterdir()}
+        sources["model.json"] = (tmp_path / "model.json").read_bytes()
+        names = sorted(sources)
+        rng = np.random.default_rng(2026)
+        codes = []
+        for _ in range(self.RUNS):
+            argv, name = _fuzz_argv(rng)
+            # Mostly the format the command reads, sometimes another one.
+            if not name or rng.random() < 0.2:
+                name = names[int(rng.integers(len(names)))]
+            data = sources[name]
+            if rng.random() < 0.8:
+                data = _mutate(data, rng)
+            (tmp_path / "input").write_bytes(data)
+            code = _exit_code(argv)
+            assert code in (0, 1, 2, 3), (argv, name, data)
+            codes.append(code)
+        capsys.readouterr()
+        assert {0, 1, 2} <= set(codes)
+
+    def test_corrupted_graph_json_is_read_or_rejected(self):
+        data = (GOLDEN / "graph_mn31.json").read_bytes()
+        rng = np.random.default_rng(2027)
+        for _ in range(500):
+            text = _mutate(data, rng).decode("utf-8", errors="replace")
+            try:
+                graph_from_json(text)
+            except PdakitError:
+                pass

@@ -281,6 +281,18 @@ class TestJson:
         with pytest.raises(ParseError):
             graph_from_json('{"k": 1, "edges": []}')
 
+    @pytest.mark.parametrize("text", [
+        '{"k": 2.7, "f": 2, "edges": []}',
+        '{"k": 2, "f": "1", "edges": []}',
+        '{"k": 2, "f": 2, "edges": [[true, 0, 1]]}',
+        '{"k": 2, "f": 2, "edges": [[0, 1.0, 1]]}',
+        '{"k": 2, "f": 2, "edges": [[0, 0, 1.9]]}',
+        '{"k": 2, "f": 2, "edges": [[0, 0, "1"]]}',
+    ])
+    def test_numbers_must_be_json_integers(self, text):
+        with pytest.raises(ParseError, match="not an integer"):
+            graph_from_json(text)
+
     def test_same_seed_same_bytes(self):
         g1 = subsample(pda_to_graph(construct_mn_pda(5, 2)), delta=2, rng_seed=9)
         g2 = subsample(pda_to_graph(construct_mn_pda(5, 2)), delta=2, rng_seed=9)

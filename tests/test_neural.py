@@ -619,6 +619,25 @@ class TestInit:
             assert np.array_equal(got, want)
 
 
+class TestParamsPlumbing:
+    def test_tensor_items_follow_the_field_order(self):
+        names = [name for name, _ in tiny_params(seed=0).tensor_items()]
+        grus = [f"{g}.{part}" for g in ("fwd", "bwd", "dec") for part in "uwb"]
+        assert names == ["embed", *grus, "attn_enc", "attn_dec", "attn_v", "start"]
+
+    def test_copy_shares_no_tensor(self):
+        params = tiny_params(seed=3)
+        twin = params.copy()
+        assert twin.config == params.config
+        assert np.array_equal(twin.flatten(), params.flatten())
+        for (_, a), (_, b) in zip(params.tensor_items(), twin.tensor_items()):
+            assert not np.shares_memory(a, b)
+
+    def test_train_config_hands_its_widths_to_the_model(self):
+        cfg = TrainConfig(f_max=5, k_max=6, embed_dim=3, hidden_dim=4)
+        assert cfg.model_config() == ModelConfig(f_max=5, k_max=6, embed_dim=3, hidden_dim=4)
+
+
 class TestCheckpoint:
     def test_round_trip_is_bitwise(self, tmp_path):
         params = tiny_params(seed=21, d=5, h=3)
@@ -797,6 +816,12 @@ class TestTrain:
     def test_empty_corpus_rejected(self):
         with pytest.raises(InvalidParameter):
             train([], self.one_pair_config())
+
+    @pytest.mark.parametrize("clip_norm", [0.0, -1.0, float("nan")])
+    def test_clip_norm_must_be_positive(self, clip_norm):
+        # A negative bound would flip every clipped gradient.
+        with pytest.raises(InvalidParameter, match="clip_norm"):
+            self.one_pair_config(clip_norm=clip_norm)
 
     def test_log_csv_round_trips_through_csv_reader(self, tmp_path):
         import csv

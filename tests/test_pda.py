@@ -8,6 +8,7 @@ from pdakit.pda import (
     COND_PAIR_DISTINCT,
     STAR,
     Pda,
+    as_grid,
     canonicalize_colors,
     construct_mn_pda,
     header_violations,
@@ -123,6 +124,19 @@ class TestPdaType:
         p = Pda.from_grid([[S, 1], [1, S]])
         with pytest.raises(ValueError):
             p.grid[0, 0] = 5
+
+    def test_int_grid_is_checked_without_a_copy(self):
+        raw = np.array([[S, 1], [1, S]], dtype=np.int64)
+        assert as_grid(raw) is raw
+
+    def test_changing_the_callers_array_leaves_the_pda_alone(self):
+        raw = np.array([[S, 1], [1, S]], dtype=np.int64)
+        p = Pda.from_grid(raw)
+        report = verify(raw)
+        raw[0, 0] = 2
+        raw[1, 0] = 7
+        assert p.grid.tolist() == [[S, 1], [1, S]]
+        assert report.valid and raw.flags.writeable
 
     def test_equality_and_hash(self):
         a = Pda.from_grid([[S, 1], [1, S]])

@@ -212,6 +212,19 @@ class TestCorpus:
         assert np.array_equal(pair.grid(), p.grid)
         assert pair.z == p.z
 
+    def test_raw_grid_is_validated_once(self, monkeypatch):
+        from_grid = Pda.from_grid.__func__
+        calls = []
+
+        def counted(cls, raw, z=None):
+            calls.append(raw)
+            return from_grid(cls, raw, z)
+
+        monkeypatch.setattr(Pda, "from_grid", classmethod(counted))
+        pair = training_pair_from_pda([[S, 1], [1, S]])
+        assert len(calls) == 1
+        assert (pair.k, pair.f, pair.z, pair.colors) == (2, 2, 1, (1, 1))
+
     def test_zero_samples_keeps_meta_line(self, tmp_path):
         path = tmp_path / "empty.jsonl"
         assert write_corpus(path, [], meta={"seed": 0}) == 0
