@@ -184,9 +184,6 @@ class Transcript:
     def packets_sent(self) -> int:
         return len(self.broadcasts)
 
-    def by_slot(self, slot: int) -> Broadcast:
-        return self.broadcasts[slot - 1]
-
     @cached_property
     def _table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """The broadcasts as arrays, built once per transcript.
@@ -388,20 +385,18 @@ def measure(
         raise InvalidParameter(f"trials must be >= 0, got {trials}")
     n = p.k + 1 if n_files is None else n_files
     lib = FileLibrary.random(n, p.f, packet_size=packet_size, seed=seed)
-    rng = np.random.default_rng(seed)
+    demands = np.random.default_rng(seed).integers(1, n + 1, size=(trials, p.k)).tolist()
     trace: list[TraceRow] = []
-    all_ok = True
-    for trial in range(trials):
-        demand = tuple(int(x) for x in rng.integers(1, n + 1, size=p.k))
+    for trial, demand in enumerate(demands):
         result = run_round(p, lib, demand)
-        for k in range(p.k):
-            ok = result.decoded[k] == lib.file_bytes(demand[k])
-            all_ok = all_ok and ok
-            trace.append(TraceRow(trial=trial, user=k, demand=demand[k], decoded_ok=ok))
+        # run_round has compared every user; only a failed round needs it per user.
+        for k, want in enumerate(demand):
+            ok = result.all_ok or result.decoded[k] == lib.file_bytes(want)
+            trace.append(TraceRow(trial=trial, user=k, demand=want, decoded_ok=ok))
     return MeasureReport(
         delivery_rate=Fraction(p.s, p.f),
         uncoded_rate=Fraction(p.k) * (1 - Fraction(p.z, p.f)),
-        all_decoded=all_ok,
+        all_decoded=all(row.decoded_ok for row in trace),
         trace=tuple(trace),
     )
 

@@ -24,7 +24,7 @@ from .cachesim import DemandVector, FileLibrary, measure, run_round, transcript_
 from .errors import DivergenceError, InvalidParameter, InvalidPda, ParseError, PdakitError, read_text
 from .graph import BipartiteColoredGraph, graph_to_pda, greedy_strong_color, pda_to_graph, subsample
 from .neural import TrainConfig, load_checkpoint, rollout, save_checkpoint, train, write_log_csv
-from .pda import Pda, construct_mn_pda, header_violations, parse_pda_text, pda_from_text, pda_to_text, verify
+from .pda import Pda, construct_mn_pda, pda_from_text, pda_to_text
 from .seqcodec import (
     assemble_array,
     default_star_pattern,
@@ -78,16 +78,15 @@ def _parse_sizes(text):
 
 
 def cmd_verify(args):
-    grid, k, f, z, s = parse_pda_text(read_text(args.path))
-    report = verify(grid, z=z)
-    extra = header_violations(grid, z, s)
-    if report.valid and not extra:
-        print(f"valid array: K={k} F={f} Z={z} S={s}")
-        return 0
-    print(f"invalid array: {len(report.violations) + len(extra)} violations")
-    for v in list(report.violations) + extra:
-        print(f"  {v}")
-    return 1
+    try:
+        p = pda_from_text(read_text(args.path))
+    except InvalidPda as exc:
+        print(f"invalid array: {len(exc.violations)} violations")
+        for v in exc.violations:
+            print(f"  {v}")
+        return 1
+    print(f"valid array: K={p.k} F={p.f} Z={p.z} S={p.s}")
+    return 0
 
 
 def cmd_construct(args):

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -70,6 +71,11 @@ class BipartiteColoredGraph:
     def is_fully_colored(self) -> bool:
         return all(c is not None for _, _, c in self.edges)
 
+    @cached_property
+    def _strong(self) -> bool:
+        """The strong-coloring verdict, worked out once: the graph is frozen."""
+        return not _pair_violations(_edge_grid(self))
+
 
 def pda_to_graph(p) -> BipartiteColoredGraph:
     """One edge (user, row, color) per integer cell; stars give no edge."""
@@ -109,9 +115,9 @@ def is_strong_coloring(g: BipartiteColoredGraph) -> bool:
 
     For edges (k1,f1), (k2,f2) of equal color this requires k1 != k2,
     f1 != f2, and neither (k1,f2) nor (k2,f1) present in the graph: the
-    array pair condition on the graph's grid.
+    array pair condition on the graph's grid, checked once per graph.
     """
-    return not _pair_violations(_edge_grid(g))
+    return g._strong
 
 
 def graph_to_pda(g: BipartiteColoredGraph) -> Pda:
@@ -206,15 +212,13 @@ def subsample(g: BipartiteColoredGraph, delta: int, rng_seed: int) -> BipartiteC
         )
     if not is_strong_coloring(g):
         raise ColoringViolation("edge coloring is not strong")
-    by_user: dict[int, list[Edge]] = {u: [] for u in range(g.k)}
-    for e in g.edges:
-        by_user[e[0]].append(e)
     rng = np.random.default_rng(rng_seed)
     kept: list[Edge] = []
     for u in range(g.k):
-        members = by_user[u]
-        idx = rng.choice(len(members), size=delta, replace=False)
-        kept.extend(members[i] for i in sorted(int(x) for x in idx))
+        # Edges are sorted by user and every user has big_delta of them.
+        members = g.edges[u * big_delta:(u + 1) * big_delta]
+        idx = rng.choice(big_delta, size=delta, replace=False)
+        kept.extend(members[i] for i in sorted(idx.tolist()))
     return BipartiteColoredGraph(k=g.k, f=g.f, edges=_renumber_canonical(kept))
 
 

@@ -29,7 +29,7 @@ from ..errors import (
 )
 from ..pda import verify
 from ..seqcodec import AdjacencyMatrix, assemble_array, extract_edge_sequence
-from .params import GruParams, ModelParams, clip_grads
+from .params import GruParams, ModelParams
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -492,12 +492,3 @@ def reinforce_objective_and_grad(episodes, params: ModelParams):
             grads[name] += (w * ep.reward) * g[name]
     return total, grads
 
-
-def reinforce_update(
-    episodes, params: ModelParams, learning_rate: float, clip_norm: float = 5.0
-) -> ModelParams:
-    """One ascent step on the reward-weighted log likelihood, in place."""
-    _, grads = reinforce_objective_and_grad(episodes, params)
-    clip_grads(grads, clip_norm)
-    params.apply_step(grads, +learning_rate)
-    return params

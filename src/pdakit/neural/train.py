@@ -11,6 +11,7 @@ sampled episodes, reproducible.
 from __future__ import annotations
 
 import csv
+import math
 import time
 from dataclasses import dataclass, fields
 from typing import Optional, Sequence
@@ -44,6 +45,9 @@ class TrainConfig:
             raise InvalidParameter("batch_size must be >= 1")
         if not self.clip_norm > 0:
             raise InvalidParameter(f"clip_norm must be > 0, got {self.clip_norm}")
+        for name in ("learning_rate", "reinforce_learning_rate"):
+            if not 0 < getattr(self, name) < math.inf:  # also false for nan
+                raise InvalidParameter(f"{name} must be finite and > 0, got {getattr(self, name)}")
 
     def model_config(self) -> ModelConfig:
         return ModelConfig(**{f.name: getattr(self, f.name) for f in fields(ModelConfig)})

@@ -32,14 +32,15 @@ STAR = 0
 COND_COLUMN_STARS = "column-stars"   # a column's star count differs from z
 COND_PAIR_DISTINCT = "pair-distinct" # equal integers share a row or column
 COND_PAIR_CROSS = "pair-cross"       # a cross position of an equal pair is not a star
+COND_COLOR_RANGE = "color-range"     # a text header's S differs from the colors 1..S used
 
 
 @dataclass(frozen=True)
 class Violation:
     """One failed validity condition.
 
-    ``cells`` holds ``(j,)`` (the column index) for ``column-stars`` and the
-    offending cell pair ``((i1, j1), (i2, j2))`` for the pair conditions.
+    ``cells`` holds ``(j,)`` (the column index) for ``column-stars``, the
+    offending cell pair ``((i1, j1), (i2, j2))`` for the pair conditions, else ``()``.
     """
 
     condition: str
@@ -245,23 +246,18 @@ def construct_mn_pda(k_users: int, t: int) -> Pda:
         raise InvalidParameter(f"need at least 2 users, got {k_users}")
     if not 1 <= t <= k_users - 1:
         raise InvalidParameter(f"t={t} outside [1, {k_users - 1}]")
-    subsets = list(itertools.combinations(range(k_users), t))
-    color_of = {
-        u: idx + 1
-        for idx, u in enumerate(itertools.combinations(range(k_users), t + 1))
-    }
-    f = len(subsets)
-    grid = np.zeros((f, k_users), dtype=np.int64)
-    for i, subset in enumerate(subsets):
-        members = set(subset)
-        for k in range(k_users):
-            if k in members:
-                grid[i, k] = STAR
-            else:
-                grid[i, k] = color_of[tuple(sorted(members | {k}))]
-    p = Pda(grid=grid, z=math.comb(k_users - 1, t - 1))
-    assert verify(p.grid, p.z).valid
-    return p
+    rows = np.array(list(itertools.combinations(range(k_users), t)), dtype=np.int64)
+    # Combinatorial number system: c_0 < ... < c_t has lexicographic index
+    # C(K, t+1) - 1 - sum_i C(K-1-c_i, t+1-i) among the (t+1)-subsets.
+    binom = np.array([[math.comb(n, r) for r in range(t + 2)] for n in range(k_users)])
+    grid = np.empty((len(rows), k_users), dtype=np.int64)
+    for k in range(k_users):
+        after = rows > k  # members past k move one place up in T ∪ {k}
+        members = binom[k_users - 1 - rows, t + 1 - np.arange(t) - after].sum(axis=1)
+        own = binom[k_users - 1 - k, t + 1 - (~after).sum(axis=1)]
+        grid[:, k] = math.comb(k_users, t + 1) - members - own
+    grid[np.arange(len(rows))[:, None], rows] = STAR
+    return Pda(grid=grid, z=math.comb(k_users - 1, t - 1))
 
 
 # --- text format ---------------------------------------------------------
@@ -343,19 +339,16 @@ def parse_pda_text(text: str) -> tuple[np.ndarray, int, int, int, int]:
     return np.array(rows, dtype=np.int64), k_expected, f_expected, z_decl, s_decl
 
 
-def header_violations(grid: np.ndarray, z_decl: int, s_decl: int) -> list[Violation]:
-    """Color-alphabet checks against a declared header.
-
-    The declared color count must equal the set of integers actually used,
-    with no gaps: every value in 1..s appears and nothing larger does.
-    """
-    values = set(int(v) for v in np.unique(grid)) - {STAR}
-    out = []
-    if values != set(range(1, s_decl + 1)):
-        out.append(Violation("color-range", ()))
-    return out
-
-
 def pda_from_text(text: str) -> Pda:
-    grid, _, _, z_decl, _ = parse_pda_text(text)
-    return Pda.from_grid(grid, z=z_decl)
+    """Parse and validate: ``verify`` against the header's Z, and its S must be
+    exactly the colors used (``color-range``, listed after verify's violations)."""
+    grid, _, _, z_decl, s_decl = parse_pda_text(text)
+    try:
+        p, violations = Pda.from_grid(grid, z=z_decl), []
+    except InvalidPda as exc:
+        violations = exc.violations
+    if not np.array_equal(np.unique(grid[grid != STAR]), np.arange(1, s_decl + 1)):
+        violations.append(Violation(COND_COLOR_RANGE, ()))
+    if violations:
+        raise InvalidPda(f"array fails validation ({len(violations)} violations)", violations)
+    return p

@@ -239,7 +239,7 @@ class TestTrain:
         corpus = make_corpus(tmp_path)
         ckpt, log = tmp_path / "m.json", tmp_path / "log.csv"
         with np.errstate(all="ignore"):
-            code = run(*train_args(corpus, ckpt, log, learning_rate="inf"))
+            code = run(*train_args(corpus, ckpt, log, learning_rate="1e300"))
         assert code == 3
         assert "diverged" in capsys.readouterr().err
         params, meta = load_checkpoint(ckpt)
@@ -263,6 +263,15 @@ class TestTrain:
         ckpt = tmp_path / "m.json"
         assert run(*train_args(corpus, ckpt, tmp_path / "l.csv"), "--clip-norm=-1") == 2
         assert "clip_norm must be > 0" in capsys.readouterr().err
+        assert not ckpt.exists()
+
+    @pytest.mark.parametrize("flag", ["--learning-rate", "--reinforce-learning-rate"])
+    @pytest.mark.parametrize("rate", ["-0.5", "nan"])
+    def test_bad_learning_rate_is_an_input_error(self, tmp_path, capsys, flag, rate):
+        corpus = make_corpus(tmp_path, count=4)
+        ckpt = tmp_path / "m.json"
+        assert run(*train_args(corpus, ckpt, tmp_path / "l.csv"), f"{flag}={rate}") == 2
+        assert "must be finite and > 0" in capsys.readouterr().err
         assert not ckpt.exists()
 
     def test_negative_holdout_is_an_input_error(self, tmp_path, capsys):
@@ -316,6 +325,19 @@ class TestSimulate:
         path = tmp_path / "bad.pda"
         path.write_text("hello\n")
         assert run("simulate", "--pda", path) == 2
+
+    @pytest.mark.parametrize("text", [
+        "2 2 1 7\n* 1\n1 *\n",   # header S is not the color count
+        "2 2 1 1\n* 5\n5 *\n",   # colors with a gap below them
+    ], ids=["header-s", "gappy-colors"])
+    def test_header_that_misstates_the_colors_is_a_domain_failure(self, tmp_path, capsys, text):
+        path = tmp_path / "bad.pda"
+        path.write_text(text)
+        assert run("verify", path) == 1
+        assert capsys.readouterr().out == "invalid array: 1 violations\n  color-range at ()\n"
+        assert run("simulate", "--pda", path) == 1
+        out, err = capsys.readouterr()
+        assert "delivery_rate" not in out and "error:" in err
 
     def test_non_positive_file_count_is_an_input_error(self, tmp_path, capsys):
         pda = tmp_path / "mn21.pda"
@@ -411,13 +433,18 @@ def _mutate(data: bytes, rng) -> bytes:
 def _fuzz_argv(rng):
     """A random command line and the file it reads ("" for none).
 
-    Numbers are mostly in their legal range, sometimes zero or negative.
+    Integers are mostly in their legal range, sometimes zero or negative.
+    Float flags come from fixed lists with zero, negative and non-finite values.
     """
     def num(lo, hi):
         return int(rng.integers(lo, max(lo, hi) + 1) if rng.random() < 0.85 else rng.integers(-2, 1))
 
-    command = ["verify", "simulate", "train", "pipeline", "bench", "augment", "construct"][
-        int(rng.integers(7))]
+    def pick(values):
+        return values[int(rng.integers(len(values)))]
+
+    rates = [0.5, 0.05, 0.0, -0.5, float("nan"), float("inf")]
+
+    command = pick(["verify", "simulate", "train", "pipeline", "bench", "augment", "construct"])
     if command == "verify":
         return ["verify", "input"], "construct_mn42.pda"
     if command == "simulate":
@@ -428,7 +455,8 @@ def _fuzz_argv(rng):
         return train_args("input", "m.json", "l.csv", epochs=num(0, 2),
                           reinforce_epochs=num(0, 2), batch_size=num(1, 8),
                           embed_dim=num(1, 4), hidden_dim=num(1, 4), holdout=num(0, 2),
-                          clip_norm=[5.0, 0.5, 0.0, -1.0][int(rng.integers(4))],
+                          clip_norm=pick([5.0, 0.5, 0.0, -1.0]),
+                          learning_rate=pick(rates), reinforce_learning_rate=pick(rates),
                           seed=num(0, 9)), "corpus.jsonl"
     if command == "pipeline":
         rows = num(1, 6)

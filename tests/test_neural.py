@@ -32,7 +32,6 @@ from pdakit.neural import (
     load_checkpoint,
     pointer_to_colors,
     reinforce_objective_and_grad,
-    reinforce_update,
     rollout,
     save_checkpoint,
     supervised_loss,
@@ -510,6 +509,13 @@ class TestReinforce:
             for s in range(n)
         ]
 
+    @staticmethod
+    def ascend(episodes, params, learning_rate):
+        """One clipped ascent step on the reward-weighted log likelihood, as train takes it."""
+        _, grads = reinforce_objective_and_grad(episodes, params)
+        clip_grads(grads, 5.0)
+        params.apply_step(grads, +learning_rate)
+
     def test_unit_reward_objective_mirrors_likelihood(self):
         # every cross episode earns +1, so the ascent direction must match
         # supervised descent on the same sequences exactly
@@ -540,7 +546,7 @@ class TestReinforce:
         ep = rollout(CROSS, params, mode="sample", seed=5)
         flipped = dataclasses.replace(ep, reward=-1)
         before = params.flatten()
-        reinforce_update([ep, flipped], params, learning_rate=0.5)
+        self.ascend([ep, flipped], params, learning_rate=0.5)
         assert np.array_equal(params.flatten(), before)
 
     def test_gradient_matches_central_differences(self):
@@ -561,7 +567,7 @@ class TestReinforce:
         params = tiny_params(seed=12)
         episodes = self.sample_episodes(params, 4)
         before, _ = reinforce_objective_and_grad(episodes, params)
-        reinforce_update(episodes, params, learning_rate=0.05)
+        self.ascend(episodes, params, learning_rate=0.05)
         after, _ = reinforce_objective_and_grad(episodes, params)
         assert after > before
 
@@ -806,7 +812,7 @@ class TestTrain:
 
     def test_divergence_aborts_with_last_good_checkpoint(self):
         pairs = [training_pair_from_pda(construct_mn_pda(3, 1))]
-        cfg = self.one_pair_config(learning_rate=float("inf"), supervised_epochs=3)
+        cfg = self.one_pair_config(learning_rate=1e300, supervised_epochs=3)
         with pytest.raises(DivergenceError) as info:
             with np.errstate(all="ignore"):
                 train(pairs, cfg)
@@ -822,6 +828,13 @@ class TestTrain:
         # A negative bound would flip every clipped gradient.
         with pytest.raises(InvalidParameter, match="clip_norm"):
             self.one_pair_config(clip_norm=clip_norm)
+
+    @pytest.mark.parametrize("name", ["learning_rate", "reinforce_learning_rate"])
+    @pytest.mark.parametrize("rate", [0.0, -0.5, float("nan"), float("inf")])
+    def test_learning_rates_must_be_finite_and_positive(self, name, rate):
+        # A negative rate ascends the loss; nan and inf only fail after an epoch.
+        with pytest.raises(InvalidParameter, match=f"{name} must be finite and > 0"):
+            self.one_pair_config(**{name: rate})
 
     def test_log_csv_round_trips_through_csv_reader(self, tmp_path):
         import csv

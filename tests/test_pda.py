@@ -3,6 +3,7 @@ import pytest
 
 from pdakit.errors import InvalidParameter, InvalidPda, MalformedGrid, ParseError
 from pdakit.pda import (
+    COND_COLOR_RANGE,
     COND_COLUMN_STARS,
     COND_PAIR_CROSS,
     COND_PAIR_DISTINCT,
@@ -11,7 +12,6 @@ from pdakit.pda import (
     as_grid,
     canonicalize_colors,
     construct_mn_pda,
-    header_violations,
     parse_pda_text,
     pda_from_text,
     pda_to_text,
@@ -163,9 +163,10 @@ class TestMnConstruction:
         assert (p.f, p.z, p.s) == (3, 2, 1)
 
     def test_matches_independent_construction(self):
-        for k in range(2, 7):
-            for t in range(1, k):
-                assert construct_mn_pda(k, t).grid.tolist() == oracles.mn_grid(k, t)
+        # Every shape up to K=10, plus the largest one the benchmark builds.
+        shapes = [(k, t) for k in range(2, 11) for t in range(1, k)] + [(12, 6)]
+        for k, t in shapes:
+            assert construct_mn_pda(k, t).grid.tolist() == oracles.mn_grid(k, t)
 
     def test_all_shapes_verify_and_memory_ratio(self):
         from fractions import Fraction
@@ -264,7 +265,13 @@ class TestTextFormat:
             parse_pda_text("2 2 1 1\n* 0\n1 *\n")
 
     def test_header_color_range(self):
-        grid, _, _, _, s = parse_pda_text("2 2 1 2\n* 1\n1 *\n")
-        assert header_violations(grid, 1, s)
-        grid, _, _, _, s = parse_pda_text("2 2 1 1\n* 1\n1 *\n")
-        assert not header_violations(grid, 1, s)
+        for text in ("2 2 1 2\n* 1\n1 *\n", "2 2 1 1\n* 5\n5 *\n"):
+            with pytest.raises(InvalidPda) as exc:
+                pda_from_text(text)
+            assert [v.condition for v in exc.value.violations] == [COND_COLOR_RANGE]
+        assert pda_from_text("2 2 1 1\n* 1\n1 *\n").s == 1
+
+    def test_color_range_comes_after_the_verify_violations(self):
+        with pytest.raises(InvalidPda) as exc:
+            pda_from_text("2 2 1 7\n1 1\n* *\n")
+        assert [v.condition for v in exc.value.violations] == [COND_PAIR_DISTINCT, COND_COLOR_RANGE]
