@@ -28,7 +28,7 @@ from .errors import (
     ParseError,
     json_int,
 )
-from .pda import COND_COLUMN_STARS, STAR, Pda, _pair_violations, verify
+from .pda import COND_COLUMN_STARS, STAR, Pda, _pair_violations, as_grid, verify
 
 Edge = tuple[int, int, Optional[int]]
 
@@ -82,7 +82,7 @@ def pda_to_graph(p) -> BipartiteColoredGraph:
     if isinstance(p, Pda):
         grid = p.grid
     else:
-        grid = np.asarray(p)
+        grid = as_grid(p)
         report = verify(grid)
         if not report.valid:
             raise InvalidPda("array fails validation", report.violations)

@@ -9,6 +9,11 @@ count demands.
 
 Gradients are derived by hand and verified against central finite
 differences in the tests; no autograd anywhere.  All math is float64.
+The backward pass is backpropagation through time with deferred GEMMs:
+each step computes only what the recurrence needs, and every weight
+gradient is formed once per sequence from the stacked per-step rows.
+Likewise the encoder projects all of its inputs in one product per
+direction before it steps.
 """
 
 from __future__ import annotations
@@ -39,16 +44,16 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 # --- GRU cell -------------------------------------------------------------
 
 
-def _gru_forward(x: np.ndarray, y_prev: np.ndarray, gp: GruParams):
+def _gru_forward(ux: np.ndarray, y_prev: np.ndarray, gp: GruParams):
+    """One step on an input already projected: ux is gp.u @ x."""
     h = y_prev.shape[0]
-    ux = gp.u @ x
     wy = gp.w @ y_prev
     gates = _sigmoid(ux[: 2 * h] + wy[: 2 * h] + gp.b[: 2 * h])
     r, z = gates[:h], gates[h:]
     cand = np.tanh(ux[2 * h :] + r * wy[2 * h :] + gp.b[2 * h :])
     y = z * y_prev + (1.0 - z) * cand
     # whole buffers only: a cached slice would keep its base array alive
-    return y, (x, y_prev, gates, wy, cand)
+    return y, (y_prev, gates, wy, cand)
 
 
 def gru_step(x, y_prev, gp: GruParams) -> np.ndarray:
@@ -65,13 +70,17 @@ def gru_step(x, y_prev, gp: GruParams) -> np.ndarray:
         raise ShapeError(f"input has shape {x.shape}, expected ({m},)")
     if y_prev.shape != (h,):
         raise ShapeError(f"hidden has shape {y_prev.shape}, expected ({h},)")
-    y, _ = _gru_forward(x, y_prev, gp)
+    y, _ = _gru_forward(gp.u @ x, y_prev, gp)
     return y
 
 
-def _gru_backward(dy, cache, gp: GruParams, grads, prefix: str):
-    """Accumulate parameter gradients; return (dy_prev, dx)."""
-    x, y_prev, gates, wy, cand = cache
+def _gru_backward(dy, cache, gp: GruParams):
+    """One step back: (dy_prev, da, dwy).
+
+    da is the gradient on the gate pre-activations, which the input
+    projection u @ x and the bias receive; dwy is the gradient on w @ y_prev.
+    """
+    y_prev, gates, wy, cand = cache
     h = cand.shape[0]
     r, z = gates[:h], gates[h:]
     da_c = dy * (1.0 - z) * (1.0 - cand * cand)
@@ -80,10 +89,14 @@ def _gru_backward(dy, cache, gp: GruParams, grads, prefix: str):
     da = np.concatenate([da_r, da_z, da_c])
     # the candidate sees w @ y_prev through the reset gate
     dwy = np.concatenate([da_r, da_z, da_c * r])
-    grads[prefix + ".u"] += np.outer(da, x)
-    grads[prefix + ".w"] += np.outer(dwy, y_prev)
-    grads[prefix + ".b"] += da
-    return dy * z + gp.w.T @ dwy, gp.u.T @ da
+    return dy * z + gp.w.T @ dwy, da, dwy
+
+
+def _add_gru_grads(grads, prefix: str, da, dwy, x, y_prev) -> None:
+    """Weight gradients of one GRU run from its stacked per-step rows."""
+    grads[prefix + ".u"] += da.T @ x
+    grads[prefix + ".w"] += dwy.T @ y_prev
+    grads[prefix + ".b"] += da.sum(axis=0)
 
 
 # --- encoder ----------------------------------------------------------------
@@ -99,28 +112,41 @@ def embed_edge(params: ModelParams, i: int, j: int) -> np.ndarray:
     return params.embed[:, i] + params.embed[:, cfg.f_max + j]
 
 
-def _encode_full(edges, params: ModelParams):
+def _encoder_forward(embs, gp: GruParams, order, keep_caches: bool):
+    """Step one encoder direction over the positions in order.
+
+    Every input is projected by u in one product before the first step.
+    """
+    xu = embs @ gp.u.T
+    ys = np.empty((len(xu), gp.w.shape[1]))
+    caches: list = [None] * len(xu)
+    y = np.zeros(gp.w.shape[1])
+    for l in order:
+        y, cache = _gru_forward(xu[l], y, gp)
+        ys[l] = y
+        if keep_caches:
+            caches[l] = cache
+    return ys, caches
+
+
+def _encode_full(edges, params: ModelParams, keep_caches: bool):
     if not edges:
         raise InvalidParameter("cannot encode an empty edge sequence")
-    h = params.config.hidden_dim
-    embs = [embed_edge(params, i, j) for i, j in edges]
-    n = len(edges)
-    fwd_states = np.zeros((n, h))
-    fwd_caches = []
-    y = np.zeros(h)
-    for l in range(n):
-        y, cache = _gru_forward(embs[l], y, params.fwd)
-        fwd_states[l] = y
-        fwd_caches.append(cache)
-    bwd_states = np.zeros((n, h))
-    bwd_caches: list = [None] * n
-    y = np.zeros(h)
-    for l in range(n - 1, -1, -1):
-        y, cache = _gru_forward(embs[l], y, params.bwd)
-        bwd_states[l] = y
-        bwd_caches[l] = cache
+    n, cfg = len(edges), params.config
+    cells = np.asarray(edges).reshape(n, 2)
+    rows, cols = cells[:, 0], cells[:, 1]
+    bad = (rows < 0) | (rows >= cfg.f_max) | (cols < 0) | (cols >= cfg.k_max)
+    if bad.any():
+        embed_edge(params, *cells[int(np.argmax(bad))])  # raises for the first one
+    # the two embedding table columns each position reads, gathered at once
+    slots = (rows, cfg.f_max + cols)
+    embs = params.embed.T[slots[0]] + params.embed.T[slots[1]]
+    fwd_states, fwd_caches = _encoder_forward(embs, params.fwd, range(n), keep_caches)
+    bwd_states, bwd_caches = _encoder_forward(
+        embs, params.bwd, range(n - 1, -1, -1), keep_caches
+    )
     states = np.concatenate([fwd_states, bwd_states], axis=1)
-    return states, (embs, fwd_caches, bwd_caches)
+    return states, (embs, slots, fwd_caches, bwd_caches)
 
 
 def encode(edges, params: ModelParams) -> np.ndarray:
@@ -128,15 +154,15 @@ def encode(edges, params: ModelParams) -> np.ndarray:
 
     Row l is the concatenation [forward_l ; backward_l], width 2h.
     """
-    states, _ = _encode_full(edges, params)
+    states, _ = _encode_full(edges, params, keep_caches=False)
     return states
 
 
 # --- attention pointer ------------------------------------------------------
 
 
-def _attention(p1, states, idx, d_t, params: ModelParams):
-    """Pointer distribution over the index set idx.
+def _attention(p1, idx, d_t, params: ModelParams):
+    """Pointer distribution over the positions idx, an index array or a slice.
 
     p1 is the precomputed states @ attn_enc.T.  Returns probabilities,
     raw scores, the tanh activations, and log of the partition sum.
@@ -166,7 +192,7 @@ def decode_step(states, d_t, mask, params: ModelParams) -> np.ndarray:
     if idx.size == 0:
         raise NoFeasibleAction("every position is masked off")
     p1 = states @ params.attn_enc.T
-    p, _, _, _ = _attention(p1, states, idx, d_t, params)
+    p, _, _, _ = _attention(p1, idx, d_t, params)
     out = np.zeros(states.shape[0])
     out[idx] = p
     return out
@@ -281,16 +307,19 @@ class Episode:
 
 
 def _decoder_pass(shape, edges, params: ModelParams, use_mask: bool, pick, keep_caches: bool):
-    """Shared decoding engine for rollouts and gradient replays.
+    """Shared decoding engine for rollouts and for replays of given choices.
 
+    Step t attends over idx: the slice of positions 0..t when unmasked,
+    else an index array of the feasible first occurrences and t.
     pick(t, idx, p) returns the chosen index INTO idx.  Returns encoder
     states and caches, the chosen positions, colors, total log
-    probability, and per-step caches when requested.
+    probability, and per-step caches when requested; without caches the
+    encoder keeps none either.
     """
     f, k = shape
     h = params.config.hidden_dim
     n = len(edges)
-    states, enc_caches = _encode_full(edges, params)
+    states, enc_caches = _encode_full(edges, params, keep_caches)
     embs = enc_caches[0]
     p1 = states @ params.attn_enc.T
     tracker = None
@@ -313,12 +342,12 @@ def _decoder_pass(shape, edges, params: ModelParams, use_mask: bool, pick, keep_
             feas = tracker.feasible(i, j)
             idx = np.concatenate([first_occ[:n_first][feas], [t]])
         else:
-            idx = np.arange(t + 1)
+            idx = slice(0, t + 1)
         x = np.concatenate([context, params.start if t == 0 else embs[t - 1]])
-        d_t, gcache = _gru_forward(x, d_prev, params.dec)
-        p, u, t_act, log_z = _attention(p1, states, idx, d_t, params)
+        d_t, gcache = _gru_forward(params.dec.u @ x, d_prev, params.dec)
+        p, u, t_act, log_z = _attention(p1, idx, d_t, params)
         pos = pick(t, idx, p)
-        choice = int(idx[pos])
+        choice = int(idx[pos]) if use_mask else pos
         logprob += float(u[pos]) - log_z
         if choice == t:
             colors.append(n_first + 1)
@@ -334,9 +363,26 @@ def _decoder_pass(shape, edges, params: ModelParams, use_mask: bool, pick, keep_
         choices.append(choice)
         context = p @ states[idx]
         if keep_caches:
-            caches.append((idx, p, t_act, pos, d_t, gcache))
+            caches.append((idx, p, t_act, pos, x, d_t, gcache))
         d_prev = d_t
     return states, enc_caches, tuple(choices), tuple(colors), logprob, caches
+
+
+def _replay(choices):
+    """A pick that follows the given pointers; InvalidPointer off the support."""
+
+    def pick(t, idx, p):
+        c = choices[t]
+        if isinstance(idx, slice):
+            if 0 <= c <= t and c == int(c):
+                return int(c)
+        else:
+            hits = np.nonzero(idx == c)[0]
+            if hits.size:
+                return int(hits[0])
+        raise InvalidPointer(f"choice {c} at step {t} is not an available position")
+
+    return pick
 
 
 def rollout(
@@ -388,68 +434,95 @@ def rollout(
 # --- gradients ---------------------------------------------------------------
 
 
+def sequence_logprob(shape, edges, choices, params: ModelParams, use_mask: bool) -> float:
+    """Log probability of the given pointer choices, by the forward pass alone.
+
+    The same number, bit for bit, that the gradient routines sum: -1 times
+    supervised_loss of a one-pair batch, or an episode's reinforce
+    objective over its reward.  Raises InvalidPointer for a choice
+    outside its step's support.
+    """
+    if not edges:
+        return 0.0
+    _, _, _, _, logprob, _ = _decoder_pass(
+        shape, edges, params, use_mask, _replay(choices), keep_caches=False
+    )
+    return logprob
+
+
+def _encoder_backward(dys, caches, order, gp: GruParams, embs, grads, prefix: str):
+    """Backpropagation through one encoder direction that stepped in order.
+
+    dys[l] is the loss gradient on the state at position l.  Adds the
+    direction's weight gradients to grads and returns the gradient on embs.
+    """
+    n, h = dys.shape
+    da, dwy = np.empty((n, 3 * h)), np.empty((n, 3 * h))
+    dy = np.zeros(h)
+    for l in reversed(order):
+        dy, da[l], dwy[l] = _gru_backward(dy + dys[l], caches[l], gp)
+    _add_gru_grads(grads, prefix, da, dwy, embs, np.array([c[0] for c in caches]))
+    return da @ gp.u
+
+
 def _sequence_grads(shape, edges, choices, params: ModelParams, use_mask: bool):
     """Log probability of the given choices and its exact parameter gradient."""
     n = len(edges)
     if n == 0:
         return 0.0, params.zero_grads()
-
-    def pick(t, idx, p):
-        hits = np.nonzero(idx == choices[t])[0]
-        if hits.size == 0:
-            raise InvalidPointer(
-                f"choice {choices[t]} at step {t} is not an available position"
-            )
-        return int(hits[0])
-
     states, enc_caches, _, _, logprob, caches = _decoder_pass(
-        shape, edges, params, use_mask, pick, keep_caches=True
+        shape, edges, params, use_mask, _replay(choices), keep_caches=True
     )
-    embs, fwd_caches, bwd_caches = enc_caches
+    embs, slots, fwd_caches, bwd_caches = enc_caches
     grads = params.zero_grads()
     h = params.config.hidden_dim
+    dec = params.dec
+    u_context = dec.u[:, : 2 * h]
     dstates = np.zeros_like(states)
-    demb = [np.zeros(params.config.embed_dim) for _ in range(n)]
+    dp1 = np.zeros((n, h))
+    da, dwy, dq = np.empty((n, 3 * h)), np.empty((n, 3 * h)), np.empty((n, h))
     g_d = np.zeros(h)
     dcontext = np.zeros(2 * h)
     for t in range(n - 1, -1, -1):
-        idx, p, t_act, pos, d_t, gcache = caches[t]
+        idx, p, t_act, pos, _, d_t, gcache = caches[t]
         s_idx = states[idx]
         # context_t = p @ s_idx feeds step t+1; dcontext holds its gradient
         g = s_idx @ dcontext
         dstates[idx] += np.outer(p, dcontext)
-        du = -p.copy()
+        du = -p
         du[pos] += 1.0
         du += p * (g - float(p @ g))
         grads["attn_v"] += t_act.T @ du
         dpre = np.outer(du, params.attn_v) * (1.0 - t_act * t_act)
-        grads["attn_enc"] += dpre.T @ s_idx
-        dstates[idx] += dpre @ params.attn_enc
-        dq = dpre.sum(axis=0)
-        grads["attn_dec"] += np.outer(dq, d_t)
-        g_d = g_d + params.attn_dec.T @ dq
-        g_d, dx = _gru_backward(g_d, gcache, params.dec, grads, "dec")
-        dcontext = dx[: 2 * h]
-        if t == 0:
-            grads["start"] += dx[2 * h :]
-        else:
-            demb[t - 1] += dx[2 * h :]
+        dp1[idx] += dpre
+        dq[t] = dpre.sum(axis=0)
+        g_d = g_d + params.attn_dec.T @ dq[t]
+        g_d, da[t], dwy[t] = _gru_backward(g_d, gcache, dec)
+        dcontext = u_context.T @ da[t]
+    # p1 = states @ attn_enc.T and q_t = attn_dec @ d_t, summed over steps
+    grads["attn_enc"] += dp1.T @ states
+    dstates += dp1 @ params.attn_enc
+    grads["attn_dec"] += dq.T @ np.array([c[5] for c in caches])
+    _add_gru_grads(
+        grads, "dec", da, dwy,
+        np.array([c[4] for c in caches]), np.array([c[6][0] for c in caches]),
+    )
+    # the decoder input of step t holds the embedding of position t-1
+    dx_emb = da @ dec.u[:, 2 * h :]
+    grads["start"] += dx_emb[0]
+    demb = np.zeros_like(embs)
+    demb[:-1] = dx_emb[1:]
     # forward encoder ran l = 0..n-1, so its gradient runs back from n-1
-    dy = np.zeros(h)
-    for l in range(n - 1, -1, -1):
-        dy = dy + dstates[l, :h]
-        dy, dx = _gru_backward(dy, fwd_caches[l], params.fwd, grads, "fwd")
-        demb[l] += dx
+    demb += _encoder_backward(
+        dstates[:, :h], fwd_caches, range(n), params.fwd, embs, grads, "fwd"
+    )
     # backward encoder ran l = n-1..0, so its gradient runs back from 0
-    dy = np.zeros(h)
-    for l in range(n):
-        dy = dy + dstates[l, h:]
-        dy, dx = _gru_backward(dy, bwd_caches[l], params.bwd, grads, "bwd")
-        demb[l] += dx
-    f_max = params.config.f_max
-    for l, (i, j) in enumerate(edges):
-        grads["embed"][:, i] += demb[l]
-        grads["embed"][:, f_max + j] += demb[l]
+    demb += _encoder_backward(
+        dstates[:, h:], bwd_caches, range(n - 1, -1, -1), params.bwd, embs, grads, "bwd"
+    )
+    table = grads["embed"].T
+    for slot in slots:
+        np.add.at(table, slot, demb)
     return logprob, grads
 
 

@@ -20,7 +20,13 @@ import numpy as np
 
 from ..errors import DivergenceError, InvalidParameter
 from ..seqcodec import TrainingPair
-from .net import reinforce_objective_and_grad, rollout, supervised_loss
+from .net import (
+    colors_to_pointers,
+    reinforce_objective_and_grad,
+    rollout,
+    sequence_logprob,
+    supervised_loss,
+)
 from .params import ModelConfig, ModelParams, clip_grads
 
 
@@ -87,8 +93,11 @@ def greedy_valid_rate(pairs: Sequence[TrainingPair], params: ModelParams,
 
 
 def _corpus_loss(pairs, params) -> float:
-    loss, _ = supervised_loss([(p.edges, p.colors) for p in pairs], params)
-    return loss
+    """supervised_loss over the whole corpus, bit for bit, without its gradient."""
+    total = 0.0
+    for p in pairs:
+        total += sequence_logprob((0, 0), p.edges, colors_to_pointers(p.colors), params, False)
+    return -total / len(pairs)
 
 
 def _guard_finite(params: ModelParams, loss: float, epoch: int,

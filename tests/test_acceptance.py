@@ -27,10 +27,12 @@ from pdakit.neural import (
     ModelConfig,
     ModelParams,
     TrainConfig,
+    colors_to_pointers,
     decode_step,
     greedy_valid_rate,
     reinforce_objective_and_grad,
     rollout,
+    sequence_logprob,
     supervised_loss,
     train,
 )
@@ -159,18 +161,21 @@ def test_5_gradients_match_finite_differences():
         if trial % 2 == 0:
             seqs = list(oracles.canonical_color_sequences(len(edges)))
             colors = seqs[int(rng.integers(len(seqs)))]
-            batch = [(edges, colors)]
-            _, grads = supervised_loss(batch, params)
+            _, grads = supervised_loss([(edges, colors)], params)
+            choices = colors_to_pointers(colors)
 
+            # forward-only probes; test_neural.py checks they equal the losses exactly
             def fn(vec):
-                return supervised_loss(batch, params.unflatten(vec))[0]
+                return -sequence_logprob((0, 0), edges, choices, params.unflatten(vec), False)
         else:
             ep = rollout(a, params, mode="sample",
                          seed=int(rng.integers(10_000)), use_mask=bool(trial % 4 == 1))
             _, grads = reinforce_objective_and_grad([ep], params)
 
             def fn(vec):
-                return reinforce_objective_and_grad([ep], params.unflatten(vec))[0]
+                return ep.reward * sequence_logprob(
+                    (ep.f, ep.k), ep.edges, ep.choices, params.unflatten(vec), ep.use_mask
+                )
 
         analytic = np.concatenate([grads[n].ravel() for n, _ in params.tensor_items()])
         numeric = oracles.central_difference_grad(fn, params.flatten(), eps=1e-5)

@@ -84,6 +84,13 @@ class TestRoundTrip:
         g = pda_to_graph([[S, 1], [1, S]])
         assert g.k_degrees() == [1, 1]
 
+    def test_raw_grid_takes_every_star_notation_verify_takes(self):
+        want = pda_to_graph(Pda.from_grid([[S, 1], [1, S]]))
+        for star in ("*", None):
+            grid = [[star, 1], [1, star]]
+            assert verify(grid).valid
+            assert pda_to_graph(grid) == want
+
     def test_invalid_raw_grid_rejected(self):
         with pytest.raises(InvalidPda):
             pda_to_graph([[1, 1]])

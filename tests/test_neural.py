@@ -34,6 +34,7 @@ from pdakit.neural import (
     reinforce_objective_and_grad,
     rollout,
     save_checkpoint,
+    sequence_logprob,
     supervised_loss,
     train,
     write_log_csv,
@@ -186,6 +187,10 @@ class TestEncode:
             encode([(0, 2)], params)
         with pytest.raises(VocabularyError):
             embed_edge(params, -1, 0)
+        # a vectorized gather would wrap -1 around to the last slot
+        for edges in ([(-1, 0)], [(0, -1)], [(0, 0), (1, 1), (2, -1)]):
+            with pytest.raises(VocabularyError):
+                encode(edges, params)
 
     def test_rejects_empty_sequence(self):
         with pytest.raises(InvalidParameter):
@@ -574,6 +579,57 @@ class TestReinforce:
     def test_empty_batch_rejected(self):
         with pytest.raises(InvalidBatch):
             reinforce_objective_and_grad([], tiny_params())
+
+
+class TestSequenceLogprob:
+    def test_equals_both_gradient_routines_exactly(self):
+        rng = np.random.default_rng(31)
+        for trial in range(12):
+            params = tiny_params(seed=trial, f_max=6, k_max=6)
+            a = random_adjacency(rng, max_f=6, max_k=6)
+            ep = rollout(a, params, mode="sample", seed=trial, use_mask=bool(trial % 2))
+            got = sequence_logprob((ep.f, ep.k), ep.edges, ep.choices, params, ep.use_mask)
+            assert got == ep.logprob
+            assert got == reinforce_objective_and_grad([ep], params)[0] / ep.reward
+            pointers = colors_to_pointers(ep.colors)
+            got = sequence_logprob((0, 0), ep.edges, pointers, params, False)
+            assert got == -supervised_loss([(ep.edges, ep.colors)], params)[0]
+
+    def test_empty_sequence_is_certain(self):
+        assert sequence_logprob((2, 2), (), (), tiny_params(), True) == 0.0
+
+    def test_rejects_pointers_off_the_support(self):
+        params = tiny_params(seed=1)
+        edges = extract_edge_sequence(CROSS)
+        for choices in ((0, 2), (1, 1), (0, -1)):
+            with pytest.raises(InvalidPointer):
+                sequence_logprob((2, 2), edges, choices, params, False)
+        # the two cross cells may share a color, but (0, 0) and (1, 0) may not
+        a = AdjacencyMatrix(np.array([[True, False], [True, True]]))
+        edges = extract_edge_sequence(a)
+        assert edges[:2] == ((0, 0), (1, 0))
+        with pytest.raises(InvalidPointer):
+            sequence_logprob((2, 2), edges, (0, 0, 2), params, True)
+
+    def test_long_sequence_gradients_match_central_differences(self):
+        # sequences of 20-40 edges, beyond the six of the acceptance check
+        rng = np.random.default_rng(2027)
+        for trial, (f, k, n) in enumerate(((5, 5, 20), (6, 6, 30), (7, 7, 40))):
+            params = tiny_params(seed=trial, d=2, h=3, f_max=f, k_max=k)
+            mask = np.zeros(f * k, dtype=bool)
+            mask[rng.choice(f * k, size=n, replace=False)] = True
+            a = AdjacencyMatrix(mask.reshape(f, k))
+            ep = rollout(a, params, mode="sample", seed=trial, use_mask=trial == 1)
+            assert len(ep.edges) == n
+            _, grads = reinforce_objective_and_grad([ep], params)
+
+            def fn(vec):
+                return ep.reward * sequence_logprob(
+                    (f, k), ep.edges, ep.choices, params.unflatten(vec), ep.use_mask
+                )
+
+            numeric = oracles.central_difference_grad(fn, params.flatten(), eps=1e-5)
+            assert oracles.relative_error(grads_to_vec(params, grads), numeric) < 1e-4
 
 
 class TestClipGrads:
