@@ -9,16 +9,32 @@ count demands.
 
 Gradients are derived by hand and verified against central finite
 differences in the tests; no autograd anywhere.  All math is float64.
+
+One engine runs every pass, on a batch: B sequences padded to the
+longest length L, with a per-row length mask.  The rows are sorted
+longest first, so the rows still running at step t are a prefix of the
+batch: every step of the encoder, the decoder GRU and the attention
+computes on that (b_t, .) prefix alone, the mask never has to be
+multiplied in, and no padded slot is ever read.  Per-step rows are
+stacked in step order, so the inputs and gradients of every GRU are
+(N, .) arrays with no padding at all.  The two encoder directions step
+together as one stacked GRU: the backward direction reads each row
+reversed within its own length, so both directions run the same rows at
+every step.  Masked steps gather each row's feasible first occurrences,
+padded to the widest row, so attention costs O(colors) per step.  One
+sequence is a batch of one.
+
 The backward pass is backpropagation through time with deferred GEMMs:
 each step computes only what the recurrence needs, and every weight
-gradient is formed once per sequence from the stacked per-step rows.
-Likewise the encoder projects all of its inputs in one product per
-direction before it steps.
+gradient is formed once per batch from the stacked per-step rows.  A
+row's loss weight (-1/B for likelihood, reward/B for REINFORCE) enters
+at its own pointer scores, so one backward pass serves the whole batch.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
@@ -36,6 +52,11 @@ from ..pda import verify
 from ..seqcodec import AdjacencyMatrix, assemble_array, extract_edge_sequence
 from .params import GruParams, ModelParams
 
+# Value of the padded slots of the (B, L, 2h) encoder states, where rows
+# shorter than L end.  No step reads one; the tests set this to nan to
+# show it.
+_PAD = 0.0
+
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     return 0.5 * (1.0 + np.tanh(0.5 * x))
@@ -44,16 +65,25 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 # --- GRU cell -------------------------------------------------------------
 
 
-def _gru_forward(ux: np.ndarray, y_prev: np.ndarray, gp: GruParams):
-    """One step on an input already projected: ux is gp.u @ x."""
-    h = y_prev.shape[0]
-    wy = gp.w @ y_prev
-    gates = _sigmoid(ux[: 2 * h] + wy[: 2 * h] + gp.b[: 2 * h])
-    r, z = gates[:h], gates[h:]
-    cand = np.tanh(ux[2 * h :] + r * wy[2 * h :] + gp.b[2 * h :])
+def _gru_forward(ux: np.ndarray, y_prev: np.ndarray, w_t: np.ndarray):
+    """One step for a block of rows on inputs already projected: x @ u.T + b.
+
+    y_prev is (b, h) with w_t = w.T, or a stack of GRUs, (g, b, h) with
+    w_t (g, h, 3h).
+    """
+    h = y_prev.shape[-1]
+    wy = y_prev @ w_t
+    gates = _sigmoid(ux[..., : 2 * h] + wy[..., : 2 * h])
+    r, z = gates[..., :h], gates[..., h:]
+    cand = np.tanh(ux[..., 2 * h :] + r * wy[..., 2 * h :])
     y = z * y_prev + (1.0 - z) * cand
-    # whole buffers only: a cached slice would keep its base array alive
     return y, (y_prev, gates, wy, cand)
+
+
+def _taped(cache):
+    """What the backward pass keeps of a step: only the candidate's third of wy."""
+    y_prev, gates, wy, cand = cache
+    return y_prev, gates, wy[..., 2 * cand.shape[-1] :].copy(), cand
 
 
 def gru_step(x, y_prev, gp: GruParams) -> np.ndarray:
@@ -70,26 +100,26 @@ def gru_step(x, y_prev, gp: GruParams) -> np.ndarray:
         raise ShapeError(f"input has shape {x.shape}, expected ({m},)")
     if y_prev.shape != (h,):
         raise ShapeError(f"hidden has shape {y_prev.shape}, expected ({h},)")
-    y, _ = _gru_forward(gp.u @ x, y_prev, gp)
-    return y
+    y, _ = _gru_forward(x[None] @ gp.u.T + gp.b, y_prev[None], gp.w.T)
+    return y[0]
 
 
-def _gru_backward(dy, cache, gp: GruParams):
-    """One step back: (dy_prev, da, dwy).
+def _gru_backward(dy, cache, w: np.ndarray):
+    """One step back for a block of rows, or a stack of GRUs: (dy_prev, da, dwy).
 
     da is the gradient on the gate pre-activations, which the input
-    projection u @ x and the bias receive; dwy is the gradient on w @ y_prev.
+    projection and the bias receive; dwy is the gradient on y_prev @ w.T.
     """
-    y_prev, gates, wy, cand = cache
-    h = cand.shape[0]
-    r, z = gates[:h], gates[h:]
+    y_prev, gates, wy_cand, cand = cache
+    h = cand.shape[-1]
+    r, z = gates[..., :h], gates[..., h:]
     da_c = dy * (1.0 - z) * (1.0 - cand * cand)
-    da_r = da_c * wy[2 * h :] * r * (1.0 - r)
+    da_r = da_c * wy_cand * r * (1.0 - r)
     da_z = dy * (y_prev - cand) * z * (1.0 - z)
-    da = np.concatenate([da_r, da_z, da_c])
-    # the candidate sees w @ y_prev through the reset gate
-    dwy = np.concatenate([da_r, da_z, da_c * r])
-    return dy * z + gp.w.T @ dwy, da, dwy
+    da = np.concatenate([da_r, da_z, da_c], axis=-1)
+    # the candidate sees y_prev @ w.T through the reset gate
+    dwy = np.concatenate([da_r, da_z, da_c * r], axis=-1)
+    return dy * z + dwy @ w, da, dwy
 
 
 def _add_gru_grads(grads, prefix: str, da, dwy, x, y_prev) -> None:
@@ -99,7 +129,7 @@ def _add_gru_grads(grads, prefix: str, da, dwy, x, y_prev) -> None:
     grads[prefix + ".b"] += da.sum(axis=0)
 
 
-# --- encoder ----------------------------------------------------------------
+# --- the batch ----------------------------------------------------------------
 
 
 def embed_edge(params: ModelParams, i: int, j: int) -> np.ndarray:
@@ -112,41 +142,88 @@ def embed_edge(params: ModelParams, i: int, j: int) -> np.ndarray:
     return params.embed[:, i] + params.embed[:, cfg.f_max + j]
 
 
-def _encoder_forward(embs, gp: GruParams, order, keep_caches: bool):
-    """Step one encoder direction over the positions in order.
+class _Batch:
+    """The non-empty sequences of a batch, sorted longest first.
 
-    Every input is projected by u in one product before the first step.
+    rows[k] is the caller's index of sorted row k; active[t] counts the
+    rows still running at step t, which are rows 0..active[t]-1.  Per-step
+    rows are stacked in step order, step t's at offsets[t]:offsets[t+1];
+    valid is the (L, B) length mask, time-major, so X[valid] stacks a
+    time-major (L, B, .) array the same way.  Over stacked rows, rev maps
+    (t, k) to (n_k - 1 - t, k), each row reversed within its own length.
+    embs holds each stacked position's embedding.
     """
-    xu = embs @ gp.u.T
-    ys = np.empty((len(xu), gp.w.shape[1]))
-    caches: list = [None] * len(xu)
-    y = np.zeros(gp.w.shape[1])
-    for l in order:
-        y, cache = _gru_forward(xu[l], y, gp)
-        ys[l] = y
+
+    def __init__(self, edges_list, params: ModelParams):
+        lengths = [len(e) for e in edges_list]
+        # a stable sort, longest first; empty rows never step
+        self.rows = sorted((k for k, n in enumerate(lengths) if n),
+                           key=lengths.__getitem__, reverse=True)
+        self.edges = [edges_list[row] for row in self.rows]
+        n = np.array([lengths[row] for row in self.rows], dtype=np.int64)
+        b, L = len(n), int(n[0]) if len(n) else 0
+        self.lengths = n
+        self.valid = np.arange(L)[:, None] < n
+        self.active = self.valid.sum(axis=1).tolist()
+        self.offsets = list(accumulate(self.active, initial=0))
+        steps, ks = self.valid.nonzero()
+        self.rev = np.array(self.offsets[:-1], dtype=np.int64)[n[ks] - 1 - steps] + ks
+        cells = np.zeros((L, b, 2), dtype=np.int64)
+        for k, edges in enumerate(self.edges):
+            row = np.asarray(edges)
+            if row.dtype.kind not in "iu":
+                raise VocabularyError(f"edge cells must be integers, got {row.dtype}")
+            cells[: n[k], k] = row.reshape(n[k], 2)
+        packed = cells[self.valid]
+        cfg = params.config
+        if len(packed) and (packed.min() < 0 or packed[:, 0].max() >= cfg.f_max
+                            or packed[:, 1].max() >= cfg.k_max):
+            for i, j in packed:
+                embed_edge(params, i, j)  # raises for the first bad one
+        # the two embedding table columns each position reads, gathered at once
+        i, j = packed[:, 0], packed[:, 1]
+        self.slots = (i, cfg.f_max + j)
+        self.embs = params.embed.T[self.slots[0]] + params.embed.T[self.slots[1]]
+
+    def pad(self, seqs, dtype) -> np.ndarray:
+        """Per-row sequences of the caller's batch as a sorted (B, L) array."""
+        out = np.zeros((len(self.rows), len(self.active)), dtype=dtype)
+        for k, row in enumerate(self.rows):
+            out[k, : self.lengths[k]] = seqs[row]
+        return out
+
+
+# --- encoder ----------------------------------------------------------------
+
+
+def _encode(batch: _Batch, params: ModelParams, keep_caches: bool):
+    """Encoder states (B, L, 2h), batch-major, and the caches of its steps.
+
+    Both directions step together, as one stacked GRU over (2, b, .)
+    blocks.  The backward direction reads each row reversed within its
+    own length, so at step s both run the same rows, and row k's backward
+    state at step s belongs to position n_k - 1 - s.  Every input is
+    projected in one product per direction before the first step.
+    """
+    h = params.config.hidden_dim
+    L, B = batch.valid.shape
+    off, rev, fwd, bwd = batch.offsets, batch.rev, params.fwd, params.bwd
+    xu = np.empty((2, off[-1], 3 * h))
+    xu[0] = batch.embs @ fwd.u.T + fwd.b
+    xu[1] = (batch.embs @ bwd.u.T + bwd.b)[rev]
+    w_t = np.concatenate([fwd.w.T[None], bwd.w.T[None]])
+    ys = np.empty((2, off[-1], h))
+    y = np.zeros((2, B, h))
+    caches = []
+    for s in range(L):
+        rows = slice(off[s], off[s + 1])
+        y, cache = _gru_forward(xu[:, rows], y[:, : batch.active[s]], w_t)
+        ys[:, rows] = y
         if keep_caches:
-            caches[l] = cache
-    return ys, caches
-
-
-def _encode_full(edges, params: ModelParams, keep_caches: bool):
-    if not edges:
-        raise InvalidParameter("cannot encode an empty edge sequence")
-    n, cfg = len(edges), params.config
-    cells = np.asarray(edges).reshape(n, 2)
-    rows, cols = cells[:, 0], cells[:, 1]
-    bad = (rows < 0) | (rows >= cfg.f_max) | (cols < 0) | (cols >= cfg.k_max)
-    if bad.any():
-        embed_edge(params, *cells[int(np.argmax(bad))])  # raises for the first one
-    # the two embedding table columns each position reads, gathered at once
-    slots = (rows, cfg.f_max + cols)
-    embs = params.embed.T[slots[0]] + params.embed.T[slots[1]]
-    fwd_states, fwd_caches = _encoder_forward(embs, params.fwd, range(n), keep_caches)
-    bwd_states, bwd_caches = _encoder_forward(
-        embs, params.bwd, range(n - 1, -1, -1), keep_caches
-    )
-    states = np.concatenate([fwd_states, bwd_states], axis=1)
-    return states, (embs, slots, fwd_caches, bwd_caches)
+            caches.append(_taped(cache))
+    states = np.full((B, L, 2 * h), _PAD)
+    states.transpose(1, 0, 2)[batch.valid] = np.concatenate([ys[0], ys[1][rev]], axis=1)
+    return states, caches
 
 
 def encode(edges, params: ModelParams) -> np.ndarray:
@@ -154,26 +231,36 @@ def encode(edges, params: ModelParams) -> np.ndarray:
 
     Row l is the concatenation [forward_l ; backward_l], width 2h.
     """
-    states, _ = _encode_full(edges, params, keep_caches=False)
-    return states
+    if not len(edges):
+        raise InvalidParameter("cannot encode an empty edge sequence")
+    states, _ = _encode(_Batch([edges], params), params, keep_caches=False)
+    return states[0]
 
 
 # --- attention pointer ------------------------------------------------------
 
 
-def _attention(p1, idx, d_t, params: ModelParams):
-    """Pointer distribution over the positions idx, an index array or a slice.
+def _activations(pre_enc, q):
+    """The attention's tanh layer; the backward pass recomputes it, bit for bit."""
+    return np.tanh(pre_enc + q[:, None, :])
 
-    p1 is the precomputed states @ attn_enc.T.  Returns probabilities,
-    raw scores, the tanh activations, and log of the partition sum.
+
+def _attend(pre_enc, q, v, pad):
+    """Pointer distributions of a block of rows over their (b, W) supports.
+
+    pre_enc holds the attn_enc projections of the supported states,
+    (b, W, h); q the attn_dec projections of the decoder states, (b, h).
+    pad marks support columns that only fill a row to width W, or is
+    None.  Returns probabilities, raw scores, and the log of each row's
+    partition sum.
     """
-    q = params.attn_dec @ d_t
-    t_act = np.tanh(p1[idx] + q)
-    u = t_act @ params.attn_v
-    m = u.max()
-    ex = np.exp(u - m)
-    z = ex.sum()
-    return ex / z, u, t_act, float(m + np.log(z))
+    u = _activations(pre_enc, q) @ v
+    if pad is not None:
+        u[pad] = -np.inf
+    m = u.max(axis=1)
+    ex = np.exp(u - m[:, None])
+    z = ex.sum(axis=1)
+    return ex / z[:, None], u, m + np.log(z)
 
 
 def decode_step(states, d_t, mask, params: ModelParams) -> np.ndarray:
@@ -191,10 +278,10 @@ def decode_step(states, d_t, mask, params: ModelParams) -> np.ndarray:
     idx = np.nonzero(mask)[0]
     if idx.size == 0:
         raise NoFeasibleAction("every position is masked off")
-    p1 = states @ params.attn_enc.T
-    p, _, _, _ = _attention(p1, idx, d_t, params)
+    p1 = states[idx] @ params.attn_enc.T
+    p, _, _ = _attend(p1[None], d_t[None] @ params.attn_dec.T, params.attn_v, None)
     out = np.zeros(states.shape[0])
-    out[idx] = p
+    out[idx] = p[0]
     return out
 
 
@@ -306,83 +393,198 @@ class Episode:
             raise InvalidParameter("choices, colors, and edges must share a length")
 
 
-def _decoder_pass(shape, edges, params: ModelParams, use_mask: bool, pick, keep_caches: bool):
-    """Shared decoding engine for rollouts and for replays of given choices.
+class _Screen:
+    """One masked row's feasibility state: its tracker, first uses and colors."""
 
-    Step t attends over idx: the slice of positions 0..t when unmasked,
-    else an index array of the feasible first occurrences and t.
-    pick(t, idx, p) returns the chosen index INTO idx.  Returns encoder
-    states and caches, the chosen positions, colors, total log
-    probability, and per-step caches when requested; without caches the
-    encoder keeps none either.
-    """
-    f, k = shape
-    h = params.config.hidden_dim
-    n = len(edges)
-    states, enc_caches = _encode_full(edges, params, keep_caches)
-    embs = enc_caches[0]
-    p1 = states @ params.attn_enc.T
-    tracker = None
-    if use_mask:
-        adj = np.zeros((f, k), dtype=bool)
+    def __init__(self, shape, edges):
+        adj = np.zeros(shape, dtype=bool)
         for i, j in edges:
             adj[i, j] = True
-        tracker = FeasibilityTracker(adj)
-    first_occ = np.empty(n, dtype=np.int64)
-    n_first = 0
-    colors: list[int] = []
-    choices: list[int] = []
-    logprob = 0.0
-    d_prev = np.zeros(h)
-    context = np.zeros(2 * h)
-    caches = []
-    for t in range(n):
-        i, j = edges[t]
-        if use_mask:
-            feas = tracker.feasible(i, j)
-            idx = np.concatenate([first_occ[:n_first][feas], [t]])
+        self.edges = edges
+        self.tracker = FeasibilityTracker(adj)
+        self.first = np.empty(len(edges), dtype=np.int64)
+        self.colors: list[int] = []
+
+    def support(self, t: int) -> np.ndarray:
+        """First uses of the colors open to position t, then t itself."""
+        feas = self.tracker.feasible(*self.edges[t])
+        return np.concatenate([self.first[: self.tracker.n_colors][feas], [t]])
+
+    def record(self, t: int, c: int) -> None:
+        i, j = self.edges[t]
+        if c == t:
+            self.first[self.tracker.new_color(i, j)] = t
+            self.colors.append(self.tracker.n_colors)
         else:
-            idx = slice(0, t + 1)
-        x = np.concatenate([context, params.start if t == 0 else embs[t - 1]])
-        d_t, gcache = _gru_forward(params.dec.u @ x, d_prev, params.dec)
-        p, u, t_act, log_z = _attention(p1, idx, d_t, params)
-        pos = pick(t, idx, p)
-        choice = int(idx[pos]) if use_mask else pos
-        logprob += float(u[pos]) - log_z
-        if choice == t:
-            colors.append(n_first + 1)
-            if use_mask:
-                tracker.new_color(i, j)
-            first_occ[n_first] = t
-            n_first += 1
+            self.colors.append(self.colors[c])
+            self.tracker.add_member(self.colors[c] - 1, i, j)
+
+
+def _supports(screens, t: int, b: int):
+    """Step t's supports when some row is masked: (b, W) positions, widths, pad.
+
+    A masked row offers its screen's support, any other row 0..t.  Rows
+    are padded with t to the widest one, and pad marks the filler.
+    """
+    rows = [np.arange(t + 1) if s is None else s.support(t) for s in screens[:b]]
+    if b == 1:
+        return rows[0][None], len(rows[0]), None
+    widths = np.array([len(r) for r in rows])
+    idx = np.full((b, widths.max()), t)
+    for k, r in enumerate(rows):
+        idx[k, : len(r)] = r
+    pad = np.arange(idx.shape[1]) >= widths[:, None]
+    return idx, widths, pad if pad.any() else None
+
+
+def _run(batch: _Batch, params: ModelParams, shapes, masked, pick, keep_caches: bool):
+    """Decode every row of a batch in one pass; the engine behind every entry point.
+
+    shapes and masked give each sorted row's (f, k) and whether its
+    back-pointers are screened for feasibility.  Unmasked rows attend over
+    positions 0..t, masked ones over the feasible first occurrences and t.
+    pick(t, idx, p, widths) returns each running row's chosen column of
+    p; idx is None when every support is the slice 0..t.  Returns the
+    sorted rows' choices, (B, L), their log probabilities, and the tape
+    the backward pass needs (None without caches).
+    """
+    B, L = len(batch.rows), len(batch.active)
+    h = params.config.hidden_dim
+    states, enc_caches = _encode(batch, params, keep_caches)
+    p1 = states @ params.attn_enc.T
+    screens = [_Screen(shapes[k], batch.edges[k]) if masked[k] else None for k in range(B)]
+    masked_rows = [k for k in range(B) if masked[k]]
+    if masked_rows:
+        # flat views: one take per step gathers every row's support
+        p1_flat, states_flat = p1.reshape(B * L, h), states.reshape(B * L, 2 * h)
+        base = np.arange(B)[:, None] * L
+    choices = np.zeros((B, L), dtype=np.int64)
+    # each step's log probability of its choice, summed in step order at the end
+    scores = np.zeros((L, B))
+    dec = params.dec
+    d = np.zeros((B, h))
+    context = np.zeros((B, 2 * h))
+    ar = np.arange(B)
+    steps = []
+    if keep_caches:
+        # decoder inputs and states, stacked as the weight gradients read them
+        xs = np.empty((batch.offsets[-1], dec.u.shape[1]))
+        ds = np.empty((batch.offsets[-1], h))
+    for t in range(L):
+        b = batch.active[t]
+        rows = ar[:b]
+        if t == 0:
+            emb = params.start[None].repeat(b, axis=0)
         else:
-            c = colors[choice]
-            colors.append(c)
-            if use_mask:
-                tracker.add_member(c - 1, i, j)
-        choices.append(choice)
-        context = p @ states[idx]
+            emb = batch.embs[batch.offsets[t - 1] : batch.offsets[t - 1] + b]
+        x = np.concatenate([context[:b], emb], axis=1)
+        d, gcache = _gru_forward(x @ dec.u.T + dec.b, d[:b], dec.w.T)
+        q = d @ params.attn_dec.T
+        if masked_rows:
+            idx, widths, pad = _supports(screens, t, b)
+            flat = idx + base[:b]
+            pre_enc, s_idx = p1_flat.take(flat, axis=0), states_flat.take(flat, axis=0)
+        else:
+            idx, widths, pad = None, t + 1, None
+            pre_enc, s_idx = p1[:b, : t + 1], states[:b, : t + 1]
+        p, u, log_z = _attend(pre_enc, q, params.attn_v, pad)
+        pos = pick(t, idx, p, widths)
+        choice = pos if idx is None else idx[rows, pos]
+        scores[t, :b] = u[rows, pos] - log_z
+        choices[:b, t] = choice
+        for k in masked_rows:
+            if k >= b:
+                break
+            screens[k].record(t, int(choice[k]))
+        context = (p[:, None, :] @ s_idx)[:, 0]
         if keep_caches:
-            caches.append((idx, p, t_act, pos, x, d_t, gcache))
-        d_prev = d_t
-    return states, enc_caches, tuple(choices), tuple(colors), logprob, caches
+            o = batch.offsets[t]
+            xs[o : o + b], ds[o : o + b] = x, d
+            steps.append((idx, p, pos, _taped(gcache)))
+    tape = None
+    if keep_caches:
+        tape = {"states": states, "encoder": enc_caches, "steps": steps, "x": xs, "d": ds}
+    logprob = np.cumsum(scores, axis=0)[-1] if L else np.zeros(B)
+    return choices, logprob, tape
+
+
+def _greedy(t, idx, p, widths):
+    return p.argmax(axis=1)
+
+
+def _sampler(rngs):
+    """Inverse-CDF draws, one generator per sorted row."""
+
+    def pick(t, idx, p, widths):
+        r = np.array([rng.random() for rng in rngs[: len(p)]])
+        pos = (np.cumsum(p, axis=1) <= r[:, None]).sum(axis=1)
+        return np.minimum(pos, widths - 1)
+
+    return pick
 
 
 def _replay(choices):
-    """A pick that follows the given pointers; InvalidPointer off the support."""
+    """A pick that follows the given (B, L) pointers; InvalidPointer off the support.
 
-    def pick(t, idx, p):
-        c = choices[t]
-        if isinstance(idx, slice):
-            if 0 <= c <= t and c == int(c):
-                return int(c)
-        else:
-            hits = np.nonzero(idx == c)[0]
-            if hits.size:
-                return int(hits[0])
-        raise InvalidPointer(f"choice {c} at step {t} is not an available position")
+    Pointers outside 0..t are rejected before the pass; masked rows
+    check membership here.
+    """
+
+    def pick(t, idx, p, widths):
+        c = choices[: len(p), t]
+        if idx is None:
+            return c
+        hit = idx == c[:, None]
+        found = hit.any(axis=1)
+        if not found.all():
+            k = int(np.argmin(found))
+            raise InvalidPointer(f"choice {c[k]} at step {t} is not an available position")
+        return hit.argmax(axis=1)
 
     return pick
+
+
+def rollout_batch(
+    adjs: Sequence[AdjacencyMatrix],
+    params: ModelParams,
+    mode: str = "greedy",
+    seeds=None,
+    use_mask: bool = True,
+) -> list[Episode]:
+    """Color a batch of placements in one pass and score each result.
+
+    mode "greedy" takes the argmax pointer each step; "sample" draws from
+    the pointer distribution, row i with a generator seeded by seeds[i],
+    so a fixed seed reproduces the episode exactly, whatever else is in
+    the batch.  With use_mask on, back-pointers are restricted to first
+    occurrences of colors that pass the feasibility screen (a fresh color
+    is always allowed).  Reward is +1 if the assembled array verifies,
+    else -1.
+    """
+    adjs = list(adjs)
+    edges_list = [extract_edge_sequence(a) for a in adjs]
+    batch = _Batch(edges_list, params)
+    if mode == "greedy":
+        pick = _greedy
+    elif mode == "sample":
+        if seeds is None or len(seeds) != len(adjs):
+            raise InvalidParameter("sampling needs one seed per placement")
+        pick = _sampler([np.random.default_rng(seeds[row]) for row in batch.rows])
+    else:
+        raise InvalidParameter(f"unknown rollout mode {mode!r}")
+    shapes = [(adjs[row].f, adjs[row].k) for row in batch.rows]
+    masked = [use_mask] * len(batch.rows)
+    choices, logprob, _ = _run(batch, params, shapes, masked, pick, keep_caches=False)
+    out = [((), (), 0.0)] * len(adjs)
+    for k, row in enumerate(batch.rows):
+        ch = tuple(choices[k, : batch.lengths[k]].tolist())
+        out[row] = (ch, pointer_to_colors(ch), float(logprob[k]))
+    episodes = []
+    for adj, edges, (ch, co, lp) in zip(adjs, edges_list, out):
+        reward = 1 if verify(assemble_array(adj, edges, co)).valid else -1
+        episodes.append(Episode(f=adj.f, k=adj.k, edges=edges, choices=ch, colors=co,
+                                logprob=lp, reward=reward, use_mask=use_mask))
+    return episodes
 
 
 def rollout(
@@ -392,46 +594,50 @@ def rollout(
     seed: int = 0,
     use_mask: bool = True,
 ) -> Episode:
-    """Color a placement end to end and score the result.
-
-    mode "greedy" takes the argmax pointer each step; "sample" draws from
-    the pointer distribution with a generator seeded by seed, so a fixed
-    seed reproduces the episode exactly.  With use_mask on, back-pointers
-    are restricted to first occurrences of colors that pass the
-    feasibility screen (a fresh color is always allowed).  Reward is +1
-    if the assembled array verifies, else -1.
-    """
-    if mode == "greedy":
-        def pick(t, idx, p):
-            return int(np.argmax(p))
-    elif mode == "sample":
-        rng = np.random.default_rng(seed)
-
-        def pick(t, idx, p):
-            pos = int(np.searchsorted(np.cumsum(p), rng.random(), side="right"))
-            return min(pos, len(p) - 1)
-    else:
-        raise InvalidParameter(f"unknown rollout mode {mode!r}")
-
-    edges = extract_edge_sequence(adj)
-    if not edges:
-        reward = 1 if verify(assemble_array(adj, (), ())).valid else -1
-        return Episode(
-            f=adj.f, k=adj.k, edges=(), choices=(), colors=(),
-            logprob=0.0, reward=reward, use_mask=use_mask,
-        )
-    _, _, choices, colors, logprob, _ = _decoder_pass(
-        (adj.f, adj.k), edges, params, use_mask, pick, keep_caches=False
-    )
-    grid = assemble_array(adj, edges, colors)
-    reward = 1 if verify(grid).valid else -1
-    return Episode(
-        f=adj.f, k=adj.k, edges=edges, choices=choices, colors=colors,
-        logprob=logprob, reward=reward, use_mask=use_mask,
-    )
+    """Color one placement end to end: rollout_batch of a batch of one."""
+    return rollout_batch([adj], params, mode, [seed], use_mask)[0]
 
 
 # --- gradients ---------------------------------------------------------------
+
+
+def _score(rows, params: ModelParams, coef=None):
+    """Log probabilities of given pointer sequences, and optionally a gradient.
+
+    rows: (shape, edges, choices, use_mask) tuples.  With coef, also
+    returns the gradient of sum_i coef[i] * logprob_i; each row's
+    coefficient enters at its own loss terms, so one backward pass serves
+    the batch.
+    """
+    batch = _Batch([r[1] for r in rows], params)
+    choices = batch.pad([r[2] for r in rows], float)
+    steps = np.arange(choices.shape[1])
+    bad = batch.valid.T & ~((0 <= choices) & (choices <= steps) & (choices == np.floor(choices)))
+    if bad.any():
+        k, t = np.argwhere(bad.T)[0][::-1]
+        raise InvalidPointer(f"choice {choices[k, t]:g} at step {t} is not an available position")
+    shapes = [rows[row][0] for row in batch.rows]
+    masked = [bool(rows[row][3]) for row in batch.rows]
+    _, logprob, tape = _run(batch, params, shapes, masked,
+                               _replay(choices.astype(np.int64)), coef is not None)
+    out = np.zeros(len(rows))
+    out[batch.rows] = logprob
+    if coef is None:
+        return out
+    return out, _backward(batch, tape, np.asarray(coef, dtype=float)[batch.rows], params)
+
+
+def sequence_logprobs(rows, params: ModelParams) -> np.ndarray:
+    """Log probabilities of given pointer choices, by one forward pass.
+
+    rows: (shape, edges, choices, use_mask) tuples.  Raises BadTarget for
+    a row whose choices and edges differ in length, and InvalidPointer
+    for a choice outside its step's support.
+    """
+    for k, (_, edges, choices, _) in enumerate(rows):
+        if len(choices) != len(edges):
+            raise BadTarget(f"row {k} has {len(choices)} pointers for {len(edges)} edges")
+    return _score(rows, params)
 
 
 def sequence_logprob(shape, edges, choices, params: ModelParams, use_mask: bool) -> float:
@@ -439,91 +645,118 @@ def sequence_logprob(shape, edges, choices, params: ModelParams, use_mask: bool)
 
     The same number, bit for bit, that the gradient routines sum: -1 times
     supervised_loss of a one-pair batch, or an episode's reinforce
-    objective over its reward.  Raises InvalidPointer for a choice
-    outside its step's support.
+    objective over its reward.  Raises BadTarget when choices and edges
+    differ in length, and InvalidPointer for a choice outside its step's
+    support.
     """
-    if not edges:
-        return 0.0
-    _, _, _, _, logprob, _ = _decoder_pass(
-        shape, edges, params, use_mask, _replay(choices), keep_caches=False
-    )
-    return logprob
+    return float(sequence_logprobs([(shape, edges, choices, use_mask)], params)[0])
 
 
-def _encoder_backward(dys, caches, order, gp: GruParams, embs, grads, prefix: str):
-    """Backpropagation through one encoder direction that stepped in order.
+def _encoder_backward(batch: _Batch, caches, dstates, params: ModelParams, grads):
+    """Backpropagation through both encoder directions, stacked as they stepped.
 
-    dys[l] is the loss gradient on the state at position l.  Adds the
-    direction's weight gradients to grads and returns the gradient on embs.
+    dstates is the loss gradient on the states, (B, L, 2h).  Adds both
+    directions' weight gradients to grads and returns the gradient on
+    the stacked embeddings.
     """
-    n, h = dys.shape
-    da, dwy = np.empty((n, 3 * h)), np.empty((n, 3 * h))
-    dy = np.zeros(h)
-    for l in reversed(order):
-        dy, da[l], dwy[l] = _gru_backward(dy + dys[l], caches[l], gp)
-    _add_gru_grads(grads, prefix, da, dwy, embs, np.array([c[0] for c in caches]))
-    return da @ gp.u
+    h = params.config.hidden_dim
+    L, B = batch.valid.shape
+    rev, off, fwd, bwd = batch.rev, batch.offsets, params.fwd, params.bwd
+    dst = dstates.transpose(1, 0, 2)[batch.valid]
+    dys = np.empty((2, off[-1], h))
+    dys[0], dys[1] = dst[:, :h], dst[rev, h:]
+    w = np.concatenate([fwd.w[None], bwd.w[None]])
+    da, dwy = np.empty((2, off[-1], 3 * h)), np.empty((2, off[-1], 3 * h))
+    y_prev = np.concatenate([c[0] for c in caches], axis=1)
+    dy = np.zeros((2, B, h))
+    for s in range(L - 1, -1, -1):
+        b, rows = batch.active[s], slice(off[s], off[s + 1])
+        dy_prev, da[:, rows], dwy[:, rows] = _gru_backward(dy[:, :b] + dys[:, rows], caches[s], w)
+        dy[:, :b] = dy_prev
+        caches[s] = None  # the tape is freed as it is consumed
+    _add_gru_grads(grads, "fwd", da[0], dwy[0], batch.embs, y_prev[0])
+    _add_gru_grads(grads, "bwd", da[1], dwy[1], batch.embs[rev], y_prev[1])
+    return da[0] @ fwd.u + (da[1] @ bwd.u)[rev]
 
 
-def _sequence_grads(shape, edges, choices, params: ModelParams, use_mask: bool):
-    """Log probability of the given choices and its exact parameter gradient."""
-    n = len(edges)
-    if n == 0:
-        return 0.0, params.zero_grads()
-    states, enc_caches, _, _, logprob, caches = _decoder_pass(
-        shape, edges, params, use_mask, _replay(choices), keep_caches=True
-    )
-    embs, slots, fwd_caches, bwd_caches = enc_caches
-    grads = params.zero_grads()
+def _decoder_backward(batch: _Batch, tape, coef, params: ModelParams, grads):
+    """Backpropagation through the decoder and the attention, step by step.
+
+    Pops the decoder's part of the tape, so that its buffers are freed
+    before the encoder's backward pass allocates its own.  Returns the
+    gradient on the encoder states, (B, L, 2h), and on every step's
+    decoder input embedding, stacked.
+    """
+    states, steps, x, d = tape["states"], tape.pop("steps"), tape.pop("x"), tape.pop("d")
+    B, L = len(batch.rows), len(batch.active)
     h = params.config.hidden_dim
     dec = params.dec
     u_context = dec.u[:, : 2 * h]
+    p1 = states @ params.attn_enc.T
+    y_prev = np.concatenate([s[3][0] for s in steps])
     dstates = np.zeros_like(states)
-    dp1 = np.zeros((n, h))
-    da, dwy, dq = np.empty((n, 3 * h)), np.empty((n, 3 * h)), np.empty((n, h))
-    g_d = np.zeros(h)
-    dcontext = np.zeros(2 * h)
-    for t in range(n - 1, -1, -1):
-        idx, p, t_act, pos, _, d_t, gcache = caches[t]
-        s_idx = states[idx]
+    dp1 = np.zeros((B, L, h))
+    d_dec, dcontext = np.zeros((B, h)), np.zeros((B, 2 * h))
+    off = batch.offsets
+    da, dwy, dq = np.empty((off[-1], 3 * h)), np.empty((off[-1], 3 * h)), np.empty((off[-1], h))
+    ar = np.arange(B)
+    for t in range(L - 1, -1, -1):
+        b, packed = batch.active[t], slice(off[t], off[t + 1])
+        rows = ar[:b]
+        idx, p, pos, gcache = steps[t]
+        steps[t] = None  # the tape is freed as it is consumed
         # context_t = p @ s_idx feeds step t+1; dcontext holds its gradient
-        g = s_idx @ dcontext
-        dstates[idx] += np.outer(p, dcontext)
-        du = -p
-        du[pos] += 1.0
-        du += p * (g - float(p @ g))
-        grads["attn_v"] += t_act.T @ du
-        dpre = np.outer(du, params.attn_v) * (1.0 - t_act * t_act)
-        dp1[idx] += dpre
-        dq[t] = dpre.sum(axis=0)
-        g_d = g_d + params.attn_dec.T @ dq[t]
-        g_d, da[t], dwy[t] = _gru_backward(g_d, gcache, dec)
-        dcontext = u_context.T @ da[t]
-    # p1 = states @ attn_enc.T and q_t = attn_dec @ d_t, summed over steps
-    grads["attn_enc"] += dp1.T @ states
-    dstates += dp1 @ params.attn_enc
-    grads["attn_dec"] += dq.T @ np.array([c[5] for c in caches])
-    _add_gru_grads(
-        grads, "dec", da, dwy,
-        np.array([c[4] for c in caches]), np.array([c[6][0] for c in caches]),
-    )
-    # the decoder input of step t holds the embedding of position t-1
-    dx_emb = da @ dec.u[:, 2 * h :]
-    grads["start"] += dx_emb[0]
-    demb = np.zeros_like(embs)
-    demb[:-1] = dx_emb[1:]
-    # forward encoder ran l = 0..n-1, so its gradient runs back from n-1
-    demb += _encoder_backward(
-        dstates[:, :h], fwd_caches, range(n), params.fwd, embs, grads, "fwd"
-    )
-    # backward encoder ran l = n-1..0, so its gradient runs back from 0
-    demb += _encoder_backward(
-        dstates[:, h:], bwd_caches, range(n - 1, -1, -1), params.bwd, embs, grads, "bwd"
-    )
+        dctx = dcontext[:b]
+        if idx is None:
+            s_idx, pre_enc = states[:b, : t + 1], p1[:b, : t + 1]
+            dstates[:b, : t + 1] += p[:, :, None] * dctx[:, None, :]
+        else:
+            s_idx, pre_enc = states[rows[:, None], idx], p1[rows[:, None], idx]
+            np.add.at(dstates, (rows[:, None], idx), p[:, :, None] * dctx[:, None, :])
+        t_act = _activations(pre_enc, d[packed] @ params.attn_dec.T)
+        g = (s_idx @ dctx[:, :, None])[:, :, 0]
+        seed = -p
+        seed[rows, pos] += 1.0
+        du = p * (g - (p * g).sum(axis=1, keepdims=True)) + coef[:b, None] * seed
+        grads["attn_v"] += du.ravel() @ t_act.reshape(-1, h)
+        dpre = du[:, :, None] * params.attn_v * (1.0 - t_act * t_act)
+        if idx is None:
+            dp1[:b, : t + 1] += dpre
+        else:
+            np.add.at(dp1, (rows[:, None], idx), dpre)
+        dq[packed] = dpre.sum(axis=1)
+        d_prev, da[packed], dwy[packed] = _gru_backward(
+            d_dec[:b] + dq[packed] @ params.attn_dec, gcache, dec.w
+        )
+        d_dec[:b] = d_prev
+        dcontext[:b] = da[packed] @ u_context
+    # p1 = states @ attn_enc.T and q_t = d_t @ attn_dec.T, over every valid row
+    valid = batch.valid.T
+    dp1, s_valid = dp1[valid], states[valid]
+    grads["attn_enc"] += dp1.T @ s_valid
+    dstates[valid] += dp1 @ params.attn_enc
+    grads["attn_dec"] += dq.T @ d
+    _add_gru_grads(grads, "dec", da, dwy, x, y_prev)
+    return dstates, da @ dec.u[:, 2 * h :]
+
+
+def _backward(batch: _Batch, tape, coef, params: ModelParams):
+    """Gradient of sum_k coef[k] * logprob_k over the sorted rows of a taped pass."""
+    grads = params.zero_grads()
+    if not len(batch.rows):
+        return grads
+    dstates, dx_emb = _decoder_backward(batch, tape, coef, params, grads)
+    demb = _encoder_backward(batch, tape.pop("encoder"), dstates, params, grads)
+    # the decoder input of step t holds the start at t = 0, else the embedding of t-1
+    off = batch.offsets
+    grads["start"] += dx_emb[: off[1]].sum(axis=0)
+    for t in range(1, len(batch.active)):
+        b = batch.active[t]
+        demb[off[t - 1] : off[t - 1] + b] += dx_emb[off[t] : off[t] + b]
     table = grads["embed"].T
-    for slot in slots:
+    for slot in batch.slots:
         np.add.at(table, slot, demb)
-    return logprob, grads
+    return grads
 
 
 def supervised_loss(batch, params: ModelParams):
@@ -531,37 +764,31 @@ def supervised_loss(batch, params: ModelParams):
 
     batch: list of (edges, colors) with canonical colors.  Targets are
     the pointer encoding of the colors; the pointer support at step t is
-    every position up to t.
+    every position up to t.  Raises BadTarget, naming the pair, for
+    colors that differ from their edges in length or break canonical
+    numbering.
     """
     if not batch:
         raise InvalidBatch("empty supervised batch")
-    grads = params.zero_grads()
-    total = 0.0
-    for edges, colors in batch:
-        choices = colors_to_pointers(colors)
-        logp, g = _sequence_grads((0, 0), edges, choices, params, use_mask=False)
-        total += logp
-        for name in grads:
-            grads[name] += g[name]
-    scale = -1.0 / len(batch)
-    for name in grads:
-        grads[name] *= scale
-    return -total / len(batch), grads
+    rows = []
+    for k, (edges, colors) in enumerate(batch):
+        if len(colors) != len(edges):
+            raise BadTarget(f"pair {k} has {len(colors)} colors for {len(edges)} edges")
+        rows.append(((0, 0), edges, colors_to_pointers(colors), False))
+    logp, grads = _score(rows, params, np.full(len(rows), -1.0 / len(rows)))
+    return -sum(logp.tolist()) / len(batch), grads
 
 
 def reinforce_objective_and_grad(episodes, params: ModelParams):
     """Mean of reward-weighted episode log likelihoods, with gradients."""
     if not episodes:
         raise InvalidBatch("empty episode batch")
-    grads = params.zero_grads()
-    total = 0.0
     w = 1.0 / len(episodes)
-    for ep in episodes:
-        logp, g = _sequence_grads(
-            (ep.f, ep.k), ep.edges, ep.choices, params, ep.use_mask
-        )
-        total += w * ep.reward * logp
-        for name in grads:
-            grads[name] += (w * ep.reward) * g[name]
+    coef = [w * ep.reward for ep in episodes]
+    logp, grads = _score(
+        [((ep.f, ep.k), ep.edges, ep.choices, ep.use_mask) for ep in episodes], params, coef
+    )
+    total = 0.0
+    for c, lp in zip(coef, logp.tolist()):
+        total += c * lp
     return total, grads
-

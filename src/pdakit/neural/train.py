@@ -5,7 +5,13 @@ negative log likelihood.  Phase two samples colorings, scores each with
 the verifier (+1/-1), and ascends the reward-weighted log likelihood.
 Every epoch appends one log row; epoch 0 records the untrained model so
 improvement is measurable.  A fixed seed makes the whole run, including
-sampled episodes, reproducible.
+sampled episodes, reproducible: each episode draws from its own
+generator, seeded by (seed, epoch, pair index).
+
+Each minibatch runs as one pass of the batched engine: the supervised
+step, the sampled rollouts and the reinforce gradient.  The per-epoch
+greedy evaluation and epoch 0's corpus loss run the same way, in
+chunks of at most _EVAL_CHUNK pairs.
 """
 
 from __future__ import annotations
@@ -23,11 +29,14 @@ from ..seqcodec import TrainingPair
 from .net import (
     colors_to_pointers,
     reinforce_objective_and_grad,
-    rollout,
-    sequence_logprob,
+    rollout_batch,
+    sequence_logprobs,
     supervised_loss,
 )
 from .params import ModelConfig, ModelParams, clip_grads
+
+# Pairs per evaluation pass: bounds the engine's buffers on a large corpus.
+_EVAL_CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -86,17 +95,21 @@ def greedy_valid_rate(pairs: Sequence[TrainingPair], params: ModelParams,
     if not pairs:
         return 0.0
     ok = 0
-    for pair in pairs:
-        ep = rollout(pair.adjacency(), params, mode="greedy", use_mask=use_mask)
-        ok += ep.reward == 1
+    for lo in range(0, len(pairs), _EVAL_CHUNK):
+        episodes = rollout_batch([p.adjacency() for p in pairs[lo : lo + _EVAL_CHUNK]],
+                                 params, mode="greedy", use_mask=use_mask)
+        ok += sum(ep.reward == 1 for ep in episodes)
     return ok / len(pairs)
 
 
 def _corpus_loss(pairs, params) -> float:
-    """supervised_loss over the whole corpus, bit for bit, without its gradient."""
+    """supervised_loss over the whole corpus, without its gradient."""
     total = 0.0
-    for p in pairs:
-        total += sequence_logprob((0, 0), p.edges, colors_to_pointers(p.colors), params, False)
+    for lo in range(0, len(pairs), _EVAL_CHUNK):
+        rows = [((0, 0), p.edges, colors_to_pointers(p.colors), False)
+                for p in pairs[lo : lo + _EVAL_CHUNK]]
+        for logp in sequence_logprobs(rows, params).tolist():
+            total += logp
     return -total / len(pairs)
 
 
@@ -156,11 +169,10 @@ def train(
                 )
                 step = -config.learning_rate
             else:
-                episodes = [
-                    rollout(pairs[i].adjacency(), params, mode="sample",
-                            seed=[config.seed, epoch, int(i)], use_mask=False)
-                    for i in batch
-                ]
+                episodes = rollout_batch(
+                    [pairs[i].adjacency() for i in batch], params, mode="sample",
+                    seeds=[[config.seed, epoch, int(i)] for i in batch], use_mask=False,
+                )
                 rewards += [ep.reward for ep in episodes]
                 objective, grads = reinforce_objective_and_grad(episodes, params)
                 loss, step = -objective, config.reinforce_learning_rate

@@ -313,3 +313,146 @@ def mn_grid(k_users, t):
             ]
         )
     return grid
+
+
+def _sig(x):
+    import numpy as np
+
+    return 0.5 * (1.0 + np.tanh(0.5 * x))
+
+
+def _gru(gp, x, y):
+    """One GRU step on vectors, gate blocks reset, update, candidate."""
+    import numpy as np
+
+    h = y.shape[0]
+    ax, ay = gp.u @ x, gp.w @ y
+    r = _sig(ax[:h] + ay[:h] + gp.b[:h])
+    z = _sig(ax[h : 2 * h] + ay[h : 2 * h] + gp.b[h : 2 * h])
+    c = np.tanh(ax[2 * h :] + r * ay[2 * h :] + gp.b[2 * h :])
+    return z * y + (1.0 - z) * c, (x, y, r, z, c, ay)
+
+
+def _gru_back(gp, dy, cache, grads, prefix):
+    """One GRU step back: adds the weight gradients, returns (dx, dy_prev)."""
+    import numpy as np
+
+    x, y, r, z, c, ay = cache
+    h = y.shape[0]
+    dc = dy * (1.0 - z) * (1.0 - c * c)
+    dr = dc * ay[2 * h :] * r * (1.0 - r)
+    dz = dy * (y - c) * z * (1.0 - z)
+    da = np.concatenate([dr, dz, dc])
+    day = np.concatenate([dr, dz, dc * r])
+    grads[prefix + ".u"] += np.outer(da, x)
+    grads[prefix + ".w"] += np.outer(day, y)
+    grads[prefix + ".b"] += da
+    return gp.u.T @ da, dy * z + gp.w.T @ day
+
+
+def _pointer_support(edges, colors, t, use_mask):
+    """Positions step t may point at: all of 0..t, or with the mask on the
+    first uses of every color whose cells pass the literal pair rule
+    against (i, j), in color order, then t itself."""
+    if not use_mask:
+        return list(range(t + 1))
+    cells = set(edges)
+    i, j = edges[t]
+    out = []
+    for color in sorted(set(colors[:t])):
+        members = [edges[l] for l in range(t) if colors[l] == color]
+        if all(i != i2 and j != j2 and (i, j2) not in cells and (i2, j) not in cells
+               for i2, j2 in members):
+            out.append(colors[:t].index(color))
+    return out + [t]
+
+
+def oracle_sequence_grads(params, edges, choices, use_mask):
+    """Log probability of one pointer sequence and its gradient, step by step.
+
+    A literal per-sequence forward and backward pass of the pointer
+    colorer: vector GRU steps, softmax attention over the support, and
+    per-step outer products for every weight gradient.  params is read
+    through its attributes only (embed, fwd, bwd, dec, attn_enc,
+    attn_dec, attn_v, start).  Returns (logprob, grads) with grads keyed
+    like the library's tensor names.  Raises ValueError for a pointer
+    outside its support.
+    """
+    import numpy as np
+
+    edges = [tuple(int(v) for v in e) for e in edges]
+    n, h = len(edges), params.attn_v.shape[0]
+    f_max = params.config.f_max
+    grads = {"embed": np.zeros_like(params.embed)}
+    for name in ("fwd", "bwd", "dec"):
+        for part in ("u", "w", "b"):
+            grads[f"{name}.{part}"] = np.zeros_like(getattr(getattr(params, name), part))
+    for name in ("attn_enc", "attn_dec", "attn_v", "start"):
+        grads[name] = np.zeros_like(getattr(params, name))
+    if n == 0:
+        return 0.0, grads
+    embs = [params.embed[:, i] + params.embed[:, f_max + j] for i, j in edges]
+
+    fwd, fwd_caches, y = [None] * n, [None] * n, np.zeros(h)
+    for l in range(n):
+        y, fwd_caches[l] = _gru(params.fwd, embs[l], y)
+        fwd[l] = y
+    bwd, bwd_caches, y = [None] * n, [None] * n, np.zeros(h)
+    for l in range(n - 1, -1, -1):
+        y, bwd_caches[l] = _gru(params.bwd, embs[l], y)
+        bwd[l] = y
+    states = np.array([np.concatenate([fwd[l], bwd[l]]) for l in range(n)])
+
+    colors, steps, logprob = [], [], 0.0
+    d, context = np.zeros(h), np.zeros(2 * h)
+    for t in range(n):
+        support = _pointer_support(edges, colors, t, use_mask)
+        if choices[t] not in support:
+            raise ValueError(f"choice {choices[t]} at step {t} is off the support")
+        pos = support.index(choices[t])
+        x = np.concatenate([context, params.start if t == 0 else embs[t - 1]])
+        d, gcache = _gru(params.dec, x, d)
+        s = states[support]
+        act = np.tanh(s @ params.attn_enc.T + params.attn_dec @ d)
+        u = act @ params.attn_v
+        p = np.exp(u - u.max())
+        p /= p.sum()
+        logprob += float(u[pos] - u.max() - np.log(np.exp(u - u.max()).sum()))
+        colors.append(colors[choices[t]] if choices[t] < t else max(colors, default=0) + 1)
+        steps.append((support, s, p, act, pos, d, gcache))
+        context = p @ s
+
+    dstates = np.zeros_like(states)
+    dd, dcontext = np.zeros(h), np.zeros(2 * h)
+    dembs = [np.zeros_like(e) for e in embs]
+    for t in range(n - 1, -1, -1):
+        support, s, p, act, pos, d, gcache = steps[t]
+        dstates[support] += np.outer(p, dcontext)
+        g = s @ dcontext
+        du = p * (g - p @ g)
+        du[pos] += 1.0
+        du -= p
+        grads["attn_v"] += act.T @ du
+        dpre = np.outer(du, params.attn_v) * (1.0 - act * act)
+        grads["attn_enc"] += dpre.T @ s
+        dstates[support] += dpre @ params.attn_enc
+        dq = dpre.sum(axis=0)
+        grads["attn_dec"] += np.outer(dq, d)
+        dx, dd = _gru_back(params.dec, dd + params.attn_dec.T @ dq, gcache, grads, "dec")
+        dcontext = dx[: 2 * h]
+        if t == 0:
+            grads["start"] += dx[2 * h :]
+        else:
+            dembs[t - 1] += dx[2 * h :]
+    dy = np.zeros(h)
+    for l in range(n - 1, -1, -1):
+        dx, dy = _gru_back(params.fwd, dy + dstates[l, :h], fwd_caches[l], grads, "fwd")
+        dembs[l] += dx
+    dy = np.zeros(h)
+    for l in range(n):
+        dx, dy = _gru_back(params.bwd, dy + dstates[l, h:], bwd_caches[l], grads, "bwd")
+        dembs[l] += dx
+    for (i, j), de in zip(edges, dembs):
+        grads["embed"][:, i] += de
+        grads["embed"][:, f_max + j] += de
+    return logprob, grads

@@ -33,12 +33,15 @@ from pdakit.neural import (
     pointer_to_colors,
     reinforce_objective_and_grad,
     rollout,
+    rollout_batch,
     save_checkpoint,
     sequence_logprob,
+    sequence_logprobs,
     supervised_loss,
     train,
     write_log_csv,
 )
+from pdakit.neural import net
 from pdakit.neural.net import _sigmoid
 from pdakit.pda import construct_mn_pda, verify
 from pdakit.seqcodec import (
@@ -188,7 +191,7 @@ class TestEncode:
         with pytest.raises(VocabularyError):
             embed_edge(params, -1, 0)
         # a vectorized gather would wrap -1 around to the last slot
-        for edges in ([(-1, 0)], [(0, -1)], [(0, 0), (1, 1), (2, -1)]):
+        for edges in ([(-1, 0)], [(0, -1)], [(0, 0), (1, 1), (2, -1)], [(1.5, 0)]):
             with pytest.raises(VocabularyError):
                 encode(edges, params)
 
@@ -452,6 +455,8 @@ class TestRollout:
     def test_unknown_mode_rejected(self):
         with pytest.raises(InvalidParameter):
             rollout(CROSS, tiny_params(), mode="beam")
+        with pytest.raises(InvalidParameter, match="one seed per placement"):
+            rollout_batch([CROSS, CROSS], tiny_params(), mode="sample", seeds=[1])
 
 
 class TestSupervisedLoss:
@@ -499,12 +504,18 @@ class TestSupervisedLoss:
             params.apply_step(grads, -0.5)
         assert losses[-1] < 0.25 * losses[0]
 
-    def test_rejects_bad_targets_and_empty_batches(self):
+    def test_rejects_bad_targets_and_empty_batches(self, monkeypatch):
         params = tiny_params()
         with pytest.raises(InvalidBatch):
             supervised_loss([], params)
         with pytest.raises(BadTarget):
             supervised_loss([(((0, 0), (0, 1)), (1, 3))], params)
+        # a target longer or shorter than its edges is named before any forward work
+        monkeypatch.setattr(net, "_Batch", None)
+        edges = ((0, 0), (1, 1))
+        for colors in ((1, 2, 3), (1,)):
+            with pytest.raises(BadTarget, match=f"pair 1 has {len(colors)} colors for 2 edges"):
+                supervised_loss([(edges, (1, 2)), (edges, colors)], params)
 
 
 class TestReinforce:
@@ -597,6 +608,13 @@ class TestSequenceLogprob:
 
     def test_empty_sequence_is_certain(self):
         assert sequence_logprob((2, 2), (), (), tiny_params(), True) == 0.0
+
+    def test_rejects_pointer_counts_that_differ_from_the_edges(self, monkeypatch):
+        monkeypatch.setattr(net, "_Batch", None)  # no forward work may start
+        edges = ((0, 0), (1, 1))
+        for choices in ((0, 1, 2), (0,)):
+            with pytest.raises(BadTarget, match=f"{len(choices)} pointers for 2 edges"):
+                sequence_logprob((2, 2), edges, choices, tiny_params(), False)
 
     def test_rejects_pointers_off_the_support(self):
         params = tiny_params(seed=1)
@@ -909,3 +927,118 @@ class TestTrain:
 
     def test_greedy_valid_rate_of_nothing_is_zero(self):
         assert greedy_valid_rate([], tiny_params()) == 0.0
+
+
+def random_canonical_colors(rng, n):
+    """A canonical color sequence: each new color is the next integer."""
+    colors = []
+    for _ in range(n):
+        if colors and rng.random() < 0.6:
+            colors.append(colors[int(rng.integers(len(colors)))])
+        else:
+            colors.append(max(colors, default=0) + 1)
+    return tuple(colors)
+
+
+def mixed_placements(rng, count, max_f=6, max_k=6):
+    """Placements of mixed sizes, one of them empty now and then."""
+    out = []
+    for _ in range(count):
+        f, k = int(rng.integers(1, max_f + 1)), int(rng.integers(1, max_k + 1))
+        out.append(AdjacencyMatrix(rng.random((f, k)) < rng.uniform(0.0, 1.0)))
+    return out
+
+
+def weighted_oracle(params, rows, weights):
+    """Per-row oracle log probabilities and the weighted sum of their gradients."""
+    logps, total = [], None
+    for (edges, choices, use_mask), w in zip(rows, weights):
+        logp, grads = oracles.oracle_sequence_grads(params, edges, choices, use_mask)
+        logps.append(logp)
+        total = {n: w * g for n, g in grads.items()} if total is None else \
+            {n: total[n] + w * g for n, g in grads.items()}
+    return np.array(logps), total
+
+
+def assert_grads_close(got, want, tol=1e-12):
+    assert set(got) == set(want)
+    for name in want:
+        assert np.max(np.abs(got[name] - want[name]), initial=0.0) <= tol, name
+
+
+class TestBatchedEngine:
+    """One padded B x L pass against the per-sequence reference and B=1 calls."""
+
+    def test_matches_the_per_sequence_reference(self):
+        rng = np.random.default_rng(8)
+        for trial in range(12):
+            params = tiny_params(seed=trial, d=int(rng.integers(1, 6)), h=int(rng.integers(1, 6)),
+                                 f_max=6, k_max=6)
+            adjs = mixed_placements(rng, int(rng.integers(1, 7)))
+            # reinforce: sampled episodes, masked and unmasked rows in one batch
+            episodes = [
+                rollout(a, params, mode="sample", seed=int(rng.integers(1000)),
+                        use_mask=bool(rng.random() < 0.5))
+                for a in adjs
+            ]
+            w = 1.0 / len(episodes)
+            rows = [(ep.edges, ep.choices, ep.use_mask) for ep in episodes]
+            logps, want = weighted_oracle(params, rows, [w * ep.reward for ep in episodes])
+            objective, grads = reinforce_objective_and_grad(episodes, params)
+            got = sequence_logprobs([((ep.f, ep.k), *row) for ep, row in zip(episodes, rows)],
+                                    params)
+            assert np.max(np.abs(got - logps)) <= 1e-12
+            assert abs(objective - sum(w * ep.reward * lp for ep, lp in zip(episodes, logps))) <= 1e-12
+            assert_grads_close(grads, want)
+            # supervised: canonical targets on the same placements
+            batch = []
+            for ep in episodes:
+                colors = random_canonical_colors(rng, len(ep.edges))
+                batch.append((ep.edges, colors))
+            rows = [(e, tuple(c.index(x) for x in c), False) for e, c in batch]
+            logps, want = weighted_oracle(params, rows, [-1.0 / len(batch)] * len(batch))
+            loss, grads = supervised_loss(batch, params)
+            assert abs(loss + logps.mean()) <= 1e-12
+            assert_grads_close(grads, want)
+
+    def test_padding_is_never_read(self, monkeypatch):
+        rng = np.random.default_rng(9)
+        params = tiny_params(seed=3, d=3, h=4, f_max=6, k_max=6)
+        adjs = mixed_placements(rng, 6)
+        seeds = list(range(len(adjs)))
+
+        def run_everything():
+            out = {}
+            for mode in ("greedy", "sample"):
+                for use_mask in (False, True):
+                    out[mode, use_mask] = rollout_batch(adjs, params, mode, seeds, use_mask)
+            episodes = out["sample", False][:3] + out["sample", True][3:]
+            out["reinforce"] = reinforce_objective_and_grad(episodes, params)
+            out["supervised"] = supervised_loss([(ep.edges, ep.colors) for ep in episodes], params)
+            return out
+
+        clean = run_everything()
+        monkeypatch.setattr(net, "_PAD", np.nan)
+        dirty = run_everything()
+        for key in clean:
+            if key in ("reinforce", "supervised"):
+                (a, ga), (b, gb) = clean[key], dirty[key]
+                assert a == b and np.isfinite(b)
+                assert all(np.array_equal(ga[n], gb[n]) for n in ga)
+            else:
+                assert clean[key] == dirty[key]
+
+    def test_batched_rollouts_match_single_rollouts(self):
+        rng = np.random.default_rng(10)
+        for trial in range(6):
+            params = tiny_params(seed=trial, d=3, h=5, f_max=7, k_max=7)
+            adjs = mixed_placements(rng, 8, max_f=7, max_k=7)
+            seeds = [[trial, 7, i] for i in range(len(adjs))]
+            for mode in ("greedy", "sample"):
+                for use_mask in (False, True):
+                    batched = rollout_batch(adjs, params, mode, seeds, use_mask)
+                    for a, seed, ep in zip(adjs, seeds, batched):
+                        one = rollout(a, params, mode, seed, use_mask)
+                        assert (ep.edges, ep.choices, ep.colors, ep.reward) == \
+                            (one.edges, one.choices, one.colors, one.reward)
+                        assert abs(ep.logprob - one.logprob) <= 1e-12
