@@ -28,6 +28,7 @@ from .pda import Pda, construct_mn_pda, pda_from_text, pda_to_text
 from .seqcodec import (
     assemble_array,
     default_star_pattern,
+    extract_edge_sequence,
     placement_to_adjacency,
     read_corpus,
     training_pair_from_pda,
@@ -39,12 +40,7 @@ BENCH_STARS = 12
 
 
 def _uncolored_graph(adjacency):
-    edges = tuple(
-        (int(j), int(i), None)
-        for i in range(adjacency.f)
-        for j in range(adjacency.k)
-        if adjacency.mask[i, j]
-    )
+    edges = tuple((j, i, None) for i, j in extract_edge_sequence(adjacency))
     return BipartiteColoredGraph(k=adjacency.k, f=adjacency.f, edges=edges)
 
 
@@ -99,9 +95,10 @@ def cmd_construct(args):
 
 
 def cmd_pipeline(args):
+    if args.trials < 0:
+        raise InvalidParameter(f"--trials must be >= 0, got {args.trials}")
     k, f, z = args.users, args.rows, args.stars
-    pattern = default_star_pattern(k, f, z)
-    adjacency = placement_to_adjacency(z, f, k, pattern)
+    adjacency = placement_to_adjacency(z, f, k, default_star_pattern(k, f, z))
     comments = [
         f"pdakit pipeline users={k} rows={f} stars={z} "
         f"seed={args.seed} colorer={args.colorer} mask={not args.no_mask}"
@@ -396,13 +393,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except InvalidParameter as exc:
+    except (ParseError, OSError, InvalidParameter) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except DivergenceError as exc:

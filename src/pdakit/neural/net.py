@@ -21,8 +21,9 @@ stacked in step order, so the inputs and gradients of every GRU are
 together as one stacked GRU: the backward direction reads each row
 reversed within its own length, so both directions run the same rows at
 every step.  Masked steps gather each row's feasible first occurrences,
-padded to the widest row, so attention costs O(colors) per step.  One
-sequence is a batch of one.
+padded to the widest row, so attention costs O(colors) per step; the
+caller hands in each masked row's placement mask.  One sequence is a
+batch of one.
 
 The backward pass is backpropagation through time with deferred GEMMs:
 each step computes only what the recurrence needs, and every weight
@@ -49,7 +50,7 @@ from ..errors import (
     VocabularyError,
 )
 from ..pda import verify
-from ..seqcodec import AdjacencyMatrix, assemble_array, extract_edge_sequence
+from ..seqcodec import AdjacencyMatrix, assemble_array, edges_to_mask, extract_edge_sequence
 from .params import GruParams, ModelParams
 
 # Value of the padded slots of the (B, L, 2h) encoder states, where rows
@@ -352,13 +353,10 @@ class FeasibilityTracker:
     def new_color(self, i: int, j: int) -> int:
         c = self.n_colors
         self.n_colors += 1
-        self._mark(c, i, j)
+        self.add_member(c, i, j)
         return c
 
     def add_member(self, c: int, i: int, j: int) -> None:
-        self._mark(c, i, j)
-
-    def _mark(self, c: int, i: int, j: int) -> None:
         self.col_blocked[:, c] |= self.adj[i, :]
         self.row_blocked[:, c] |= self.adj[:, j]
 
@@ -396,12 +394,9 @@ class Episode:
 class _Screen:
     """One masked row's feasibility state: its tracker, first uses and colors."""
 
-    def __init__(self, shape, edges):
-        adj = np.zeros(shape, dtype=bool)
-        for i, j in edges:
-            adj[i, j] = True
+    def __init__(self, mask, edges):
         self.edges = edges
-        self.tracker = FeasibilityTracker(adj)
+        self.tracker = FeasibilityTracker(mask)
         self.first = np.empty(len(edges), dtype=np.int64)
         self.colors: list[int] = []
 
@@ -437,11 +432,11 @@ def _supports(screens, t: int, b: int):
     return idx, widths, pad if pad.any() else None
 
 
-def _run(batch: _Batch, params: ModelParams, shapes, masked, pick, keep_caches: bool):
+def _run(batch: _Batch, params: ModelParams, masks, pick, keep_caches: bool):
     """Decode every row of a batch in one pass; the engine behind every entry point.
 
-    shapes and masked give each sorted row's (f, k) and whether its
-    back-pointers are screened for feasibility.  Unmasked rows attend over
+    masks gives each sorted row's placement mask when its back-pointers
+    are screened for feasibility, else None.  Unmasked rows attend over
     positions 0..t, masked ones over the feasible first occurrences and t.
     pick(t, idx, p, widths) returns each running row's chosen column of
     p; idx is None when every support is the slice 0..t.  Returns the
@@ -452,8 +447,8 @@ def _run(batch: _Batch, params: ModelParams, shapes, masked, pick, keep_caches: 
     h = params.config.hidden_dim
     states, enc_caches = _encode(batch, params, keep_caches)
     p1 = states @ params.attn_enc.T
-    screens = [_Screen(shapes[k], batch.edges[k]) if masked[k] else None for k in range(B)]
-    masked_rows = [k for k in range(B) if masked[k]]
+    screens = [None if m is None else _Screen(m, batch.edges[k]) for k, m in enumerate(masks)]
+    masked_rows = [k for k, s in enumerate(screens) if s is not None]
     if masked_rows:
         # flat views: one take per step gathers every row's support
         p1_flat, states_flat = p1.reshape(B * L, h), states.reshape(B * L, 2 * h)
@@ -572,9 +567,8 @@ def rollout_batch(
         pick = _sampler([np.random.default_rng(seeds[row]) for row in batch.rows])
     else:
         raise InvalidParameter(f"unknown rollout mode {mode!r}")
-    shapes = [(adjs[row].f, adjs[row].k) for row in batch.rows]
-    masked = [use_mask] * len(batch.rows)
-    choices, logprob, _ = _run(batch, params, shapes, masked, pick, keep_caches=False)
+    masks = [adjs[row].mask if use_mask else None for row in batch.rows]
+    choices, logprob, _ = _run(batch, params, masks, pick, keep_caches=False)
     out = [((), (), 0.0)] * len(adjs)
     for k, row in enumerate(batch.rows):
         ch = tuple(choices[k, : batch.lengths[k]].tolist())
@@ -607,8 +601,11 @@ def _score(rows, params: ModelParams, coef=None):
     rows: (shape, edges, choices, use_mask) tuples.  With coef, also
     returns the gradient of sum_i coef[i] * logprob_i; each row's
     coefficient enters at its own loss terms, so one backward pass serves
-    the batch.
+    the batch.  Masked rows get their placement mask, and so their check,
+    from seqcodec.edges_to_mask before any forward work.
     """
+    masks = [edges_to_mask(shape, edges) if use_mask else None
+             for shape, edges, _, use_mask in rows]
     batch = _Batch([r[1] for r in rows], params)
     choices = batch.pad([r[2] for r in rows], float)
     steps = np.arange(choices.shape[1])
@@ -616,10 +613,8 @@ def _score(rows, params: ModelParams, coef=None):
     if bad.any():
         k, t = np.argwhere(bad.T)[0][::-1]
         raise InvalidPointer(f"choice {choices[k, t]:g} at step {t} is not an available position")
-    shapes = [rows[row][0] for row in batch.rows]
-    masked = [bool(rows[row][3]) for row in batch.rows]
-    _, logprob, tape = _run(batch, params, shapes, masked,
-                               _replay(choices.astype(np.int64)), coef is not None)
+    _, logprob, tape = _run(batch, params, [masks[row] for row in batch.rows],
+                            _replay(choices.astype(np.int64)), coef is not None)
     out = np.zeros(len(rows))
     out[batch.rows] = logprob
     if coef is None:
@@ -631,8 +626,9 @@ def sequence_logprobs(rows, params: ModelParams) -> np.ndarray:
     """Log probabilities of given pointer choices, by one forward pass.
 
     rows: (shape, edges, choices, use_mask) tuples.  Raises BadTarget for
-    a row whose choices and edges differ in length, and InvalidPointer
-    for a choice outside its step's support.
+    a row whose choices and edges differ in length, InvalidParameter for a
+    masked row whose edges are no placement of its shape, and
+    InvalidPointer for a choice outside its step's support.
     """
     for k, (_, edges, choices, _) in enumerate(rows):
         if len(choices) != len(edges):
@@ -645,9 +641,7 @@ def sequence_logprob(shape, edges, choices, params: ModelParams, use_mask: bool)
 
     The same number, bit for bit, that the gradient routines sum: -1 times
     supervised_loss of a one-pair batch, or an episode's reinforce
-    objective over its reward.  Raises BadTarget when choices and edges
-    differ in length, and InvalidPointer for a choice outside its step's
-    support.
+    objective over its reward.  Raises what sequence_logprobs raises.
     """
     return float(sequence_logprobs([(shape, edges, choices, use_mask)], params)[0])
 

@@ -26,6 +26,7 @@ from .errors import (
     LengthMismatch,
     MalformedGrid,
     ParseError,
+    PdakitError,
     json_int,
     read_text,
 )
@@ -113,24 +114,50 @@ def extract_edge_sequence(a: AdjacencyMatrix) -> tuple[EdgeCell, ...]:
     return tuple(zip(ii.tolist(), jj.tolist()))
 
 
+def edges_to_mask(shape, edges) -> np.ndarray:
+    """The placement rule: the F-by-K mask that is True at exactly the edge cells.
+
+    Every path from edges back to a placement goes through here.  Raises
+    InvalidParameter for a shape with a negative side, and for edges that
+    are not integer pairs, fall outside the shape or repeat a cell.
+    """
+    f, k = shape
+    if f < 0 or k < 0:
+        raise InvalidParameter(f"placement shape ({f}, {k}) has a negative side")
+    cells = np.asarray(edges) if len(edges) else np.zeros((0, 2), dtype=np.int64)
+    if cells.dtype.kind not in "iu" or cells.shape[1:] != (2,):
+        raise InvalidParameter("edges must be (row, column) pairs of integers")
+    try:
+        flat = np.ravel_multi_index(cells.T, (f, k))
+    except ValueError:
+        raise InvalidParameter(f"an edge falls outside [0, {f}) x [0, {k})") from None
+    mask = np.zeros(f * k, dtype=bool)
+    mask[flat] = True
+    if np.count_nonzero(mask) != len(flat):
+        raise InvalidParameter("edges repeat a cell")
+    return mask.reshape(f, k)
+
+
 def assemble_array(
     a: AdjacencyMatrix, e: Sequence[EdgeCell], c: Sequence[int]
 ) -> np.ndarray:
     """Fill colors into the edge cells, stars elsewhere (candidate array).
 
-    The result is a plain grid; whether it is a valid array is the
-    verifier's call, not ours.
+    The edges must be exactly the mask's edge cells, in any order.  The
+    result is a plain grid; whether it is a valid array is the verifier's
+    call, not ours.
     """
     if len(e) != len(c):
         raise LengthMismatch(f"{len(e)} edges but {len(c)} colors")
-    if len(e) != a.edge_count or any(not a.mask[i, j] for i, j in e):
+    if not np.array_equal(edges_to_mask(a.mask.shape, e), a.mask):
         raise InvalidParameter("edge sequence does not match the mask")
-    grid = np.zeros((a.f, a.k), dtype=np.int64)
-    for (i, j), color in zip(e, c):
-        color = int(color)
-        if color < 1:
-            raise InvalidParameter(f"color {color} at cell ({i}, {j}) is not positive")
-        grid[i, j] = color
+    i, j = np.asarray(e, dtype=np.int64).reshape(-1, 2).T
+    colors = np.asarray(c, dtype=np.int64)
+    if (colors < 1).any():
+        n = (colors < 1).argmax()
+        raise InvalidParameter(f"color {colors[n]} at cell ({i[n]}, {j[n]}) is not positive")
+    grid = np.zeros(a.mask.shape, dtype=np.int64)
+    grid[i, j] = colors
     return grid
 
 
@@ -139,9 +166,7 @@ def sequences_from_pda(p) -> tuple[AdjacencyMatrix, tuple[EdgeCell, ...], tuple[
     if not isinstance(p, Pda):
         p = Pda.from_grid(p)
     a = pda_to_adjacency(p)
-    edges = extract_edge_sequence(a)
-    colors = tuple(int(p.grid[i, j]) for i, j in edges)
-    return a, edges, colors
+    return a, extract_edge_sequence(a), tuple(p.grid.T[a.mask.T].tolist())
 
 
 def default_star_pattern(k: int, f: int, z: int) -> tuple[tuple[int, ...], ...]:
@@ -194,29 +219,18 @@ class TrainingPair:
             )
         if self.k < 1 or self.f < 1 or not 0 <= self.z <= self.f:
             raise InvalidParameter(f"bad placement shape k={self.k}, f={self.f}, z={self.z}")
-        expected = self.k * (self.f - self.z)
-        if len(self.edges) != expected:
-            raise InvalidParameter(
-                f"edge count {len(self.edges)} is not K(F-Z) = {expected}"
-            )
-        per_column = [0] * self.k
-        last = (-1, -1)
-        for i, j in self.edges:
-            if not (0 <= i < self.f and 0 <= j < self.k):
-                raise InvalidPlacement(f"edge ({i}, {j}) outside [0, {self.f}) x [0, {self.k})")
-            if (j, i) <= last:
-                raise InvalidPlacement(f"edge ({i}, {j}) repeats or breaks column-major order")
-            last = (j, i)
-            per_column[j] += 1
-        for j, count in enumerate(per_column):
-            if count != self.f - self.z:
-                raise InvalidPlacement(f"column {j} has {count} edges, expected F-Z = {self.f - self.z}")
+        degree = self.f - self.z
+        if len(self.edges) != self.k * degree:
+            raise InvalidParameter(f"edge count {len(self.edges)} is not K(F-Z) = {self.k * degree}")
+        mask = edges_to_mask((self.f, self.k), self.edges)
+        if list(self.edges) != sorted(self.edges, key=lambda e: (e[1], e[0])):
+            raise InvalidPlacement("edges break column-major order")
+        for j, count in enumerate(mask.sum(axis=0).tolist()):
+            if count != degree:
+                raise InvalidPlacement(f"column {j} has {count} edges, expected F-Z = {degree}")
 
     def adjacency(self) -> AdjacencyMatrix:
-        mask = np.zeros((self.f, self.k), dtype=bool)
-        for i, j in self.edges:
-            mask[i, j] = True
-        return AdjacencyMatrix(mask=mask)
+        return AdjacencyMatrix(mask=edges_to_mask((self.f, self.k), self.edges))
 
     def grid(self) -> np.ndarray:
         return assemble_array(self.adjacency(), self.edges, self.colors)
@@ -281,8 +295,7 @@ def read_corpus(path) -> tuple[dict, list[TrainingPair]]:
             continue
         try:
             pairs.append(_pair_from_obj(obj))
-        except (KeyError, TypeError, ValueError, InvalidParameter, InvalidPlacement,
-                LengthMismatch, ParseError) as exc:
+        except (KeyError, TypeError, ValueError, PdakitError) as exc:
             raise ParseError(
                 f"bad sample on corpus line {lineno}: {exc}", line=lineno
             ) from exc

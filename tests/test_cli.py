@@ -124,6 +124,13 @@ class TestPipeline:
         assert (k, f, z) == (4, 4, 1)
         assert not verify(grid, z=z).valid
 
+    def test_negative_trials_is_an_input_error_before_any_output(self, tmp_path, capsys):
+        out = tmp_path / "p.pda"
+        assert run("pipeline", "--users", 2, "--rows", 2, "--stars", 1,
+                   "--trials", -1, "--out", out) == 2
+        assert "--trials must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_neural_requires_checkpoint(self, tmp_path, capsys):
         assert run("pipeline", "--users", 2, "--rows", 2, "--stars", 1,
                    "--colorer", "neural", "--out", tmp_path / "p.pda") == 2
@@ -179,6 +186,14 @@ class TestAugment:
         assert run("augment", "--source", "4,1", "--count", -5,
                    "--seed", 0, "--out", path) == 2
         assert "--count must be >= 0" in capsys.readouterr().err
+        assert not path.exists()
+
+    @pytest.mark.parametrize("source", ["4", "a,b"])
+    def test_malformed_source_is_an_input_error(self, tmp_path, capsys, source):
+        path = tmp_path / "c.jsonl"
+        assert run("augment", "--source", source, "--count", 3,
+                   "--seed", 0, "--out", path) == 2
+        assert "source must be" in capsys.readouterr().err
         assert not path.exists()
 
     def test_zero_delta_is_an_input_error(self, tmp_path, capsys):
@@ -366,9 +381,10 @@ class TestBench:
     def test_size_must_match_the_degree(self, tmp_path, capsys):
         ckpt = tmp_path / "model.json"
         write_checkpoint(ckpt, f_max=16, k_max=8)
-        assert run("bench", "--sizes", "18", "--checkpoint", ckpt,
-                   "--out", tmp_path / "b.csv") == 2
-        assert "multiple" in capsys.readouterr().err
+        for sizes, message in (("18", "multiple"), ("64,x", "comma-separated")):
+            assert run("bench", "--sizes", sizes, "--checkpoint", ckpt,
+                       "--out", tmp_path / "b.csv") == 2
+            assert message in capsys.readouterr().err
 
 
 class TestExitCodes:

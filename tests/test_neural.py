@@ -607,7 +607,14 @@ class TestSequenceLogprob:
             assert got == -supervised_loss([(ep.edges, ep.colors)], params)[0]
 
     def test_empty_sequence_is_certain(self):
-        assert sequence_logprob((2, 2), (), (), tiny_params(), True) == 0.0
+        params = tiny_params()
+        assert sequence_logprob((2, 2), (), (), params, True) == 0.0
+        # a batch of empty rows costs nothing and moves no parameter
+        loss, grads = supervised_loss([((), ()), ((), ())], params)
+        assert loss == 0.0 and all(np.all(g == 0.0) for g in grads.values())
+        ep = Episode(f=2, k=2, edges=(), choices=(), colors=(), logprob=0.0, reward=1, use_mask=True)
+        objective, grads = reinforce_objective_and_grad([ep, ep], params)
+        assert objective == 0.0 and all(np.all(g == 0.0) for g in grads.values())
 
     def test_rejects_pointer_counts_that_differ_from_the_edges(self, monkeypatch):
         monkeypatch.setattr(net, "_Batch", None)  # no forward work may start
@@ -615,6 +622,22 @@ class TestSequenceLogprob:
         for choices in ((0, 1, 2), (0,)):
             with pytest.raises(BadTarget, match=f"{len(choices)} pointers for 2 edges"):
                 sequence_logprob((2, 2), edges, choices, tiny_params(), False)
+
+    @pytest.mark.parametrize("shape, edges, choices", [
+        ((2, 2), ((3, 0),), (0,)),              # a cell outside the shape
+        ((-1, 2), ((0, 0),), (0,)),             # a negative side
+        ((2, 2), ((0, 0), (0, 0)), (0, 1)),     # a repeated cell
+        ((2, 2), ((0.5, 0),), (0,)),            # a float row
+    ])
+    def test_masked_rows_must_be_placements(self, monkeypatch, shape, edges, choices):
+        params = tiny_params()
+        monkeypatch.setattr(net, "_Batch", None)  # no forward work may start
+        with pytest.raises(InvalidParameter):
+            sequence_logprob(shape, edges, choices, params, True)
+        ep = Episode(f=shape[0], k=shape[1], edges=edges, choices=choices,
+                     colors=pointer_to_colors(choices), logprob=0.0, reward=1, use_mask=True)
+        with pytest.raises(InvalidParameter):
+            reinforce_objective_and_grad([ep], params)
 
     def test_rejects_pointers_off_the_support(self):
         params = tiny_params(seed=1)

@@ -58,14 +58,16 @@ class TestVerify:
         assert report.violations[0].cells == (1,)
 
     def test_non_rectangular_raises(self):
-        with pytest.raises(MalformedGrid):
-            verify([[S, 1], [1]])
+        for raw in ([[S, 1], [1]], [], [[]], np.array([S, 1]), np.zeros((0, 2), dtype=np.int64)):
+            with pytest.raises(MalformedGrid):
+                verify(raw)
 
     def test_bad_entry_raises(self):
-        with pytest.raises(MalformedGrid):
-            verify([[S, "x"]])
-        with pytest.raises(MalformedGrid):
-            verify([[S, -3]])
+        # a float ndarray is read entry by entry, like a list, so its floats are rejected
+        for raw in ([[S, "x"]], [[S, -3]], np.array([[S, -3]]), np.array([[0.0, 1.0]])):
+            with pytest.raises(MalformedGrid):
+                verify(raw)
+        assert verify(np.array([["*", 1], [1, None]], dtype=object)).valid
 
     def test_agrees_with_bruteforce_oracle(self):
         rng = np.random.default_rng(20260814)
@@ -263,6 +265,9 @@ class TestTextFormat:
     def test_zero_token_rejected(self):
         with pytest.raises(ParseError):
             parse_pda_text("2 2 1 1\n* 0\n1 *\n")
+        for header in ("0 2 1 1", "2 0 1 1"):  # no users, no rows
+            with pytest.raises(ParseError, match="header values out of range"):
+                parse_pda_text(f"{header}\n* 1\n1 *\n")
 
     def test_header_color_range(self):
         for text in ("2 2 1 2\n* 1\n1 *\n", "2 2 1 1\n* 5\n5 *\n"):

@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -9,13 +10,16 @@ from pdakit.errors import (
     LengthMismatch,
     MalformedGrid,
     ParseError,
+    PdakitError,
 )
+from pdakit.neural import ModelConfig, ModelParams, pointer_to_colors, sequence_logprob
 from pdakit.pda import STAR, Pda, construct_mn_pda, verify
 from pdakit.seqcodec import (
     AdjacencyMatrix,
     TrainingPair,
     assemble_array,
     default_star_pattern,
+    edges_to_mask,
     extract_edge_sequence,
     pda_to_adjacency,
     placement_to_adjacency,
@@ -135,6 +139,12 @@ class TestAssemble:
         a = mask([[True, False]])
         with pytest.raises(InvalidParameter):
             assemble_array(a, ((0, 1),), (1,))
+        # four edges for four cells, but a repeat, a negative row, a row past F or a float row
+        full = mask([[True, True], [True, True]])
+        for e in (((0, 0), (0, 0), (1, 1), (1, 1)), ((0, 0), (0, 1), (1, 0), (-1, 0)),
+                  ((5, 0), (0, 1), (1, 0), (1, 1)), ((0.5, 0), (0, 1), (1, 0), (1, 1))):
+            with pytest.raises(InvalidParameter):
+                assemble_array(full, e, (1, 2, 3, 4))
 
     def test_colors_must_be_positive(self):
         a = mask([[True]])
@@ -159,6 +169,85 @@ class TestAssemble:
             key = assemble_array(a, e, c).tobytes()
             assert seen.setdefault(key, c) == c
         assert len(seen) > 1
+
+
+class TestEdgesToMask:
+    def test_inverts_the_edge_sequence(self):
+        for k in range(2, 6):
+            for t in range(1, k):
+                a = pda_to_adjacency(construct_mn_pda(k, t))
+                edges = extract_edge_sequence(a)
+                assert np.array_equal(edges_to_mask((a.f, a.k), edges), a.mask)
+                assert np.array_equal(edges_to_mask((a.f, a.k), edges[::-1]), a.mask)
+        assert edges_to_mask((0, 0), ()).shape == (0, 0)
+
+    @pytest.mark.parametrize("shape, edges", [
+        ((2, 2), ((2, 0),)),            # row past F
+        ((2, 2), ((0, -1),)),           # negative column
+        ((2, 2), ((1, 1), (1, 1))),     # repeated cell
+        ((2, 2), ((1.0, 1),)),          # float row
+        ((2, 2), ((1, 1, 0),)),         # not a pair
+        ((2, 2), ((True, False),)),     # boolean cell
+        ((-1, 2), ()),                  # negative side
+    ])
+    def test_rejects_edges_that_are_no_placement(self, shape, edges):
+        with pytest.raises(InvalidParameter):
+            edges_to_mask(shape, edges)
+
+
+class TestPlacementFuzz:
+    """Edge lists with repeats, negatives, out-of-range cells and floats either
+    work or raise a PdakitError at every entry point that reads a placement."""
+
+    RUNS = 300
+
+    @staticmethod
+    def mutate(edges, rng, f, k):
+        n = int(rng.integers(len(edges) + 1))
+        op = int(rng.integers(5))
+        i, j = int(rng.integers(f)), int(rng.integers(k))
+        if op == 0 and edges:
+            cell = edges[int(rng.integers(len(edges)))]          # a repeat
+        elif op == 1:
+            cell = (-1, j) if rng.random() < 0.5 else (i, -1)   # a negative index
+        elif op == 2:
+            cell = (f, j) if rng.random() < 0.5 else (i, k)     # past the shape
+        elif op == 3:
+            cell = (i + 0.5 * int(rng.integers(2)), j)          # a float row
+        else:
+            cell = (i, j)
+        if edges and rng.random() < 0.5:
+            edges[min(n, len(edges) - 1)] = cell
+        else:
+            edges.insert(n, cell)
+
+    def test_every_call_returns_or_raises_a_pdakit_error(self):
+        rng = np.random.default_rng(2028)
+        params = ModelParams.init(ModelConfig(f_max=5, k_max=5, embed_dim=2, hidden_dim=3), seed=0)
+        returned = Counter()
+        for _ in range(self.RUNS):
+            f, k = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+            z = int(rng.integers(f + 1))
+            pattern = [rng.choice(f, size=z, replace=False) for _ in range(k)]
+            a = placement_to_adjacency(z, f, k, pattern)
+            edges = list(extract_edge_sequence(a))
+            for _ in range(int(rng.integers(3))):
+                self.mutate(edges, rng, f, k)
+            choices = [t if rng.random() < 0.6 else int(rng.integers(t + 1))
+                       for t in range(len(edges))]
+            colors = pointer_to_colors(choices)
+            calls = {
+                "assemble": lambda: assemble_array(a, edges, colors),
+                "pair": lambda: TrainingPair(k=k, f=f, z=z, edges=tuple(edges), colors=colors),
+                "logprob": lambda: sequence_logprob((f, k), edges, choices, params, True),
+            }
+            for name, call in calls.items():
+                try:
+                    call()
+                except PdakitError:
+                    continue
+                returned[name] += 1
+        assert min(returned[name] for name in calls) > 0, returned
 
 
 class TestDefaultPattern:
