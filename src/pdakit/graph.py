@@ -29,6 +29,7 @@ from .errors import (
     json_int,
 )
 from .pda import COND_COLUMN_STARS, STAR, Pda, _pair_violations, as_grid, verify
+from .seqcodec import edges_to_mask
 
 Edge = tuple[int, int, Optional[int]]
 
@@ -47,15 +48,11 @@ class BipartiteColoredGraph:
     edges: tuple[Edge, ...]
 
     def __post_init__(self):
-        seen = set()
+        # the placement rule on (packet, user) cells: in range, integer, no repeats
+        edges_to_mask((self.f, self.k), [(v, u) for u, v, _ in self.edges])
         for u, v, c in self.edges:
-            if not (0 <= u < self.k and 0 <= v < self.f):
-                raise InvalidParameter(f"edge ({u}, {v}) outside vertex ranges")
             if c is not None and c < 1:
                 raise InvalidParameter(f"edge ({u}, {v}) has non-positive color {c}")
-            if (u, v) in seen:
-                raise InvalidParameter(f"duplicate edge ({u}, {v})")
-            seen.add((u, v))
         object.__setattr__(self, "edges", tuple(sorted(self.edges)))
 
     @property
@@ -143,7 +140,12 @@ def greedy_strong_color(
     neighbor of u or a neighbor of v; those cover both shared endpoints
     and common third edges.  Ordering policies: "lex" (by user then
     packet, the default, reproducible) or "random" (seeded shuffle).
-    Always completes; quadratic in the worst case.
+
+    The colors at each vertex are the set bits of one Python int, so an
+    edge's forbidden colors are the OR of its neighbors' ints and its
+    color is the lowest clear bit above bit 0.  Always completes; each
+    edge still walks both endpoints' neighbors, so it is quadratic in the
+    worst case.
     """
     edges = [(u, v) for u, v, _ in g.edges]
     if order == "lex":
@@ -160,22 +162,20 @@ def greedy_strong_color(
     for u, v in edges:
         nbr_of_user.setdefault(u, []).append(v)
         nbr_of_packet.setdefault(v, []).append(u)
-    colors_at_user: dict[int, set[int]] = {u: set() for u in nbr_of_user}
-    colors_at_packet: dict[int, set[int]] = {v: set() for v in nbr_of_packet}
+    at_user = dict.fromkeys(nbr_of_user, 0)
+    at_packet = dict.fromkeys(nbr_of_packet, 0)
 
     assigned: dict[tuple[int, int], int] = {}
     for u, v in edges:
-        forbidden = set()
+        forbidden = 1  # bit 0 set, so color 0 is never picked
         for v2 in nbr_of_user[u]:
-            forbidden |= colors_at_packet[v2]
+            forbidden |= at_packet[v2]
         for u2 in nbr_of_packet[v]:
-            forbidden |= colors_at_user[u2]
-        c = 1
-        while c in forbidden:
-            c += 1
-        assigned[(u, v)] = c
-        colors_at_user[u].add(c)
-        colors_at_packet[v].add(c)
+            forbidden |= at_user[u2]
+        bit = ~forbidden & (forbidden + 1)
+        assigned[(u, v)] = bit.bit_length() - 1
+        at_user[u] |= bit
+        at_packet[v] |= bit
 
     return BipartiteColoredGraph(
         k=g.k,

@@ -171,10 +171,13 @@ class _Batch:
         self.rev = np.array(self.offsets[:-1], dtype=np.int64)[n[ks] - 1 - steps] + ks
         cells = np.zeros((L, b, 2), dtype=np.int64)
         for k, edges in enumerate(self.edges):
-            row = np.asarray(edges)
-            if row.dtype.kind not in "iu":
-                raise VocabularyError(f"edge cells must be integers, got {row.dtype}")
-            cells[: n[k], k] = row.reshape(n[k], 2)
+            try:
+                row = np.asarray(edges)
+            except ValueError:  # a ragged list
+                row = None
+            if row is None or row.shape != (n[k], 2) or row.dtype.kind not in "iu":
+                raise VocabularyError("edge cells must be (row, column) pairs of integers")
+            cells[: n[k], k] = row
         packed = cells[self.valid]
         cfg = params.config
         if len(packed) and (packed.min() < 0 or packed[:, 0].max() >= cfg.f_max

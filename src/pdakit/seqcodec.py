@@ -124,8 +124,11 @@ def edges_to_mask(shape, edges) -> np.ndarray:
     f, k = shape
     if f < 0 or k < 0:
         raise InvalidParameter(f"placement shape ({f}, {k}) has a negative side")
-    cells = np.asarray(edges) if len(edges) else np.zeros((0, 2), dtype=np.int64)
-    if cells.dtype.kind not in "iu" or cells.shape[1:] != (2,):
+    try:
+        cells = np.asarray(edges) if len(edges) else np.zeros((0, 2), dtype=np.int64)
+    except ValueError:  # a ragged list
+        cells = None
+    if cells is None or cells.dtype.kind not in "iu" or cells.shape[1:] != (2,):
         raise InvalidParameter("edges must be (row, column) pairs of integers")
     try:
         flat = np.ravel_multi_index(cells.T, (f, k))

@@ -4,7 +4,7 @@ Everything here is written directly from first principles, avoiding the
 library's own data structures and shortcuts, so the two routes stay
 independent: literal pair enumeration for array validity, restricted
 growth strings for exhaustive colorings, backtracking for minimum strong
-colorings, and central differences for gradients.
+colorings, set-based greedy coloring, and central differences for gradients.
 """
 
 import itertools
@@ -238,6 +238,42 @@ def _colorable_with(edges, n):
         return False
 
     return rec(0)
+
+
+def oracle_greedy_strong_color(edges, order="lex", seed=None):
+    """Greedy strong coloring with a set of colors per vertex.
+
+    edges: list of (k, f) pairs.  Colors the edges in (k, f) order, or,
+    for order "random", in that order shuffled by default_rng(seed); each
+    edge takes the smallest positive color not yet on an edge at a
+    neighbor of either endpoint.  Returns the (k, f, color) triples sorted
+    by (k, f).
+    """
+    import numpy as np
+
+    edges = sorted(edges)
+    if order == "random":
+        np.random.default_rng(seed).shuffle(edges)
+    nbr_of_k, nbr_of_f = {}, {}
+    for k, f in edges:
+        nbr_of_k.setdefault(k, []).append(f)
+        nbr_of_f.setdefault(f, []).append(k)
+    colors_at_k = {k: set() for k in nbr_of_k}
+    colors_at_f = {f: set() for f in nbr_of_f}
+    assigned = {}
+    for k, f in edges:
+        forbidden = set()
+        for f2 in nbr_of_k[k]:
+            forbidden |= colors_at_f[f2]
+        for k2 in nbr_of_f[f]:
+            forbidden |= colors_at_k[k2]
+        c = 1
+        while c in forbidden:
+            c += 1
+        assigned[(k, f)] = c
+        colors_at_k[k].add(c)
+        colors_at_f[f].add(c)
+    return tuple((k, f, c) for (k, f), c in sorted(assigned.items()))
 
 
 def central_difference_grad(fn, vec, eps=1e-5):

@@ -8,6 +8,7 @@ from pdakit.errors import (
     InvalidParameter,
     InvalidPda,
     ParseError,
+    PdakitError,
 )
 from pdakit.graph import (
     BipartiteColoredGraph,
@@ -54,6 +55,13 @@ class TestGraphType:
     def test_nonpositive_color_rejected(self):
         with pytest.raises(InvalidParameter):
             BipartiteColoredGraph(k=1, f=1, edges=((0, 0, 0),))
+
+    def test_placement_rule_errors_are_pdakit_errors(self):
+        # a negative side with no edge to fall outside it, and a vertex that is no integer
+        with pytest.raises(PdakitError):
+            graph_to_pda(graph_from_json('{"k": -3, "f": 2, "edges": []}'))
+        with pytest.raises(PdakitError):
+            BipartiteColoredGraph(k=2, f=2, edges=((1.5, 0, None),))
 
     def test_degrees_and_color_count(self):
         g = BipartiteColoredGraph(
@@ -183,6 +191,24 @@ class TestGreedyColorer:
         c = greedy_strong_color(g, order="random", seed=12)
         assert a.edges == b.edges
         assert is_strong(a) and is_strong(c)
+
+    def test_matches_the_set_based_reference(self):
+        rng = np.random.default_rng(41)
+        graphs = [random_colored_graph(rng, max_k=8, max_f=8, p_edge=0.3) for _ in range(30)]
+        # some of these have vertices with no edge
+        assert any(set(range(g.k)) - {u for u, _, _ in g.edges} for g in graphs)
+        assert any(set(range(g.f)) - {v for _, v, _ in g.edges} for g in graphs)
+        graphs += [pda_to_graph(construct_mn_pda(k, t)) for k in range(2, 9) for t in range(1, min(k, 5))]
+        f, z = 16, 12
+        for e in (64, 128, 256, 512, 1024):
+            k = e // (f - z)
+            edges = tuple((j, (j + m) % f, None) for j in range(k) for m in range(z, f))
+            graphs.append(BipartiteColoredGraph(k=k, f=f, edges=edges))
+        for g in graphs:
+            pairs = [(u, v) for u, v, _ in g.edges]
+            for order, seed in (("lex", None), ("random", 0), ("random", 1), ("random", 2)):
+                got = greedy_strong_color(self.strip(g), order=order, seed=seed)
+                assert got.edges == oracles.oracle_greedy_strong_color(pairs, order, seed)
 
     def test_unknown_order_rejected(self):
         g = BipartiteColoredGraph(k=1, f=1, edges=((0, 0, None),))

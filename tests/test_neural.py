@@ -628,6 +628,7 @@ class TestSequenceLogprob:
         ((-1, 2), ((0, 0),), (0,)),             # a negative side
         ((2, 2), ((0, 0), (0, 0)), (0, 1)),     # a repeated cell
         ((2, 2), ((0.5, 0),), (0,)),            # a float row
+        ((2, 2), ((0, 0), (1,)), (0, 0)),       # a ragged list
     ])
     def test_masked_rows_must_be_placements(self, monkeypatch, shape, edges, choices):
         params = tiny_params()
@@ -638,6 +639,19 @@ class TestSequenceLogprob:
                      colors=pointer_to_colors(choices), logprob=0.0, reward=1, use_mask=True)
         with pytest.raises(InvalidParameter):
             reinforce_objective_and_grad([ep], params)
+
+    @pytest.mark.parametrize("use_mask, error", [(True, InvalidParameter), (False, VocabularyError)])
+    def test_ragged_edge_lists_are_rejected_before_forward_work(self, monkeypatch, use_mask, error):
+        # a masked row fails the placement rule before the batch is built;
+        # an unmasked one fails while the batch is built, before the forward pass
+        monkeypatch.setattr(net, "_Batch" if use_mask else "_run", None)
+        params = tiny_params()
+        ragged = ((0, 0), (1,))
+        with pytest.raises(error):
+            sequence_logprob((2, 2), ragged, (0, 0), params, use_mask)
+        with pytest.raises(error):
+            sequence_logprobs([((2, 2), ((0, 0),), (0,), use_mask),
+                               ((2, 2), ragged, (0, 0), use_mask)], params)
 
     def test_rejects_pointers_off_the_support(self):
         params = tiny_params(seed=1)

@@ -139,10 +139,12 @@ class TestAssemble:
         a = mask([[True, False]])
         with pytest.raises(InvalidParameter):
             assemble_array(a, ((0, 1),), (1,))
-        # four edges for four cells, but a repeat, a negative row, a row past F or a float row
+        # four edges for four cells, but a repeat, a negative row, a row past F,
+        # a float row or a cell that is no pair
         full = mask([[True, True], [True, True]])
         for e in (((0, 0), (0, 0), (1, 1), (1, 1)), ((0, 0), (0, 1), (1, 0), (-1, 0)),
-                  ((5, 0), (0, 1), (1, 0), (1, 1)), ((0.5, 0), (0, 1), (1, 0), (1, 1))):
+                  ((5, 0), (0, 1), (1, 0), (1, 1)), ((0.5, 0), (0, 1), (1, 0), (1, 1)),
+                  ((0, 0), (0, 1), (1, 0), (1,))):
             with pytest.raises(InvalidParameter):
                 assemble_array(full, e, (1, 2, 3, 4))
 
