@@ -29,7 +29,7 @@ from .errors import (
     json_int,
 )
 from .pda import COND_COLUMN_STARS, STAR, Pda, _pair_violations, as_grid, verify
-from .seqcodec import edges_to_mask
+from .seqcodec import placement_cells
 
 Edge = tuple[int, int, Optional[int]]
 
@@ -48,8 +48,9 @@ class BipartiteColoredGraph:
     edges: tuple[Edge, ...]
 
     def __post_init__(self):
-        # the placement rule on (packet, user) cells: in range, integer, no repeats
-        edges_to_mask((self.f, self.k), [(v, u) for u, v, _ in self.edges])
+        # the placement rule's checks on (packet, user) cells: in range, integer,
+        # no repeats; no dense mask, so a huge declared shape costs nothing
+        placement_cells((self.f, self.k), [(v, u) for u, v, _ in self.edges])
         for u, v, c in self.edges:
             if c is not None and c < 1:
                 raise InvalidParameter(f"edge ({u}, {v}) has non-positive color {c}")

@@ -1,16 +1,18 @@
 """Parameter containers, initialization, and checkpoint files for the colorer.
 
-All tensors are float64 numpy arrays.  Shapes are fixed by a ModelConfig:
-embedding width d, hidden width h, and the largest row/column counts the
-embedding table can address.  The flatten/unflatten pair gives a stable
-vector view used by finite-difference checks and gradient clipping.
+A model is one contiguous float64 vector, and every named tensor is a
+reshaped view of it, laid out in tensor_items order.  Shapes are fixed by a
+ModelConfig: embedding width d, hidden width h, and the largest row/column
+counts the embedding table can address.  flatten, copy and unflatten are
+one vector copy each.  The dataclasses are frozen, since rebinding a
+tensor field would break the aliasing.
 """
 
 from __future__ import annotations
 
 import json
-from copy import deepcopy
-from dataclasses import asdict, dataclass, fields
+import math
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -25,6 +27,7 @@ CHECKPOINT_VERSION = 2
 # Gate blocks along axis 0 of each GRU tensor.  Version 1 files stored
 # each block on its own, as <gru>.<u|w|b>_<gate>.
 GATES = ("reset", "update", "cand")
+GRUS = ("fwd", "bwd", "dec")
 
 
 @dataclass(frozen=True)
@@ -42,7 +45,29 @@ class ModelConfig:
                 raise InvalidParameter(f"{f.name} must be >= 1")
 
 
-@dataclass
+def _shapes(config: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
+    """Every tensor's name and shape, in the order the vector lays them out."""
+    d, h = config.embed_dim, config.hidden_dim
+    shapes = [("embed", (d, config.f_max + config.k_max))]
+    for gru, m in zip(GRUS, (d, d, 2 * h + d)):
+        shapes += [(f"{gru}.u", (3 * h, m)), (f"{gru}.w", (3 * h, h)), (f"{gru}.b", (3 * h,))]
+    return shapes + [("attn_enc", (h, 2 * h)), ("attn_dec", (h, h)), ("attn_v", (h,)), ("start", (d,))]
+
+
+def _views(config: ModelConfig, vector: np.ndarray) -> dict[str, np.ndarray]:
+    """The named tensors as reshaped views of one flat float64 vector, in layout order."""
+    shapes = _shapes(config)
+    sizes = [math.prod(shape) for _, shape in shapes]
+    if not isinstance(vector, np.ndarray) or vector.dtype != np.float64 or vector.shape != (sum(sizes),):
+        raise DimensionError(f"expected a flat float64 vector of {sum(sizes)} values")
+    out, pos = {}, 0
+    for (name, shape), size in zip(shapes, sizes):
+        out[name] = vector[pos : pos + size].reshape(shape)
+        pos += size
+    return out
+
+
+@dataclass(frozen=True)
 class GruParams:
     """One GRU, gate blocks stacked along axis 0: reset, update, candidate.
 
@@ -69,30 +94,36 @@ class GruParams:
         u, w, b = (np.concatenate(parts) for parts in zip(*blocks))
         return cls(u=u, w=w, b=b)
 
-    def tensor_items(self, prefix: str) -> list[tuple[str, np.ndarray]]:
-        return [(f"{prefix}.{f.name}", getattr(self, f.name)) for f in fields(self)]
 
-
-@dataclass
+@dataclass(frozen=True, eq=False)
 class ModelParams:
-    """Every learnable tensor of the colorer.
+    """Every learnable tensor of the colorer, as views of one float64 vector.
 
     embed maps a row one-hot (f_max slots) stacked with a column one-hot
     (k_max slots) to a d-vector; fwd/bwd are the two encoder directions,
     dec the decoder.  attn_enc/attn_dec/attn_v are the attention weights
     on encoder states, decoder state, and the scoring vector.  start is
-    the learned first decoder input.
+    the learned first decoder input.  Build one from (config, vector);
+    the tensors are views of that very vector, not copies.
     """
 
     config: ModelConfig
-    embed: np.ndarray      # (d, f_max + k_max)
-    fwd: GruParams         # input d, hidden h
-    bwd: GruParams         # input d, hidden h
-    dec: GruParams         # input 2h + d, hidden h
-    attn_enc: np.ndarray   # (h, 2h)
-    attn_dec: np.ndarray   # (h, h)
-    attn_v: np.ndarray     # (h,)
-    start: np.ndarray      # (d,)
+    vector: np.ndarray = field(repr=False)
+    embed: np.ndarray = field(init=False)      # (d, f_max + k_max)
+    fwd: GruParams = field(init=False)         # input d, hidden h
+    bwd: GruParams = field(init=False)         # input d, hidden h
+    dec: GruParams = field(init=False)         # input 2h + d, hidden h
+    attn_enc: np.ndarray = field(init=False)   # (h, 2h)
+    attn_dec: np.ndarray = field(init=False)   # (h, h)
+    attn_v: np.ndarray = field(init=False)     # (h,)
+    start: np.ndarray = field(init=False)      # (d,)
+
+    def __post_init__(self):
+        views = _views(self.config, self.vector)
+        for gru in GRUS:
+            views[gru] = GruParams(*(views.pop(f"{gru}.{part}") for part in "uwb"))
+        for name, value in views.items():
+            object.__setattr__(self, name, value)
 
     @classmethod
     def init(cls, config: ModelConfig, seed: int = 0) -> "ModelParams":
@@ -102,54 +133,33 @@ class ModelParams:
         def mat(*shape):
             return rng.uniform(-INIT_SCALE, INIT_SCALE, size=shape)
 
-        return cls(
-            config=config,
-            embed=mat(d, config.f_max + config.k_max),
-            fwd=GruParams.init(d, h, rng),
-            bwd=GruParams.init(d, h, rng),
-            dec=GruParams.init(2 * h + d, h, rng),
-            attn_enc=mat(h, 2 * h),
-            attn_dec=mat(h, h),
-            attn_v=mat(h),
-            start=mat(d),
-        )
+        parts = [mat(d, config.f_max + config.k_max)]
+        for m in (d, d, 2 * h + d):
+            gru = GruParams.init(m, h, rng)
+            parts += [gru.u, gru.w, gru.b]
+        parts += [mat(h, 2 * h), mat(h, h), mat(h), mat(d)]
+        return cls(config, np.concatenate([t.ravel() for t in parts]))
 
     def tensor_items(self) -> list[tuple[str, np.ndarray]]:
-        """All tensors in field order, each GRU as its u, w, b; names key checkpoints and grads."""
-        items = []
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, GruParams):
-                items += value.tensor_items(f.name)
-            elif isinstance(value, np.ndarray):
-                items.append((f.name, value))
-        return items
+        """All tensors in layout order, each GRU as its u, w, b; names key checkpoints and grads."""
+        return list(_views(self.config, self.vector).items())
 
     def zero_grads(self) -> dict[str, np.ndarray]:
-        return {name: np.zeros_like(t) for name, t in self.tensor_items()}
+        """One zero vector the size of the model, as named views."""
+        return _views(self.config, np.zeros_like(self.vector))
 
     def flatten(self) -> np.ndarray:
-        return np.concatenate([t.ravel() for _, t in self.tensor_items()])
+        return self.vector.copy()
 
     def unflatten(self, vec: np.ndarray) -> "ModelParams":
-        """New params with the same shapes, values taken from vec."""
-        vec = np.asarray(vec, dtype=float)
-        if vec.shape != (self.flatten().size,):
-            raise DimensionError(
-                f"expected a flat vector of {self.flatten().size} values"
-            )
-        out = self.copy()
-        pos = 0
-        for _, t in out.tensor_items():
-            t[...] = vec[pos : pos + t.size].reshape(t.shape)
-            pos += t.size
-        return out
+        """New params with the same config, on a copy of vec."""
+        return ModelParams(self.config, np.array(vec, dtype=np.float64))
 
     def copy(self) -> "ModelParams":
-        return deepcopy(self)
+        return ModelParams(self.config, self.vector.copy())
 
     def all_finite(self) -> bool:
-        return all(np.isfinite(t).all() for _, t in self.tensor_items())
+        return bool(np.isfinite(self.vector).all())
 
     def apply_step(self, grads: dict[str, np.ndarray], scale: float) -> None:
         """In-place update: tensor += scale * grad, per named tensor."""
@@ -190,6 +200,7 @@ def save_checkpoint(path, params: ModelParams, meta: dict | None = None) -> None
 
 
 def _read_tensor(tensors: dict, name: str, shape: tuple) -> np.ndarray:
+    """One file tensor, checked against its config shape; allocates only what the file holds."""
     entry = tensors[name]
     data = np.asarray(entry["data"], dtype=float).reshape(entry["shape"])
     if data.shape != shape:
@@ -200,7 +211,11 @@ def _read_tensor(tensors: dict, name: str, shape: tuple) -> np.ndarray:
 
 
 def load_checkpoint(path) -> tuple[ModelParams, dict]:
-    """Read a version 2 file, or a version 1 file with per-gate tensors."""
+    """Read a version 2 file, or a version 1 file with per-gate tensors.
+
+    Every tensor's shape is checked before the model's vector is allocated,
+    so a config naming widths its tensors lack is a ParseError, not a huge allocation.
+    """
     try:
         doc = json.loads(read_text(path))
     except json.JSONDecodeError as exc:
@@ -216,16 +231,15 @@ def load_checkpoint(path) -> tuple[ModelParams, dict]:
             **{name: json_int(value, f"checkpoint config {name}")
                for name, value in doc["config"].items()}
         )
-        params = ModelParams.init(config, seed=0)
         tensors = doc["tensors"]
-        for name, t in params.tensor_items():
+        parts = []
+        for name, shape in _shapes(config):
             if version == 1 and "." in name:
-                block = (t.shape[0] // 3,) + t.shape[1:]
-                t[...] = np.concatenate(
-                    [_read_tensor(tensors, f"{name}_{gate}", block) for gate in GATES]
-                )
+                block = (shape[0] // 3,) + shape[1:]
+                parts += [_read_tensor(tensors, f"{name}_{gate}", block) for gate in GATES]
             else:
-                t[...] = _read_tensor(tensors, name, t.shape)
+                parts.append(_read_tensor(tensors, name, shape))
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad checkpoint structure: {exc}") from exc
-    return params, doc.get("meta", {})
+    vector = np.concatenate([t.ravel() for t in parts])
+    return ModelParams(config, vector), doc.get("meta", {})

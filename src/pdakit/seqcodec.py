@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -114,16 +115,19 @@ def extract_edge_sequence(a: AdjacencyMatrix) -> tuple[EdgeCell, ...]:
     return tuple(zip(ii.tolist(), jj.tolist()))
 
 
-def edges_to_mask(shape, edges) -> np.ndarray:
-    """The placement rule: the F-by-K mask that is True at exactly the edge cells.
+def placement_cells(shape, edges) -> np.ndarray:
+    """The placement rule's checks: the flat indices i*K + j of the edge cells, ascending.
 
-    Every path from edges back to a placement goes through here.  Raises
-    InvalidParameter for a shape with a negative side, and for edges that
-    are not integer pairs, fall outside the shape or repeat a cell.
+    Allocates nothing sized by the shape, so a graph too large for a dense
+    mask is checked here.  Raises InvalidParameter for a shape with a
+    negative side or more cells than an index can address, and for edges
+    that are not integer pairs, fall outside the shape or repeat a cell.
     """
     f, k = shape
     if f < 0 or k < 0:
         raise InvalidParameter(f"placement shape ({f}, {k}) has a negative side")
+    if f * k > sys.maxsize:
+        raise InvalidParameter(f"placement shape ({f}, {k}) has more cells than an index can address")
     try:
         cells = np.asarray(edges) if len(edges) else np.zeros((0, 2), dtype=np.int64)
     except ValueError:  # a ragged list
@@ -134,10 +138,23 @@ def edges_to_mask(shape, edges) -> np.ndarray:
         flat = np.ravel_multi_index(cells.T, (f, k))
     except ValueError:
         raise InvalidParameter(f"an edge falls outside [0, {f}) x [0, {k})") from None
+    flat.sort()
+    if np.count_nonzero(flat[1:] == flat[:-1]):
+        raise InvalidParameter("edges repeat a cell")
+    return flat
+
+
+def edges_to_mask(shape, edges) -> np.ndarray:
+    """The placement rule: the F-by-K mask that is True at exactly the edge cells.
+
+    Every path from edges back to a placement goes through here, or through
+    placement_cells alone where no dense mask is wanted.  Raises what
+    placement_cells raises.
+    """
+    flat = placement_cells(shape, edges)
+    f, k = shape
     mask = np.zeros(f * k, dtype=bool)
     mask[flat] = True
-    if np.count_nonzero(mask) != len(flat):
-        raise InvalidParameter("edges repeat a cell")
     return mask.reshape(f, k)
 
 

@@ -144,6 +144,18 @@ class TestPipeline:
                    "--out", tmp_path / "p.pda") == 2
         assert "addresses up to" in capsys.readouterr().err
 
+    def test_checkpoint_config_beyond_its_tensors_is_an_input_error(self, tmp_path, capsys):
+        ckpt = tmp_path / "model.json"
+        write_checkpoint(ckpt)
+        doc = json.loads(ckpt.read_text())
+        doc["config"]["f_max"] = 10**12
+        ckpt.write_text(json.dumps(doc))
+        assert run("pipeline", "--users", 4, "--rows", 4, "--stars", 3,
+                   "--colorer", "neural", "--checkpoint", ckpt,
+                   "--out", tmp_path / "p.pda") == 2
+        err = capsys.readouterr().err
+        assert "tensor embed has shape" in err and "Traceback" not in err
+
 
 class TestAugment:
     def test_pairs_reverify(self, tmp_path):

@@ -63,6 +63,17 @@ class TestGraphType:
         with pytest.raises(PdakitError):
             BipartiteColoredGraph(k=2, f=2, edges=((1.5, 0, None),))
 
+    def test_huge_declared_shape_builds_without_a_dense_mask(self):
+        # a 10^9 x 10^9 mask would take 888 PiB; the placement rule's checks need none
+        g = graph_from_json('{"k": 1000000000, "f": 1000000000, "edges": []}')
+        assert (g.k, g.f, g.edges) == (10**9, 10**9, ())
+        g = BipartiteColoredGraph(k=10**9, f=10**9, edges=((10**9 - 1, 0, 2), (7, 5, 1)))
+        assert g.edges == ((7, 5, 1), (10**9 - 1, 0, 2))
+        with pytest.raises(InvalidParameter, match="repeat"):
+            BipartiteColoredGraph(k=10**9, f=10**9, edges=((7, 5, 1), (7, 5, 2)))
+        with pytest.raises(InvalidParameter, match="more cells than an index"):
+            graph_from_json('{"k": 10000000000, "f": 10000000000, "edges": []}')
+
     def test_degrees_and_color_count(self):
         g = BipartiteColoredGraph(
             k=3, f=2, edges=((0, 0, 1), (0, 1, 2), (1, 0, 2), (2, 1, None))

@@ -6,6 +6,7 @@ import pytest
 
 from pdakit.errors import (
     BadTarget,
+    DimensionError,
     DivergenceError,
     InvalidBatch,
     InvalidParameter,
@@ -62,6 +63,29 @@ def tiny_params(seed=0, d=3, h=4, f_max=4, k_max=4):
     return ModelParams.init(
         ModelConfig(f_max=f_max, k_max=k_max, embed_dim=d, hidden_dim=h), seed=seed
     )
+
+
+def assert_views_of_one_vector(params):
+    """Every tensor, and every zero_grads entry, sits at its layout offset in one vector."""
+    fields = [params.embed]
+    for gru in (params.fwd, params.bwd, params.dec):
+        fields += [gru.u, gru.w, gru.b]
+    fields += [params.attn_enc, params.attn_dec, params.attn_v, params.start]
+    items = params.tensor_items()
+    grads = params.zero_grads()
+    assert list(grads) == [name for name, _ in items]
+    grad_base = grads["embed"].base
+    assert grad_base is not params.vector and grad_base.shape == params.vector.shape
+    for vec, tensors in ((params.vector, fields), (params.vector, [t for _, t in items]),
+                         (grad_base, list(grads.values()))):
+        assert vec.dtype == np.float64 and vec.ndim == 1 and vec.flags.c_contiguous
+        origin, pos = vec.__array_interface__["data"][0], 0
+        for t in tensors:
+            assert np.shares_memory(t, vec)
+            assert t.__array_interface__["data"][0] == origin + 8 * pos
+            pos += t.size
+        assert pos == vec.size
+    assert not grad_base.any()
 
 
 def grads_to_vec(params, grads):
@@ -166,13 +190,8 @@ class TestEncode:
         # with identical weights in both directions, encoding the reversed
         # sequence swaps the two halves and flips the position order
         params = tiny_params(seed=11)
-        params.bwd = dataclasses.replace(
-            params.fwd,
-            **{
-                f.name: getattr(params.fwd, f.name).copy()
-                for f in dataclasses.fields(params.fwd)
-            },
-        )
+        for f in dataclasses.fields(params.fwd):
+            getattr(params.bwd, f.name)[...] = getattr(params.fwd, f.name)
         edges = [(0, 0), (1, 2), (3, 1), (2, 2)]
         h = params.config.hidden_dim
         fwd_view = encode(edges, params)
@@ -750,6 +769,36 @@ class TestParamsPlumbing:
         for (_, a), (_, b) in zip(params.tensor_items(), twin.tensor_items()):
             assert not np.shares_memory(a, b)
 
+    def test_every_tensor_is_a_view_of_one_vector(self):
+        params = tiny_params(seed=3)
+        assert_views_of_one_vector(params)
+        assert_views_of_one_vector(params.copy())
+        assert_views_of_one_vector(params.unflatten(params.flatten()))
+
+    def test_unflatten_does_not_alias_its_input(self):
+        params = tiny_params(seed=3)
+        vec = params.flatten()
+        twin = params.unflatten(vec)
+        assert not np.shares_memory(vec, twin.vector)
+        vec[:] = 0.0
+        assert np.array_equal(twin.vector, params.vector)
+
+    def test_unflatten_rejects_a_vector_of_another_shape(self):
+        params = tiny_params(seed=3)
+        vec = params.flatten()
+        for bad in (vec[:-1], np.append(vec, 0.0), vec.reshape(1, -1), vec.reshape(-1, 1)):
+            with pytest.raises(DimensionError):
+                params.unflatten(bad)
+
+    def test_fields_cannot_be_rebound(self):
+        params = tiny_params(seed=3)
+        for obj, name in ((params, "embed"), (params, "fwd"), (params, "vector"),
+                          (params, "config"), (params.dec, "w")):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(obj, name, None)
+        # compared by identity, not by numpy's ambiguous truth value
+        assert params == params and params != params.copy()
+
     def test_train_config_hands_its_widths_to_the_model(self):
         cfg = TrainConfig(f_max=5, k_max=6, embed_dim=3, hidden_dim=4)
         assert cfg.model_config() == ModelConfig(f_max=5, k_max=6, embed_dim=3, hidden_dim=4)
@@ -802,6 +851,42 @@ class TestCheckpoint:
         tensors["fwd.w_update"]["shape"] = [2, 8]
         path.write_text(json.dumps(doc))
         with pytest.raises(ParseError):
+            load_checkpoint(path)
+
+    def test_loaded_tensors_are_views_of_one_vector(self, tmp_path):
+        import json
+
+        path = tmp_path / "model.json"
+        params = tiny_params(seed=8, d=3, h=4)
+        save_checkpoint(path, params)
+        loaded, _ = load_checkpoint(path)
+        assert_views_of_one_vector(loaded)
+
+        doc = json.loads(path.read_text())
+        doc["version"] = 1
+        for name, t in params.tensor_items():
+            if "." in name:
+                entry = doc["tensors"].pop(name)
+                for gate, label in enumerate(("reset", "update", "cand")):
+                    block = t[gate * 4 : (gate + 1) * 4]
+                    doc["tensors"][f"{name}_{label}"] = {
+                        "shape": list(block.shape), "data": block.ravel().tolist()
+                    }
+        path.write_text(json.dumps(doc))
+        loaded, _ = load_checkpoint(path)
+        assert_views_of_one_vector(loaded)
+        assert np.array_equal(loaded.vector, params.vector)
+
+    def test_config_beyond_the_tensors_is_rejected_before_allocating(self, tmp_path):
+        import json
+
+        # the model this config implies would take terabytes; the file's tensors do not fit it
+        path = tmp_path / "model.json"
+        save_checkpoint(path, tiny_params(seed=0))
+        doc = json.loads(path.read_text())
+        doc["config"]["f_max"] = 10**12
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ParseError, match="tensor embed has shape"):
             load_checkpoint(path)
 
     def test_rejects_non_finite_tensors(self, tmp_path):
