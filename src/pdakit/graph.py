@@ -99,10 +99,16 @@ def _grid_to_graph(grid: np.ndarray) -> BipartiteColoredGraph:
 
 
 def _edge_grid(g: BipartiteColoredGraph) -> np.ndarray:
-    """The f-by-k grid of a fully colored graph: edge colors, stars elsewhere."""
+    """The f-by-k grid of a fully colored graph: edge colors, stars elsewhere.
+
+    Raises InvalidParameter when the grid cannot be allocated.
+    """
     if not g.is_fully_colored():
         raise IncompleteColoring("graph has uncolored edges")
-    grid = np.zeros((g.f, g.k), dtype=np.int64)
+    try:
+        grid = np.zeros((g.f, g.k), dtype=np.int64)
+    except MemoryError:
+        raise InvalidParameter(f"a {g.f} x {g.k} grid does not fit in memory") from None
     for u, v, c in g.edges:
         grid[v, u] = c
     return grid

@@ -22,8 +22,9 @@ together as one stacked GRU: the backward direction reads each row
 reversed within its own length, so both directions run the same rows at
 every step.  Masked steps gather each row's feasible first occurrences,
 padded to the widest row, so attention costs O(colors) per step; the
-caller hands in each masked row's placement mask.  One sequence is a
-batch of one.
+caller hands in each masked row's placement mask, and the row's
+FeasibilityTracker keeps O(min(F, K) * E) state for it.  One sequence is
+a batch of one.
 
 The backward pass is backpropagation through time with deferred GEMMs:
 each step computes only what the recurrence needs, and every weight
@@ -213,8 +214,12 @@ def _encode(batch: _Batch, params: ModelParams, keep_caches: bool):
     L, B = batch.valid.shape
     off, rev, fwd, bwd = batch.offsets, batch.rev, params.fwd, params.bwd
     xu = np.empty((2, off[-1], 3 * h))
-    xu[0] = batch.embs @ fwd.u.T + fwd.b
-    xu[1] = (batch.embs @ bwd.u.T + bwd.b)[rev]
+    np.matmul(batch.embs, fwd.u.T, out=xu[0])
+    xu[0] += fwd.b
+    # permute the product, not embs: BLAS can round a moved row differently (seen at d >= 32)
+    np.matmul(batch.embs, bwd.u.T, out=xu[1])
+    xu[1] = xu[1][rev]
+    xu[1] += bwd.b
     w_t = np.concatenate([fwd.w.T[None], bwd.w.T[None]])
     ys = np.empty((2, off[-1], h))
     y = np.zeros((2, B, h))
@@ -226,7 +231,9 @@ def _encode(batch: _Batch, params: ModelParams, keep_caches: bool):
         if keep_caches:
             caches.append(_taped(cache))
     states = np.full((B, L, 2 * h), _PAD)
-    states.transpose(1, 0, 2)[batch.valid] = np.concatenate([ys[0], ys[1][rev]], axis=1)
+    time_major = states.transpose(1, 0, 2)
+    time_major[..., :h][batch.valid] = ys[0]
+    time_major[..., h:][batch.valid] = ys[1][rev]
     return states, caches
 
 
@@ -331,6 +338,9 @@ def colors_to_pointers(colors: Sequence[int]) -> tuple[int, ...]:
 
 # --- feasibility screen -------------------------------------------------------
 
+# bit b of a packed word, for b in 0..63
+_BITS = np.uint64(1) << np.arange(64, dtype=np.uint64)
+
 
 class FeasibilityTracker:
     """Which existing colors may legally take a new cell.
@@ -341,16 +351,34 @@ class FeasibilityTracker:
     has an edge in column j, and blocked for row i once any member's
     column has an edge in row i; both cover the distinct-row/column
     requirement as well, since a member is an edge in its own row and
-    column.  Updates and queries are O(F + K) bitset operations.
+    column.
+
+    The tracker turns the mask, transposing it when F < K, so that its
+    columns are the shorter side, S = min(F, K).  The column rule is a
+    dense S-by-E table, col_open[j, c]: every member row so far has a star
+    in column j.  The row rule packs S bits into ceil(S/64) words, word w
+    holding columns 64w..64w+63: members[w, c] holds color c's member
+    columns and row_bits[w, i] row i's edge columns, so color c is blocked
+    for row i when some members[w, c] & row_bits[w, i] is nonzero.  Memory
+    is O(S * E).  A new member writes S flags and one word; a query reads
+    n_colors flags and n_colors * ceil(S/64) words.
     """
 
     def __init__(self, adj: np.ndarray):
         adj = np.asarray(adj, dtype=bool)
-        f, k = adj.shape
-        cap = max(int(adj.sum()), 1)
-        self.adj = adj
-        self.row_blocked = np.zeros((f, cap), dtype=bool)
-        self.col_blocked = np.zeros((k, cap), dtype=bool)
+        self.transposed = adj.shape[0] < adj.shape[1]
+        if self.transposed:
+            adj = adj.T
+        s = adj.shape[1]
+        cap = max(np.count_nonzero(adj), 1)
+        words = -(-s // 64)
+        row_bits = np.zeros((len(adj), 8 * words), dtype=np.uint8)
+        row_bits[:, : -(-s // 8)] = np.packbits(adj, axis=1, bitorder="little")
+        # little-endian words, so column j lands on bit j % 64 of word j // 64
+        self.row_bits = row_bits.view("<u8").T
+        self.stars = ~adj
+        self.members = np.zeros((words, cap), dtype=np.uint64)
+        self.col_open = np.ones((s, cap), dtype=bool)
         self.n_colors = 0
 
     def new_color(self, i: int, j: int) -> int:
@@ -360,13 +388,22 @@ class FeasibilityTracker:
         return c
 
     def add_member(self, c: int, i: int, j: int) -> None:
-        self.col_blocked[:, c] |= self.adj[i, :]
-        self.row_blocked[:, c] |= self.adj[:, j]
+        if self.transposed:
+            i, j = j, i
+        self.col_open[:, c] &= self.stars[i]
+        self.members[j >> 6, c] |= _BITS[j & 63]
 
     def feasible(self, i: int, j: int) -> np.ndarray:
         """Boolean vector over colors 0..n_colors-1: may take cell (i, j)."""
+        if self.transposed:
+            i, j = j, i
         n = self.n_colors
-        return ~(self.col_blocked[j, :n] | self.row_blocked[i, :n])
+        # the member columns each color shares with row i's edges, OR-ed over words
+        shared = self.members[0, :n] & self.row_bits[0, i]
+        for w in range(1, len(self.members)):
+            shared |= self.members[w, :n] & self.row_bits[w, i]
+        # True > shared holds exactly where shared is 0, and False > shared nowhere
+        return np.greater(self.col_open[j, :n], shared)
 
 
 # --- episodes ------------------------------------------------------------------

@@ -158,6 +158,19 @@ def oracle_strong_coloring(k_count, f_count, edges):
     return True
 
 
+def oracle_feasible(adj, members, i, j):
+    """May cell (i, j) join a color whose cells are members?  The literal pair rule.
+
+    adj[i][j] is True at edge cells.  Every member must sit in another row
+    and another column, and both cells crossing it with (i, j) must be
+    stars.
+    """
+    for i2, j2 in members:
+        if i == i2 or j == j2 or adj[i][j2] or adj[i2][j]:
+            return False
+    return True
+
+
 def canonical_color_sequences(length):
     """All canonical color sequences of the given length.
 

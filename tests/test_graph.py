@@ -74,6 +74,13 @@ class TestGraphType:
         with pytest.raises(InvalidParameter, match="more cells than an index"):
             graph_from_json('{"k": 10000000000, "f": 10000000000, "edges": []}')
 
+    def test_huge_declared_shape_cannot_assemble(self):
+        # both need the dense 10^9 x 10^9 grid, 6.94 EiB; the error is a pdakit one
+        g = graph_from_json('{"k": 1000000000, "f": 1000000000, "edges": []}')
+        for fn in (graph_to_pda, is_strong):
+            with pytest.raises(InvalidParameter, match="does not fit in memory"):
+                fn(g)
+
     def test_degrees_and_color_count(self):
         g = BipartiteColoredGraph(
             k=3, f=2, edges=((0, 0, 1), (0, 1, 2), (1, 0, 2), (2, 1, None))

@@ -55,6 +55,7 @@ from pdakit.seqcodec import (
 )
 
 import oracles
+from oracles import oracle_feasible
 
 CROSS = AdjacencyMatrix(np.array([[True, False], [False, True]]))
 
@@ -329,14 +330,6 @@ class TestPointerMapping:
                 assert pointer_to_colors(colors_to_pointers(colors)) == colors
 
 
-def oracle_feasible(adj, members, i, j):
-    """Literal reading of the pair condition against a color's cells."""
-    for i2, j2 in members:
-        if i == i2 or j == j2 or adj[i, j2] or adj[i2, j]:
-            return False
-    return True
-
-
 class TestFeasibilityTracker:
     def test_agrees_with_literal_pair_rule(self):
         rng = np.random.default_rng(20260814)
@@ -388,6 +381,40 @@ class TestFeasibilityTracker:
             assert tracker.feasible(i, j).shape == (t,)
             tracker.new_color(i, j)
         assert tracker.n_colors == 3
+
+    @pytest.mark.parametrize("f, k", [(150, 90), (70, 150), (130, 130), (150, 20), (24, 140)])
+    def test_agrees_with_the_oracle_beyond_one_word(self, f, k):
+        # sparse placements whose short side, where the tracker packs its bits,
+        # mostly spans several 64-bit words; both orientations and a square
+        rng = np.random.default_rng(f * 1000 + k)
+        adj = rng.random((f, k)) < 0.03
+        adj[rng.integers(f), rng.integers(k)] = True
+        edges = extract_edge_sequence(AdjacencyMatrix(adj))
+        tracker = FeasibilityTracker(adj)
+        members: list[list[tuple[int, int]]] = []
+        seen = set()
+        for i, j in edges:
+            feas = tracker.feasible(i, j)
+            assert feas.tolist() == [oracle_feasible(adj, m, i, j) for m in members]
+            seen.update(feas.tolist())
+            open_colors = np.nonzero(feas)[0]
+            if open_colors.size and rng.random() < 0.7:
+                c = int(rng.choice(open_colors))
+                tracker.add_member(c, i, j)
+                members[c].append((i, j))
+            else:
+                tracker.new_color(i, j)
+                members.append([(i, j)])
+        assert seen == {True, False}
+
+    @pytest.mark.parametrize("k, f, z", [(14, 3432, 1716), (1024, 16, 12)])
+    def test_memory_is_linear_in_the_short_side(self, k, f, z):
+        # MN(14,7) and the cyclic E=4096 placement; a dense F-by-E table
+        # would take 82 MB at MN(14,7)
+        adj = placement_to_adjacency(z, f, k, default_star_pattern(k, f, z)).mask
+        tracker = FeasibilityTracker(adj)
+        nbytes = sum(v.nbytes for v in vars(tracker).values() if isinstance(v, np.ndarray))
+        assert nbytes <= 4 * min(f, k) * int(adj.sum())
 
 
 class TestEpisode:
