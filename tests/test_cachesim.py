@@ -6,6 +6,7 @@ from collections.abc import Mapping
 import numpy as np
 import pytest
 
+from pdakit import cachesim
 from pdakit.cachesim import (
     Broadcast,
     DemandVector,
@@ -209,6 +210,23 @@ class TestDecode:
             t = Transcript(broadcasts=(Broadcast(1, bc.payload, ((file, 0), (1, 1))),))
             with pytest.raises(DecodeError, match=rf"lacks packet \({file}, 0\)"):
                 decode(0, caches[0], t, (1, 2), CROSS)
+        # User 1 holds row 1; a row outside the array is not held, not even
+        # -1, which numpy would wrap round to row 1.
+        for row in (-1, 2):
+            t = Transcript(broadcasts=(Broadcast(1, bc.payload, ((2, 0), (1, row))),))
+            with pytest.raises(DecodeError, match=rf"lacks packet \(1, {row}\)"):
+                decode(1, caches[1], t, (1, 2), CROSS)
+
+    def test_slot_without_broadcast_is_named(self):
+        p = construct_mn_pda(3, 1)
+        lib = small_lib(p)
+        caches = place(p, lib)
+        bcs = deliver(p, lib, (1, 2, 3)).broadcasts
+        with pytest.raises(DecodeError) as info:
+            decode(0, caches[0], Transcript(broadcasts=bcs[:1]), (1, 2, 3), p)
+        assert str(info.value) == "user 0 needs slot 2, but the transcript has no broadcast for it"
+        with pytest.raises(DecodeError, match="user 2 needs slot 2"):
+            decode(2, caches[2], Transcript(broadcasts=()), (1, 2, 3), p)
 
     def test_cache_of_another_user_is_rejected(self):
         lib = small_lib(CROSS, n_files=2)
@@ -317,6 +335,111 @@ class TestAgainstOracle:
                     )
                     outcomes["missing"] += 1
         assert min(outcomes.values()) > 200
+
+    def test_small_blocks_match_the_oracle(self, monkeypatch):
+        # With 24-byte blocks a block holds 24, 8, 3 or 1 packets of 1, 3, 8
+        # or 64 bytes.  So blocks split one user's rows, and windows of
+        # max(1, packets per block // F) whole users span several users,
+        # all-star columns among them.
+        block = 24
+        monkeypatch.setattr(cachesim, "_BLOCK", block)
+        rng = np.random.default_rng(20261019)
+        grids = [oracles.mn_grid(k, t) for k, t in [(3, 1), (4, 2), (5, 2)]]
+        grids += [greedy_grid(4, 4, 2, 0), greedy_grid(8, 4, 3, 1)]
+        grids += [break_pair(grids[int(rng.integers(0, len(grids)))], rng) for _ in range(10)]
+        grids += [oracles.random_grid(rng) for _ in range(100)]
+        seen = {"decoded": 0, "missing": 0, "split": 0, "spans all-star": 0}
+        for n, grid in enumerate(grids):
+            f, k = len(grid), len(grid[0])
+            stars = [sum(row[j] == S for row in grid) for j in range(k)]
+            for size in (1, 3, 8, 64):
+                per_block = max(1, block // size)
+                width = max(1, per_block // f)
+                seen["split"] += max(f - z for z in stars) > per_block
+                seen["spans all-star"] += any(
+                    width > 1 and u0 + 1 < k and f in stars[u0:u0 + width]
+                    for u0 in range(0, k, width))
+                n_files = int(rng.integers(1, k + 1))
+                lib = FileLibrary.random(n_files, f, packet_size=size, seed=n)
+                demand = tuple(int(x) for x in rng.integers(1, n_files + 1, size=k))
+                packets = [[lib.packet(file, j) for j in range(f)] for file in range(1, n_files + 1)]
+                _, decoded = oracles.oracle_round(grid, packets, demand)
+                first = next(((u, out) for u, out in enumerate(decoded)
+                              if isinstance(out, tuple)), None)
+                if first is None:
+                    result = run_round(grid, lib, demand)
+                    assert result.decoded == tuple(decoded) and result.all_ok
+                    seen["decoded"] += 1
+                else:
+                    u, (_, packet, slot) = first
+                    with pytest.raises(DecodeError) as info:
+                        run_round(grid, lib, demand)
+                    assert str(info.value) == (
+                        f"user {u} lacks packet {packet} needed to decode slot {slot}"
+                    )
+                    seen["missing"] += 1
+        assert min(seen.values()) > 20, seen
+
+
+class TestOneKernel:
+    """run_round decodes all users in one pass; decode is that pass for one."""
+
+    def grids(self):
+        return [oracles.mn_grid(4, 2), oracles.mn_grid(6, 3), [[S, 1], [1, S]], [[S], [S]],
+                greedy_grid(5, 10, 4, 0), greedy_grid(8, 4, 3, 1)]
+
+    def test_deliver_hands_over_the_table_the_broadcasts_give(self):
+        rng = np.random.default_rng(5)
+        for n, grid in enumerate(self.grids()):
+            if max(map(max, grid)) == 0:
+                continue   # no broadcast fixes no packet size for the rebuilt table
+            for size in (1, 64):
+                lib = FileLibrary.random(len(grid[0]) + 1, len(grid), packet_size=size, seed=n)
+                demand = tuple(int(x) for x in rng.integers(1, lib.n_files + 1, size=len(grid[0])))
+                t = deliver(grid, lib, demand)
+                rebuilt = Transcript(broadcasts=t.broadcasts)._table
+                assert len(t._table) == len(rebuilt) == 4
+                for handed, built in zip(t._table, rebuilt):
+                    assert handed.dtype == built.dtype
+                    assert np.array_equal(handed, built)
+                    assert not handed.flags.writeable
+
+    def test_decode_equals_the_round_for_every_user(self):
+        rng = np.random.default_rng(6)
+        for n, grid in enumerate(self.grids()):
+            k = len(grid[0])
+            lib = FileLibrary.random(k + 1, len(grid), packet_size=16, seed=n)
+            demand = tuple(int(x) for x in rng.integers(1, k + 2, size=k))
+            caches = place(grid, lib)
+            result = run_round(grid, lib, demand)
+            for u in range(k):
+                assert decode(u, caches[u], result.transcript, demand, grid) == result.decoded[u]
+
+    def test_broken_array_fails_alike_in_both(self):
+        rng = np.random.default_rng(7)
+        sources = [grid for grid in self.grids() if max(map(max, grid))]
+        failed = 0
+        for n in range(60):
+            grid = break_pair(sources[n % len(sources)], rng)
+            k = len(grid[0])
+            lib = FileLibrary.random(k + 1, len(grid), packet_size=8, seed=n)
+            demand = tuple(int(x) for x in rng.integers(1, k + 2, size=k))
+            caches = place(grid, lib)
+            t = deliver(grid, lib, demand)
+            messages = []
+            for u in range(k):
+                try:
+                    decode(u, caches[u], t, demand, grid)
+                except DecodeError as e:
+                    messages.append(str(e))
+            if not messages:
+                assert run_round(grid, lib, demand).all_ok
+                continue
+            with pytest.raises(DecodeError) as info:
+                run_round(grid, lib, demand)
+            assert str(info.value) == messages[0]
+            failed += 1
+        assert failed > 20
 
 
 class TestRounds:
