@@ -20,7 +20,6 @@ import operator
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -65,7 +64,11 @@ class FileLibrary:
         if n_files < 1 or f < 1 or packet_size < 1:
             raise InvalidParameter("library dimensions must be positive")
         rng = np.random.default_rng(seed)
-        words = rng.integers(0, 2**32, size=(n_files * f, -(-packet_size // 4)), dtype=np.uint32)
+        try:
+            words = rng.integers(0, 2**32, size=(n_files * f, -(-packet_size // 4)), dtype=np.uint32)
+        except (MemoryError, ValueError):    # ValueError: more elements than an index can address
+            raise InvalidParameter(f"{n_files} files of {f} packets of {packet_size} bytes "
+                                   "do not fit in memory") from None
         packets = words.astype("<u4", copy=False).view(np.uint8)[:, :packet_size]
         return cls(packets.reshape(n_files, f, packet_size))
 
@@ -176,40 +179,61 @@ class Broadcast:
     contributors: tuple[tuple[int, int], ...]  # (file, row) per cell
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class Transcript:
-    broadcasts: tuple[Broadcast, ...]
+    """A round's broadcasts as one read-only slot table.
+
+    Slot s's XOR is ``payloads[s-1]`` of the (S, B) payloads; its (file, row)
+    contributors are ``files`` and ``rows`` at [starts[s-1], starts[s]).
+    """
+
+    payloads: np.ndarray
+    files: np.ndarray
+    rows: np.ndarray
+    starts: np.ndarray
+
+    def __init__(self, broadcasts: Sequence[Broadcast]):
+        """The records' table; their slots must run 1..n in order, their payloads one size."""
+        bcs = tuple(broadcasts)
+        size = len(bcs[0].payload) if bcs else 0
+        for n, b in enumerate(bcs):
+            if b.slot != n + 1 or len(b.payload) != size:
+                raise InvalidParameter(f"broadcast {n} is slot {b.slot} with {len(b.payload)} "
+                                       f"bytes, expected slot {n + 1} with {size}")
+        payloads = np.frombuffer(b"".join(b.payload for b in bcs), dtype=np.uint8)
+        cells = np.array([c for b in bcs for c in b.contributors], dtype=np.int64).reshape(-1, 2)
+        starts = np.cumsum([0, *(len(b.contributors) for b in bcs)])
+        self._hold(payloads.reshape(len(bcs), size), cells[:, 0], cells[:, 1], starts)
+
+    @classmethod
+    def _of_table(cls, *table: np.ndarray) -> "Transcript":
+        """A transcript over a table built elsewhere: payloads, files, rows, starts."""
+        return cls.__new__(cls)._hold(*table)
+
+    def _hold(self, *table: np.ndarray) -> "Transcript":
+        for name, array in zip(("payloads", "files", "rows", "starts"), table):
+            array.setflags(write=False)
+            object.__setattr__(self, name, array)
+        return self
 
     @property
     def packets_sent(self) -> int:
-        return len(self.broadcasts)
+        return len(self.payloads)
 
-    @cached_property
-    def _table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """The broadcasts as arrays: deliver hands over its own, others build them once.
-
-        Payloads (S, B); contributor files and rows in slot order; starts
-        (S+1,), with slot s's contributors at [starts[s-1], starts[s]).
-        """
-        bcs = self.broadcasts
-        size = len(bcs[0].payload) if bcs else 0
-        payloads = np.frombuffer(b"".join(b.payload for b in bcs), dtype=np.uint8)
-        cells = np.fromiter(
-            itertools.chain.from_iterable(itertools.chain.from_iterable(b.contributors for b in bcs)),
-            dtype=np.int64,
-        ).reshape(-1, 2)
-        sizes = np.fromiter((len(b.contributors) for b in bcs), dtype=np.int64, count=len(bcs))
-        starts = np.concatenate(([0], np.cumsum(sizes)))
-        return payloads.reshape(len(bcs), size), cells[:, 0], cells[:, 1], starts
+    @property
+    def broadcasts(self) -> tuple[Broadcast, ...]:
+        """One record per slot, built from the table on each request."""
+        cells, bounds = list(zip(self.files.tolist(), self.rows.tolist())), self.starts.tolist()
+        return tuple(Broadcast(s, payload.tobytes(), tuple(cells[bounds[s - 1]:bounds[s]]))
+                     for s, payload in enumerate(self.payloads, start=1))
 
 
-def _check_demand(d, users: int, lib: FileLibrary) -> DemandVector:
-    if not isinstance(d, DemandVector):
-        d = DemandVector(d=tuple(d))
+def _check_demand(d, users: int, n_files: int) -> DemandVector:
+    d = d if isinstance(d, DemandVector) else DemandVector(d=tuple(d))
     if len(d) != users:
         raise InvalidParameter(f"demand has {len(d)} entries for {users} users")
-    if any(x > lib.n_files for x in d.d):
-        raise InvalidParameter(f"demand {d.d} exceeds library of {lib.n_files} files")
+    if any(x > n_files for x in d.d):
+        raise InvalidParameter(f"demand {d.d} exceeds library of {n_files} files")
     return d
 
 
@@ -257,7 +281,7 @@ def deliver(p, lib: FileLibrary, d) -> Transcript:
     """
     grid = _grid(p)
     _check_rows(grid, lib)
-    d = _check_demand(d, grid.shape[1], lib)
+    d = _check_demand(d, grid.shape[1], lib.n_files)
     rows, cols = np.nonzero(grid != STAR)
     order = np.argsort(grid[rows, cols], kind="stable")
     rows, cols = rows[order], cols[order]
@@ -267,40 +291,23 @@ def deliver(p, lib: FileLibrary, d) -> Transcript:
     payloads = np.zeros((n_slots, lib.packet_size), dtype=np.uint8)
     _xor_in(payloads, lib.data, slots - 1, files, rows)
     starts = np.searchsorted(slots, np.arange(1, n_slots + 2))
-    contributors = list(zip(files.tolist(), rows.tolist()))
-    bounds = starts.tolist()
-    transcript = Transcript(
-        broadcasts=tuple(
-            Broadcast(
-                slot=s,
-                payload=payloads[s - 1].tobytes(),
-                contributors=tuple(contributors[bounds[s - 1]:bounds[s]]),
-            )
-            for s in range(1, n_slots + 1)
-        )
-    )
-    # Hand over the arrays built here, so decoding need not rebuild them.
-    table = (payloads, files, rows, starts)
-    for array in table:
-        array.setflags(write=False)
-    object.__setattr__(transcript, "_table", table)
-    return transcript
+    return Transcript._of_table(payloads, files, rows, starts)
 
 
 def decode(k: int, cache: Cache, transcript: Transcript, d, p) -> bytes:
     """Reconstruct user k's requested file from its cache and the broadcasts.
 
-    For each non-star row of the user's column, the matching slot's
-    payload is XORed with every other contributing packet, all of which a
-    valid array guarantees are cached.  A missing one means the array is
-    broken and raises DecodeError naming the first one: rows in column
-    order, then contributors in slot order.  A row whose slot the
-    transcript does not carry raises DecodeError naming the slot.  This is
-    run_round's decoding kernel run for user k alone.
+    run_round's decoding kernel run for user k alone: each non-star row's
+    slot payload is XORed with the slot's other contributing packets, all
+    cached if the array is valid.  DecodeError names the first missing one
+    (rows in column order, then contributors in slot order), a slot the
+    transcript does not carry, or payloads that are not packet-sized.
     """
-    if not isinstance(d, DemandVector):
-        d = DemandVector(d=tuple(d))
-    return _decode_all([k], [cache], transcript, [d[k]], _grid(p))[0][0]
+    grid = _grid(p)
+    d = _check_demand(d, grid.shape[1], len(cache.data))
+    if not 0 <= k < len(d):
+        raise InvalidParameter(f"user {k} is not one of the array's {len(d)} users")
+    return _decode_all([k], [cache], transcript, [d[k]], grid)[0][0]
 
 
 # Packet bytes one XOR block gathers.  On K=10, F=252 rounds with 4 KiB
@@ -327,7 +334,7 @@ def _decode_all(users, caches, transcript: Transcript, want, grid: np.ndarray):
     # One pair per decoded (user, row): users ascending, rows in column order.
     pu, prow = np.nonzero(need.T)
     slot = column[prow, pu]
-    payloads, files, rows, starts = transcript._table
+    payloads, starts = transcript.payloads, transcript.starts
     n_slots = len(payloads)
     sent = slot <= n_slots
     lo = starts[np.minimum(slot - 1, n_slots)]
@@ -335,7 +342,7 @@ def _decode_all(users, caches, transcript: Transcript, want, grid: np.ndarray):
     # One entry per (pair, contributor of its slot), contributors in slot order.
     pair = np.repeat(np.arange(len(slot)), count)
     at = np.repeat(lo - (np.cumsum(count) - count), count) + np.arange(len(pair))
-    pf, pr = files[at], rows[at]
+    pf, pr = transcript.files[at], transcript.rows[at]
     # A pair's own packet is the first contributor equal to (want, row).
     mine = ((pf == np.repeat(want[pu], count)) & (pr == np.repeat(prow, count))).nonzero()[0]
     own = mine[np.diff(pair[mine], prepend=-1) != 0]
@@ -347,6 +354,8 @@ def _decode_all(users, caches, transcript: Transcript, want, grid: np.ndarray):
     lacks = (~need & ~held).any(axis=0)
     if len(missing) or not sent.all() or lacks.any():
         _raise_first(users, lacks, sent, slot, pu, pair, missing, pf, pr)
+    if len(slot) and payloads.shape[1] != size:
+        raise DecodeError(f"the transcript's payloads have {payloads.shape[1]} bytes, packets {size}")
 
     # Each pair's other contributors as flat packet indices, pair by pair.
     src = ((pf - 1) * f + pr)[other]
@@ -430,7 +439,7 @@ def run_round(p, lib: FileLibrary, d) -> RoundResult:
     """place + deliver + decode for every user, checked bit-exactly."""
     grid = _grid(p)
     users = grid.shape[1]
-    d = _check_demand(d, users, lib)
+    d = _check_demand(d, users, lib.n_files)
     caches = place(grid, lib)
     transcript = deliver(grid, lib, d)
     decoded, all_ok = _decode_all(range(users), caches, transcript, d.d, grid)
@@ -453,13 +462,8 @@ class MeasureReport:
     trace: tuple[TraceRow, ...]
 
 
-def measure(
-    p,
-    trials: int = 20,
-    seed: int = 0,
-    n_files: Optional[int] = None,
-    packet_size: int = 64,
-) -> MeasureReport:
+def measure(p, trials: int = 20, seed: int = 0, n_files: Optional[int] = None,
+            packet_size: int = 64) -> MeasureReport:
     """Sample random demands and run full rounds; report loads exactly.
 
     delivery_rate = S/F, uncoded_rate = K(1 - Z/F), both exact rationals.
@@ -471,7 +475,10 @@ def measure(
         raise InvalidParameter(f"trials must be >= 0, got {trials}")
     n = p.k + 1 if n_files is None else n_files
     lib = FileLibrary.random(n, p.f, packet_size=packet_size, seed=seed)
-    demands = np.random.default_rng(seed).integers(1, n + 1, size=(trials, p.k)).tolist()
+    try:
+        demands = np.random.default_rng(seed).integers(1, n + 1, size=(trials, p.k)).tolist()
+    except (MemoryError, ValueError):    # ValueError: more elements than an index can address
+        raise InvalidParameter(f"{trials} trials of {p.k} demands do not fit in memory") from None
     trace: list[TraceRow] = []
     for trial, demand in enumerate(demands):
         result = run_round(p, lib, demand)
@@ -489,17 +496,10 @@ def measure(
 
 def transcript_to_json(t: Transcript, meta: Optional[dict] = None) -> str:
     """Slot, hex payload, and contributor list per broadcast."""
-    doc = {
-        "broadcasts": [
-            {
-                "slot": b.slot,
-                "payload": b.payload.hex(),
-                "contributors": [[file, row] for file, row in b.contributors],
-            }
-            for b in t.broadcasts
-        ],
-        "packets_sent": t.packets_sent,
-    }
+    broadcasts = [{"slot": b.slot, "payload": b.payload.hex(),
+                   "contributors": [[file, row] for file, row in b.contributors]}
+                  for b in t.broadcasts]
+    doc = {"broadcasts": broadcasts, "packets_sent": t.packets_sent}
     if meta is not None:
         doc["meta"] = meta
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"

@@ -228,6 +228,54 @@ class TestDecode:
         with pytest.raises(DecodeError, match="user 2 needs slot 2"):
             decode(2, caches[2], Transcript(broadcasts=()), (1, 2, 3), p)
 
+    def test_slots_must_run_one_to_n_in_order(self):
+        p = construct_mn_pda(3, 1)
+        lib = small_lib(p)
+        b1, b2, b3 = deliver(p, lib, (1, 2, 3)).broadcasts
+        # Read by position, the reversed records would carry slot 3's
+        # contributors as slot 1; a repeated label would shadow slot 2.
+        with pytest.raises(InvalidParameter) as info:
+            Transcript(broadcasts=(b3, b2, b1))
+        assert str(info.value) == "broadcast 0 is slot 3 with 8 bytes, expected slot 1 with 8"
+        with pytest.raises(InvalidParameter, match="broadcast 1 is slot 1 with 8 bytes, expected slot 2 "):
+            Transcript(broadcasts=(b1, b1, b3))
+
+    def test_payload_sizes_are_checked(self):
+        p = construct_mn_pda(3, 1)
+        lib = small_lib(p)
+        caches = place(p, lib)
+        bcs = deliver(p, lib, (1, 2, 3)).broadcasts
+        short = Broadcast(2, bcs[1].payload[:5], bcs[1].contributors)
+        with pytest.raises(InvalidParameter, match="broadcast 1 is slot 2 with 5 bytes, expected slot 2 "):
+            Transcript(broadcasts=(bcs[0], short, bcs[2]))
+        for size in (5, 9):
+            resized = [Broadcast(b.slot, (b.payload * 2)[:size], b.contributors) for b in bcs]
+            t = Transcript(broadcasts=resized)
+            with pytest.raises(DecodeError, match=f"payloads have {size} bytes, packets 8"):
+                decode(0, caches[0], t, (1, 2, 3), p)
+        # Only a slot that is read needs packet-sized payloads.
+        grid = [[S, 1], [S, S]]
+        lib = FileLibrary.random(2, 2, packet_size=8, seed=0)
+        caches = place(grid, lib)
+        bc = deliver(grid, lib, (1, 2)).broadcasts[0]
+        t = Transcript(broadcasts=(Broadcast(1, bc.payload[:3], bc.contributors),))
+        assert decode(0, caches[0], t, (1, 2), grid) == lib.file_bytes(1)
+        with pytest.raises(DecodeError, match="payloads have 3 bytes"):
+            decode(1, caches[1], t, (1, 2), grid)
+
+    def test_arguments_are_checked_as_deliver_checks_them(self):
+        p = construct_mn_pda(3, 1)
+        lib = small_lib(p)
+        caches = place(p, lib)
+        t = deliver(p, lib, (1, 2, 3))
+        for k in (3, 5, -1):
+            with pytest.raises(InvalidParameter, match=f"user {k} is not one of the array's 3 users"):
+                decode(k, caches[2], t, (1, 2, 3), p)
+        with pytest.raises(InvalidParameter, match="exceeds library of 4 files"):
+            decode(0, caches[0], t, (9, 2, 3), p)
+        with pytest.raises(InvalidParameter, match="demand has 2 entries for 3 users"):
+            decode(0, caches[0], t, (1, 2), p)
+
     def test_cache_of_another_user_is_rejected(self):
         lib = small_lib(CROSS, n_files=2)
         caches = place(CROSS, lib)
@@ -388,21 +436,32 @@ class TestOneKernel:
         return [oracles.mn_grid(4, 2), oracles.mn_grid(6, 3), [[S, 1], [1, S]], [[S], [S]],
                 greedy_grid(5, 10, 4, 0), greedy_grid(8, 4, 3, 1)]
 
-    def test_deliver_hands_over_the_table_the_broadcasts_give(self):
+    def test_records_round_trip_to_the_table_deliver_builds(self):
         rng = np.random.default_rng(5)
         for n, grid in enumerate(self.grids()):
-            if max(map(max, grid)) == 0:
-                continue   # no broadcast fixes no packet size for the rebuilt table
             for size in (1, 64):
                 lib = FileLibrary.random(len(grid[0]) + 1, len(grid), packet_size=size, seed=n)
                 demand = tuple(int(x) for x in rng.integers(1, lib.n_files + 1, size=len(grid[0])))
                 t = deliver(grid, lib, demand)
-                rebuilt = Transcript(broadcasts=t.broadcasts)._table
-                assert len(t._table) == len(rebuilt) == 4
-                for handed, built in zip(t._table, rebuilt):
+                rebuilt = Transcript(broadcasts=t.broadcasts)
+                assert transcript_to_json(rebuilt) == transcript_to_json(t)
+                assert rebuilt.packets_sent == t.packets_sent == max(map(max, grid))
+                if not t.packets_sent:
+                    continue   # no broadcast fixes no packet size for the rebuilt table
+                for name in ("payloads", "files", "rows", "starts"):
+                    handed, built = getattr(t, name), getattr(rebuilt, name)
                     assert handed.dtype == built.dtype
                     assert np.array_equal(handed, built)
-                    assert not handed.flags.writeable
+                    assert not handed.flags.writeable and not built.flags.writeable
+
+    def test_a_round_builds_no_records(self, monkeypatch):
+        def no_records(*args, **kwargs):
+            raise AssertionError("a Broadcast was built")
+
+        monkeypatch.setattr(cachesim, "Broadcast", no_records)
+        for n, grid in enumerate(self.grids()):
+            lib = FileLibrary.random(len(grid[0]) + 1, len(grid), packet_size=8, seed=n)
+            assert run_round(grid, lib, (1,) * len(grid[0])).all_ok
 
     def test_decode_equals_the_round_for_every_user(self):
         rng = np.random.default_rng(6)

@@ -434,6 +434,27 @@ class TestExitCodes:
         assert "seed must be >= 0" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    # Every request is above 1 PiB, so it fails at once under any overcommit
+    # policy and nothing is faulted in; the last two exceed numpy's index range.
+    @pytest.mark.parametrize("command", [
+        ["simulate", "--pda", "mn21.pda", "--packet-size", 10**15],   # 5.3 PiB of packets
+        ["simulate", "--pda", "mn21.pda", "--files", 10**15],         # 114 PiB of packets
+        ["simulate", "--pda", "mn21.pda", "--trials", 10**14],        # 1.4 PiB of demands
+        ["pipeline", "--users", 3, "--rows", 3, "--stars", 1, "--out", "o.pda",
+         "--trials", 10**14],                                         # 2.1 PiB of demands
+        ["simulate", "--pda", "mn21.pda", "--packet-size", 10**20],
+        ["simulate", "--pda", "mn21.pda", "--trials", 10**20],
+    ], ids=["packet-size", "files", "trials", "pipeline-trials", "packet-size-index",
+            "trials-index"])
+    def test_request_too_large_to_allocate_is_an_input_error(self, tmp_path, monkeypatch, capsys,
+                                                              command):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "mn21.pda").write_text(pda_to_text(construct_mn_pda(2, 1)))
+        assert run(*command) == 2
+        out, err = capsys.readouterr()
+        assert "do not fit in memory" in err and "Traceback" not in err
+        assert "rate=" not in out
+
 
 GOLDEN = Path(__file__).parent / "golden"
 # Bytes a mutation inserts or writes: mostly the tokens of the formats read.
