@@ -223,6 +223,8 @@ def cmd_train(args):
         "batch_size": cfg.batch_size,
         "learning_rate": cfg.learning_rate,
         "reinforce_learning_rate": cfg.reinforce_learning_rate,
+        "clip_norm": cfg.clip_norm,
+        "holdout": holdout,
     }
     try:
         params, rows = train(train_pairs, cfg, eval_pairs=eval_pairs)

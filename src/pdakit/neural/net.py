@@ -31,6 +31,8 @@ each step computes only what the recurrence needs, and every weight
 gradient is formed once per batch from the stacked per-step rows.  A
 row's loss weight (-1/B for likelihood, reward/B for REINFORCE) enters
 at its own pointer scores, so one backward pass serves the whole batch.
+A reinforce step keeps the tape of the pass that samples its episodes
+and weights it by their rewards, so it runs no second forward pass.
 """
 
 from __future__ import annotations
@@ -579,6 +581,34 @@ def _replay(choices):
     return pick
 
 
+def _rollouts(adjs, params: ModelParams, mode: str, seeds, use_mask: bool,
+              keep_caches: bool):
+    """rollout_batch's pass: the episodes, its batch, and its tape with keep_caches."""
+    adjs = list(adjs)
+    edges_list = [extract_edge_sequence(a) for a in adjs]
+    batch = _Batch(edges_list, params)
+    if mode == "greedy":
+        pick = _greedy
+    elif mode == "sample":
+        if seeds is None or len(seeds) != len(adjs):
+            raise InvalidParameter("sampling needs one seed per placement")
+        pick = _sampler([np.random.default_rng(seeds[row]) for row in batch.rows])
+    else:
+        raise InvalidParameter(f"unknown rollout mode {mode!r}")
+    masks = [adjs[row].mask if use_mask else None for row in batch.rows]
+    choices, logprob, tape = _run(batch, params, masks, pick, keep_caches)
+    out = [((), (), 0.0)] * len(adjs)
+    for k, row in enumerate(batch.rows):
+        ch = tuple(choices[k, : batch.lengths[k]].tolist())
+        out[row] = (ch, pointer_to_colors(ch), float(logprob[k]))
+    episodes = []
+    for adj, edges, (ch, co, lp) in zip(adjs, edges_list, out):
+        reward = 1 if verify(assemble_array(adj, edges, co)).valid else -1
+        episodes.append(Episode(f=adj.f, k=adj.k, edges=edges, choices=ch, colors=co,
+                                logprob=lp, reward=reward, use_mask=use_mask))
+    return episodes, batch, tape
+
+
 def rollout_batch(
     adjs: Sequence[AdjacencyMatrix],
     params: ModelParams,
@@ -596,29 +626,7 @@ def rollout_batch(
     is always allowed).  Reward is +1 if the assembled array verifies,
     else -1.
     """
-    adjs = list(adjs)
-    edges_list = [extract_edge_sequence(a) for a in adjs]
-    batch = _Batch(edges_list, params)
-    if mode == "greedy":
-        pick = _greedy
-    elif mode == "sample":
-        if seeds is None or len(seeds) != len(adjs):
-            raise InvalidParameter("sampling needs one seed per placement")
-        pick = _sampler([np.random.default_rng(seeds[row]) for row in batch.rows])
-    else:
-        raise InvalidParameter(f"unknown rollout mode {mode!r}")
-    masks = [adjs[row].mask if use_mask else None for row in batch.rows]
-    choices, logprob, _ = _run(batch, params, masks, pick, keep_caches=False)
-    out = [((), (), 0.0)] * len(adjs)
-    for k, row in enumerate(batch.rows):
-        ch = tuple(choices[k, : batch.lengths[k]].tolist())
-        out[row] = (ch, pointer_to_colors(ch), float(logprob[k]))
-    episodes = []
-    for adj, edges, (ch, co, lp) in zip(adjs, edges_list, out):
-        reward = 1 if verify(assemble_array(adj, edges, co)).valid else -1
-        episodes.append(Episode(f=adj.f, k=adj.k, edges=edges, choices=ch, colors=co,
-                                logprob=lp, reward=reward, use_mask=use_mask))
-    return episodes
+    return _rollouts(adjs, params, mode, seeds, use_mask, keep_caches=False)[0]
 
 
 def rollout(
@@ -813,16 +821,48 @@ def supervised_loss(batch, params: ModelParams):
     return -sum(logp.tolist()) / len(batch), grads
 
 
-def reinforce_objective_and_grad(episodes, params: ModelParams):
-    """Mean of reward-weighted episode log likelihoods, with gradients."""
+def _reinforce_coefs(episodes) -> list[float]:
+    """Each episode's weight in the reinforce objective: reward / B."""
     if not episodes:
         raise InvalidBatch("empty episode batch")
     w = 1.0 / len(episodes)
-    coef = [w * ep.reward for ep in episodes]
+    return [w * ep.reward for ep in episodes]
+
+
+def _objective(coef, logps) -> float:
+    """sum_i coef[i] * logp_i, added in episode order."""
+    total = 0.0
+    for c, lp in zip(coef, logps):
+        total += c * lp
+    return total
+
+
+def reinforce_objective_and_grad(episodes, params: ModelParams):
+    """Mean of reward-weighted episode log likelihoods, with gradients.
+
+    Replays the given episodes' pointers in a forward pass of its own and
+    runs the backward pass on that pass's tape.
+    """
+    coef = _reinforce_coefs(episodes)
     logp, grads = _score(
         [((ep.f, ep.k), ep.edges, ep.choices, ep.use_mask) for ep in episodes], params, coef
     )
-    total = 0.0
-    for c, lp in zip(coef, logp.tolist()):
-        total += c * lp
-    return total, grads
+    return _objective(coef, logp.tolist()), grads
+
+
+def sample_and_reinforce(adjs: Sequence[AdjacencyMatrix], params: ModelParams, seeds,
+                         use_mask: bool):
+    """Sample one episode per placement and take the reinforce gradient from that pass.
+
+    Returns (episodes, objective, grads): bit for bit the episodes of
+    rollout_batch(adjs, params, "sample", seeds, use_mask), and what
+    reinforce_objective_and_grad returns for them.  The backward pass
+    runs on the sampling pass's own tape, so no forward pass is repeated.
+    """
+    adjs = list(adjs)
+    if not adjs:
+        raise InvalidBatch("empty episode batch")
+    episodes, batch, tape = _rollouts(adjs, params, "sample", seeds, use_mask, keep_caches=True)
+    coef = _reinforce_coefs(episodes)
+    grads = _backward(batch, tape, np.asarray(coef)[batch.rows], params)
+    return episodes, _objective(coef, [ep.logprob for ep in episodes]), grads

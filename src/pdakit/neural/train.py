@@ -8,10 +8,17 @@ improvement is measurable.  A fixed seed makes the whole run, including
 sampled episodes, reproducible: each episode draws from its own
 generator, seeded by (seed, epoch, pair index).
 
-Each minibatch runs as one pass of the batched engine: the supervised
-step, the sampled rollouts and the reinforce gradient.  The per-epoch
-greedy evaluation and epoch 0's corpus loss run the same way, in
-chunks of at most _EVAL_CHUNK pairs.
+Each minibatch makes one forward pass of the batched engine and, for
+its gradient, one backward pass on that forward pass's tape.  A
+supervised minibatch replays its targets; a reinforce minibatch samples
+its episodes, and the reward of each then weights that same tape, so no
+pass is recomputed.  The per-epoch greedy evaluation and epoch 0's
+corpus loss are forward passes alone, in chunks of at most _EVAL_CHUNK
+pairs.
+
+Floating-point warnings are off during training: a diverging update
+overflows on its way to inf or nan, and the finiteness check after each
+epoch reports that as a DivergenceError with the last good parameters.
 """
 
 from __future__ import annotations
@@ -28,8 +35,8 @@ from ..errors import DivergenceError, InvalidParameter
 from ..seqcodec import TrainingPair
 from .net import (
     colors_to_pointers,
-    reinforce_objective_and_grad,
     rollout_batch,
+    sample_and_reinforce,
     sequence_logprobs,
     supervised_loss,
 )
@@ -144,51 +151,51 @@ def train(
         rate = greedy_valid_rate(eval_pairs, params, use_mask=False)
         return rate, 2.0 * rate - 1.0
 
-    t0 = time.perf_counter()
-    rate, mean_reward = evaluate()
-    rows.append(
-        LogRow(
-            epoch=0, phase="init", loss=_corpus_loss(pairs, params),
-            mean_reward=mean_reward, valid_rate=rate,
-            wall_ms=int((time.perf_counter() - t0) * 1000),
-        )
-    )
-
-    for epoch in range(1, config.supervised_epochs + config.reinforce_epochs + 1):
-        supervised = epoch <= config.supervised_epochs
+    with np.errstate(all="ignore"):
         t0 = time.perf_counter()
-        last_good = params.copy()
-        order = rng.permutation(len(pairs))
-        losses = []
-        rewards = []
-        for lo in range(0, len(order), config.batch_size):
-            batch = order[lo : lo + config.batch_size]
-            if supervised:
-                loss, grads = supervised_loss(
-                    [(pairs[i].edges, pairs[i].colors) for i in batch], params
-                )
-                step = -config.learning_rate
-            else:
-                episodes = rollout_batch(
-                    [pairs[i].adjacency() for i in batch], params, mode="sample",
-                    seeds=[[config.seed, epoch, int(i)] for i in batch], use_mask=False,
-                )
-                rewards += [ep.reward for ep in episodes]
-                objective, grads = reinforce_objective_and_grad(episodes, params)
-                loss, step = -objective, config.reinforce_learning_rate
-            clip_grads(grads, config.clip_norm)
-            params.apply_step(grads, step)
-            losses.append(loss)
-        epoch_loss = float(np.mean(losses))
-        _guard_finite(params, epoch_loss, epoch, last_good)
         rate, mean_reward = evaluate()
         rows.append(
             LogRow(
-                epoch=epoch, phase="supervised" if supervised else "reinforce",
-                loss=epoch_loss,
-                mean_reward=mean_reward if supervised else float(np.mean(rewards)),
-                valid_rate=rate, wall_ms=int((time.perf_counter() - t0) * 1000),
+                epoch=0, phase="init", loss=_corpus_loss(pairs, params),
+                mean_reward=mean_reward, valid_rate=rate,
+                wall_ms=int((time.perf_counter() - t0) * 1000),
             )
         )
+
+        for epoch in range(1, config.supervised_epochs + config.reinforce_epochs + 1):
+            supervised = epoch <= config.supervised_epochs
+            t0 = time.perf_counter()
+            last_good = params.copy()
+            order = rng.permutation(len(pairs))
+            losses = []
+            rewards = []
+            for lo in range(0, len(order), config.batch_size):
+                batch = order[lo : lo + config.batch_size]
+                if supervised:
+                    loss, grads = supervised_loss(
+                        [(pairs[i].edges, pairs[i].colors) for i in batch], params
+                    )
+                    step = -config.learning_rate
+                else:
+                    episodes, objective, grads = sample_and_reinforce(
+                        [pairs[i].adjacency() for i in batch], params,
+                        seeds=[[config.seed, epoch, int(i)] for i in batch], use_mask=False,
+                    )
+                    rewards += [ep.reward for ep in episodes]
+                    loss, step = -objective, config.reinforce_learning_rate
+                clip_grads(grads, config.clip_norm)
+                params.apply_step(grads, step)
+                losses.append(loss)
+            epoch_loss = float(np.mean(losses))
+            _guard_finite(params, epoch_loss, epoch, last_good)
+            rate, mean_reward = evaluate()
+            rows.append(
+                LogRow(
+                    epoch=epoch, phase="supervised" if supervised else "reinforce",
+                    loss=epoch_loss,
+                    mean_reward=mean_reward if supervised else float(np.mean(rewards)),
+                    valid_rate=rate, wall_ms=int((time.perf_counter() - t0) * 1000),
+                )
+            )
 
     return params, rows

@@ -1,5 +1,6 @@
 import csv
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -272,6 +273,30 @@ class TestTrain:
         params, meta = load_checkpoint(ckpt)
         assert params.all_finite()
         assert meta["diverged"] is True
+
+    @pytest.mark.parametrize("flag", ["--learning-rate", "--reinforce-learning-rate"])
+    def test_divergence_prints_only_the_diverged_line(self, tmp_path, capsys, flag):
+        # under numpy's default error state, which warns on overflow
+        ckpt = tmp_path / "m.json"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run("train", "--corpus", GOLDEN / "corpus.jsonl", "--checkpoint", ckpt,
+                       "--log", tmp_path / "l.csv", "--epochs", 3, "--reinforce-epochs",
+                       3 if flag == "--reinforce-learning-rate" else 0,
+                       flag, "1e300", "--seed", 1)
+        assert code == 3
+        assert [str(w.message) for w in caught] == []
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("training diverged: ")
+        assert load_checkpoint(ckpt)[0].all_finite()
+
+    def test_meta_records_how_gradients_were_clipped(self, tmp_path):
+        corpus = make_corpus(tmp_path, count=6)
+        ckpt = tmp_path / "m.json"
+        assert run(*train_args(corpus, ckpt, tmp_path / "l.csv", epochs=1, reinforce_epochs=0,
+                               clip_norm=0.5, holdout=2)) == 0
+        _, meta = load_checkpoint(ckpt)
+        assert meta["clip_norm"] == 0.5 and meta["holdout"] == 2
 
     def test_empty_corpus_rejected(self, tmp_path, capsys):
         corpus = tmp_path / "empty.jsonl"

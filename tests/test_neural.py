@@ -1,4 +1,5 @@
 import dataclasses
+import importlib
 import math
 
 import numpy as np
@@ -35,6 +36,7 @@ from pdakit.neural import (
     reinforce_objective_and_grad,
     rollout,
     rollout_batch,
+    sample_and_reinforce,
     save_checkpoint,
     sequence_logprob,
     sequence_logprobs,
@@ -56,6 +58,9 @@ from pdakit.seqcodec import (
 
 import oracles
 from oracles import oracle_feasible
+
+# the module, which the package's train function shadows
+ntrain = importlib.import_module("pdakit.neural.train")
 
 CROSS = AdjacencyMatrix(np.array([[True, False], [False, True]]))
 
@@ -1042,6 +1047,46 @@ class TestTrain:
         assert info.value.checkpoint is not None
         assert info.value.checkpoint.all_finite()
 
+    @pytest.mark.parametrize("rates", [dict(learning_rate=1e300),
+                                       dict(supervised_epochs=1, reinforce_epochs=3,
+                                            reinforce_learning_rate=1e300)])
+    def test_divergence_is_reported_under_a_raising_error_state(self, rates):
+        # Overflow on the way to inf is how an update diverges; it must not
+        # escape as a FloatingPointError that carries no checkpoint.
+        pairs = [training_pair_from_pda(construct_mn_pda(3, 1)),
+                 training_pair_from_pda(construct_mn_pda(3, 2))]
+        cfg = self.one_pair_config(**{"supervised_epochs": 3, **rates})
+        old = np.seterr(all="raise")
+        try:
+            with pytest.raises(DivergenceError) as info:
+                train(pairs, cfg)
+            assert np.geterr() == dict.fromkeys(("divide", "over", "under", "invalid"), "raise")
+        finally:
+            np.seterr(**old)
+        assert info.value.checkpoint is not None
+        assert info.value.checkpoint.all_finite()
+
+    def test_one_engine_pass_per_minibatch(self, monkeypatch):
+        pairs = [training_pair_from_pda(construct_mn_pda(k, t))
+                 for k, t in ((3, 1), (3, 2), (4, 1), (4, 3), (3, 1))]
+        cfg = self.one_pair_config(supervised_epochs=2, reinforce_epochs=3, batch_size=2)
+        monkeypatch.setattr(ntrain, "_EVAL_CHUNK", 2)
+        calls = []
+        run = net._run
+
+        def counting_run(*args, **kwargs):
+            calls.append(1)
+            return run(*args, **kwargs)
+
+        monkeypatch.setattr(net, "_run", counting_run)
+        train(pairs, cfg)
+        chunks = -(-len(pairs) // 2)
+        minibatches = -(-len(pairs) // cfg.batch_size)
+        epochs = cfg.supervised_epochs + cfg.reinforce_epochs
+        # epoch 0's corpus loss, every epoch's greedy evaluation, then one
+        # pass per supervised or reinforce minibatch
+        assert len(calls) == chunks + (1 + epochs) * chunks + epochs * minibatches
+
     def test_empty_corpus_rejected(self):
         with pytest.raises(InvalidParameter):
             train([], self.one_pair_config())
@@ -1176,6 +1221,42 @@ class TestBatchedEngine:
                 assert all(np.array_equal(ga[n], gb[n]) for n in ga)
             else:
                 assert clean[key] == dirty[key]
+
+    def test_one_pass_step_matches_sampling_then_replay(self):
+        rng = np.random.default_rng(11)
+        for trial in range(12):
+            params = tiny_params(seed=trial, d=int(rng.integers(1, 6)), h=int(rng.integers(1, 6)),
+                                 f_max=6, k_max=6)
+            adjs = mixed_placements(rng, int(rng.integers(1, 7)))
+            if trial % 3 == 0:
+                adjs.insert(int(rng.integers(len(adjs) + 1)),
+                            AdjacencyMatrix(np.zeros((2, 3), dtype=bool)))
+            if trial == 11:  # a batch with no edges at all
+                adjs = [AdjacencyMatrix(np.zeros((f, 2), dtype=bool)) for f in (1, 3)]
+            seeds = [[trial, i] for i in range(len(adjs))]
+            for use_mask in (False, True):
+                episodes, objective, grads = sample_and_reinforce(adjs, params, seeds, use_mask)
+                assert episodes == rollout_batch(adjs, params, "sample", seeds, use_mask)
+                want, want_grads = reinforce_objective_and_grad(episodes, params)
+                assert objective == want
+                assert set(grads) == set(want_grads)
+                assert all(np.array_equal(grads[n], want_grads[n]) for n in grads)
+
+    def test_one_pass_step_never_reads_padding(self, monkeypatch):
+        rng = np.random.default_rng(12)
+        params = tiny_params(seed=4, d=3, h=4, f_max=6, k_max=6)
+        adjs = mixed_placements(rng, 6) + [AdjacencyMatrix(np.zeros((3, 3), dtype=bool))]
+        seeds = list(range(len(adjs)))
+        clean = [sample_and_reinforce(adjs, params, seeds, m) for m in (False, True)]
+        monkeypatch.setattr(net, "_PAD", np.nan)
+        dirty = [sample_and_reinforce(adjs, params, seeds, m) for m in (False, True)]
+        for (ea, a, ga), (eb, b, gb) in zip(clean, dirty):
+            assert ea == eb and a == b and np.isfinite(b)
+            assert all(np.array_equal(ga[n], gb[n]) for n in ga)
+
+    def test_one_pass_step_rejects_an_empty_batch(self):
+        with pytest.raises(InvalidBatch):
+            sample_and_reinforce([], tiny_params(), [], use_mask=False)
 
     def test_batched_rollouts_match_single_rollouts(self):
         rng = np.random.default_rng(10)
