@@ -17,10 +17,10 @@ import csv
 import itertools
 import json
 import operator
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -307,7 +307,7 @@ def decode(k: int, cache: Cache, transcript: Transcript, d, p) -> bytes:
     d = _check_demand(d, grid.shape[1], len(cache.data))
     if not 0 <= k < len(d):
         raise InvalidParameter(f"user {k} is not one of the array's {len(d)} users")
-    return _decode_all([k], [cache], transcript, [d[k]], grid)[0][0]
+    return _decode_all([k], [cache], transcript, [d[k]], grid)[0].tobytes()
 
 
 # Packet bytes one XOR block gathers.  On K=10, F=252 rounds with 4 KiB
@@ -316,14 +316,16 @@ _BLOCK = 512 << 10
 
 
 def _decode_all(users, caches, transcript: Transcript, want, grid: np.ndarray):
-    """decode() for every users[u] at once: (files, all equal to the library).
+    """decode() for every users[u] at once: (out, all equal to the library).
 
     caches[u] and want[u] are user users[u]'s cache and file; all caches
     read one library.  The index work runs once for all users: the
     (user, row) pairs, each pair's contributors, its own packet and the
     missing-packet check.  When several users fail, the lowest one's first
     failure is raised.  Then windows of whole users, about _BLOCK output
-    bytes or one user each, are XORed in blocks of at most _BLOCK bytes.
+    bytes or one user each, are XORed in blocks of at most _BLOCK bytes
+    into their slice of out, one (len(users)·F, B) uint8 array: rows
+    [u·F, (u+1)·F) are user users[u]'s file.
     """
     data = caches[0].data
     n_files, f, size = data.shape
@@ -382,14 +384,14 @@ def _decode_all(users, caches, transcript: Transcript, want, grid: np.ndarray):
     star_src = (want[su] - 1) * f + sr
 
     packets = data.reshape(-1, size)
-    decoded = []
+    out = np.empty((len(want) * f, size), dtype=np.uint8)
     ok = True
     j = 0
     for w, u0 in enumerate(cuts[:-1].tolist()):
         u1 = min(u0 + width, len(want))
-        out = np.empty(((u1 - u0) * f, size), dtype=np.uint8)
+        window = out[u0 * f:u1 * f]
         a, b = star_bounds[w], star_bounds[w + 1]
-        out[star_cell[a:b]] = packets.take(star_src[a:b], axis=0)
+        window[star_cell[a:b]] = packets.take(star_src[a:b], axis=0)
         while bounds[j] < window_bounds[w + 1]:
             lo_j, hi_j = bounds[j], bounds[j + 1]
             acc = payloads.take(slot_at[lo_j:hi_j], axis=0)
@@ -398,14 +400,12 @@ def _decode_all(users, caches, transcript: Transcript, want, grid: np.ndarray):
             prefix = np.searchsorted(-n_other[lo_j:hi_j], -np.arange(n_other[lo_j]))
             for r, m in enumerate(prefix.tolist()):
                 acc[:m] ^= packets.take(src[first_j[:m] + r], axis=0)
-            out[cell[lo_j:hi_j]] = acc
+            window[cell[lo_j:hi_j]] = acc
             j += 1
-        files_out = out.reshape(u1 - u0, f, size)
         # One user's file is compared with a view of the library, not a copy.
         expect = data[want[u0] - 1][None] if u1 - u0 == 1 else data[want[u0:u1] - 1]
-        ok = ok and np.array_equal(files_out, expect)
-        decoded.extend(file.tobytes() for file in files_out)
-    return decoded, ok
+        ok = ok and np.array_equal(window.reshape(u1 - u0, f, size), expect)
+    return out, ok
 
 
 def _raise_first(users, lacks, sent, slot, pu, pair, missing, pf, pr):
@@ -428,11 +428,74 @@ def _raise_first(users, lacks, sent, slot, pu, pair, missing, pf, pr):
     raise DecodeError(f"user {k} lacks packet {(int(pf[i]), int(pr[i]))} needed to decode slot {s}")
 
 
-@dataclass(frozen=True)
+class _FileRows(Sequence):
+    """Read-only rows of a (K, F·B) uint8 array, each one bytes per access."""
+
+    __slots__ = ("_files",)
+
+    def __init__(self, files: np.ndarray):
+        self._files = files
+
+    def __len__(self) -> int:
+        return len(self._files)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return tuple(row.tobytes() for row in self._files[k])
+        return self._files[operator.index(k)].tobytes()
+
+    def __iter__(self):
+        return (row.tobytes() for row in self._files)
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    __hash__ = None
+
+    def __repr__(self):
+        return f"<{len(self)} decoded files of {self._files.shape[1]} bytes>"
+
+
+@dataclass(frozen=True, init=False, eq=False)
 class RoundResult:
+    """A round's transcript and every user's decoded file.
+
+    The files live once, in the read-only (K, F·B) uint8 array ``files``:
+    row k is user k's decoded file.  ``decoded[k]`` builds that row's
+    bytes on each access.
+    """
+
     transcript: Transcript
-    decoded: tuple[bytes, ...]
+    files: np.ndarray
     all_ok: bool
+
+    def __init__(self, transcript: Transcript, decoded: Sequence[bytes], all_ok: bool):
+        """decoded: one file per user, all of one length; copied once into ``files``."""
+        rows = list(decoded)
+        width = len(rows[0]) if rows else 0
+        for k, row in enumerate(rows):
+            if len(row) != width:
+                raise InvalidParameter(f"user {k}'s file has {len(row)} bytes, user 0's {width}")
+        files = np.frombuffer(b"".join(rows), dtype=np.uint8).reshape(len(rows), width)
+        self._hold(transcript, files, all_ok)
+
+    @classmethod
+    def _of_files(cls, transcript: Transcript, files: np.ndarray, all_ok: bool) -> "RoundResult":
+        """A result over a (K, F·B) array built elsewhere; it becomes read-only."""
+        return cls.__new__(cls)._hold(transcript, files, all_ok)
+
+    def _hold(self, transcript, files, all_ok) -> "RoundResult":
+        files.setflags(write=False)
+        for name, value in (("transcript", transcript), ("files", files), ("all_ok", all_ok)):
+            object.__setattr__(self, name, value)
+        return self
+
+    @property
+    def decoded(self) -> Sequence[bytes]:
+        """decoded[k]: user k's file as bytes, built from ``files`` on each access."""
+        return _FileRows(self.files)
 
 
 def run_round(p, lib: FileLibrary, d) -> RoundResult:
@@ -442,8 +505,8 @@ def run_round(p, lib: FileLibrary, d) -> RoundResult:
     d = _check_demand(d, users, lib.n_files)
     caches = place(grid, lib)
     transcript = deliver(grid, lib, d)
-    decoded, all_ok = _decode_all(range(users), caches, transcript, d.d, grid)
-    return RoundResult(transcript=transcript, decoded=tuple(decoded), all_ok=all_ok)
+    out, all_ok = _decode_all(range(users), caches, transcript, d.d, grid)
+    return RoundResult._of_files(transcript, out.reshape(users, -1), all_ok)
 
 
 @dataclass(frozen=True)
@@ -484,7 +547,7 @@ def measure(p, trials: int = 20, seed: int = 0, n_files: Optional[int] = None,
         result = run_round(p, lib, demand)
         # run_round has compared every user; only a failed round needs it per user.
         for k, want in enumerate(demand):
-            ok = result.all_ok or result.decoded[k] == lib.file_bytes(want)
+            ok = result.all_ok or np.array_equal(result.files[k], lib.data[want - 1].reshape(-1))
             trace.append(TraceRow(trial=trial, user=k, demand=want, decoded_ok=ok))
     return MeasureReport(
         delivery_rate=Fraction(p.s, p.f),

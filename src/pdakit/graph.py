@@ -28,7 +28,7 @@ from .errors import (
     ParseError,
     json_int,
 )
-from .pda import COND_COLUMN_STARS, STAR, Pda, _pair_violations, as_grid, verify
+from .pda import COND_COLUMN_STARS, STAR, Pda, _pair_kernel, as_grid, verify
 from .seqcodec import placement_cells
 
 Edge = tuple[int, int, Optional[int]]
@@ -72,7 +72,7 @@ class BipartiteColoredGraph:
     @cached_property
     def _strong(self) -> bool:
         """The strong-coloring verdict, worked out once: the graph is frozen."""
-        return not _pair_violations(_edge_grid(self))
+        return _pair_kernel(_edge_grid(self))[0]
 
 
 def pda_to_graph(p) -> BipartiteColoredGraph:

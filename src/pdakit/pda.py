@@ -18,9 +18,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -50,11 +51,21 @@ class Violation:
         return f"{self.condition} at {self.cells}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VerifyReport:
+    """The verdict of ``verify``, with ``violations`` built on first request.
+
+    ``valid`` and ``z`` are worked out at once; a caller that reads only
+    them, such as the training reward, never builds a record.
+    """
+
     valid: bool
-    violations: tuple[Violation, ...]
     z: int
+    _records: Callable[[], tuple[Violation, ...]] = field(repr=False)
+
+    @cached_property
+    def violations(self) -> tuple[Violation, ...]:
+        return self._records()
 
     def __bool__(self):
         return self.valid
@@ -116,14 +127,15 @@ def canonicalize_colors(grid: np.ndarray) -> np.ndarray:
     return out
 
 
-def _pair_violations(grid: np.ndarray) -> list[Violation]:
-    """Every equal-integer cell pair that breaks the pair condition.
+def _pair_kernel(grid: np.ndarray) -> tuple[bool, Callable[[], list[Violation]]]:
+    """Test every equal-integer cell pair: (all pairs hold, their Violation records).
 
     Cells are grouped by color class and all within-class pairs are tested
-    in one vectorized pass.  Order: colors by first row-major occurrence,
-    cells row-major within a color, pairs in ``itertools.combinations``
-    order; a pair sharing a row or column is reported as ``pair-distinct``
-    even when a cross position is also filled.
+    in one vectorized pass, which gives the answer.  The second item builds
+    the broken pairs' records when called.  Order: colors by first
+    row-major occurrence, cells row-major within a color, pairs in
+    ``itertools.combinations`` order; a pair sharing a row or column is
+    reported as ``pair-distinct`` even when a cross position is also filled.
     """
     flat = grid.ravel()
     cells = np.flatnonzero(flat != STAR)
@@ -136,14 +148,19 @@ def _pair_violations(grid: np.ndarray) -> list[Violation]:
     r, c = np.divmod(cells, grid.shape[1])
     ra, ca, rb, cb = r[a], c[a], r[b], c[b]
     distinct = (ra == rb) | (ca == cb)
-    bad = np.flatnonzero(distinct | (grid[ra, cb] != STAR) | (grid[rb, ca] != STAR))
-    # Classes are sorted by value so far; report them by their first row-major cell.
-    first = cells[np.searchsorted(color, color[a[bad]])]
-    bad = bad[np.argsort(first, kind="stable")]
-    return [
-        Violation(COND_PAIR_DISTINCT if d else COND_PAIR_CROSS, ((i1, j1), (i2, j2)))
-        for d, i1, j1, i2, j2 in zip(*(x[bad].tolist() for x in (distinct, ra, ca, rb, cb)))
-    ]
+    broken = distinct | (grid[ra, cb] != STAR) | (grid[rb, ca] != STAR)
+
+    def records() -> list[Violation]:
+        bad = np.flatnonzero(broken)
+        # Classes are sorted by value so far; report them by their first row-major cell.
+        first = cells[np.searchsorted(color, color[a[bad]])]
+        bad = bad[np.argsort(first, kind="stable")]
+        return [
+            Violation(COND_PAIR_DISTINCT if d else COND_PAIR_CROSS, ((i1, j1), (i2, j2)))
+            for d, i1, j1, i2, j2 in zip(*(x[bad].tolist() for x in (distinct, ra, ca, rb, cb)))
+        ]
+
+    return not broken.any(), records
 
 
 def verify(raw, z: Optional[int] = None) -> VerifyReport:
@@ -152,17 +169,21 @@ def verify(raw, z: Optional[int] = None) -> VerifyReport:
     ``z`` defaults to the star count of column 0.  A declared ``z`` that
     disagrees with any column is reported as a violation, not an error.
     Column-star violations come first, then those of the pair kernel.
-    Runs in O(cells log cells + sum of squared color-class sizes) in numpy.
+    Runs in O(cells log cells + sum of squared color-class sizes) in numpy;
+    the violation records are built only when the report's ``violations``
+    are read.
     """
     grid = as_grid(raw)
     stars_per_col = (grid == STAR).sum(axis=0)
     if z is None:
         z = int(stars_per_col[0])
-    violations = [
-        Violation(COND_COLUMN_STARS, (j,)) for j in np.flatnonzero(stars_per_col != z).tolist()
-    ]
-    violations += _pair_violations(grid)
-    return VerifyReport(valid=not violations, violations=tuple(violations), z=z)
+    off = np.flatnonzero(stars_per_col != z)
+    pairs_ok, pair_records = _pair_kernel(grid)
+
+    def records() -> tuple[Violation, ...]:
+        return (*(Violation(COND_COLUMN_STARS, (j,)) for j in off.tolist()), *pair_records())
+
+    return VerifyReport(valid=pairs_ok and not off.size, z=z, _records=records)
 
 
 @dataclass(frozen=True)

@@ -501,6 +501,78 @@ class TestOneKernel:
         assert failed > 20
 
 
+class TestRoundResult:
+    """A round's files live in one read-only array; decoded builds bytes on request."""
+
+    def test_files_are_one_read_only_array_of_the_demanded_files(self):
+        for p, size in ((construct_mn_pda(4, 2), 8), (CROSS, 1), (Pda.from_grid([[S], [S]]), 16)):
+            lib = FileLibrary.random(p.k + 1, p.f, packet_size=size, seed=p.k)
+            demand = tuple(range(p.k + 1, 1, -1))
+            result = run_round(p, lib, demand)
+            assert result.files.shape == (p.k, p.f * size) and result.files.dtype == np.uint8
+            assert not result.files.flags.writeable
+            with pytest.raises(ValueError):
+                result.files[0, 0] = 1
+            for k, want in enumerate(demand):
+                assert result.files[k].tobytes() == lib.file_bytes(want)
+
+    def test_decoded_rows_and_decode_are_bytes(self):
+        p = construct_mn_pda(4, 2)
+        lib = small_lib(p)
+        demand = (1, 2, 3, 1)
+        result = run_round(p, lib, demand)
+        caches = place(p, lib)
+        rows = result.decoded
+        assert len(rows) == p.k
+        assert all(type(rows[k]) is bytes for k in range(p.k))
+        assert all(type(row) is bytes for row in rows)
+        assert rows[-1] == rows[3] == lib.file_bytes(1) and rows[1:3] == rows[1:3]
+        assert rows == tuple(lib.file_bytes(want) for want in demand)
+        assert rows == [lib.file_bytes(want) for want in demand]
+        assert rows != tuple(lib.file_bytes(want) for want in demand[:3])
+        assert rows != (b"",) * p.k
+        assert type(decode(2, caches[2], result.transcript, demand, p)) is bytes
+        with pytest.raises(IndexError):
+            rows[p.k]
+        with pytest.raises(TypeError):
+            rows[0] = b""
+
+    def test_public_constructor_copies_bytes_rows_once(self):
+        p = construct_mn_pda(3, 1)
+        lib = small_lib(p)
+        result = run_round(p, lib, (1, 2, 3))
+        rows = tuple(result.decoded)
+        rebuilt = cachesim.RoundResult(transcript=result.transcript, decoded=rows, all_ok=True)
+        assert rebuilt.decoded == rows and rebuilt.all_ok
+        assert np.array_equal(rebuilt.files, result.files) and not rebuilt.files.flags.writeable
+        empty = cachesim.RoundResult(transcript=result.transcript, decoded=(), all_ok=True)
+        assert empty.files.shape == (0, 0) and empty.decoded == ()
+        with pytest.raises(InvalidParameter, match="user 1's file has 3 bytes"):
+            cachesim.RoundResult(transcript=result.transcript, decoded=(b"abcd", b"abc"), all_ok=True)
+
+    def test_results_compare_without_comparing_arrays(self):
+        p = construct_mn_pda(3, 1)
+        lib = small_lib(p)
+        a, b = run_round(p, lib, (1, 2, 3)), run_round(p, lib, (1, 2, 3))
+        assert a == a and a != b
+        assert a.decoded == b.decoded
+
+    def test_failed_round_is_traced_user_by_user(self, monkeypatch):
+        real = cachesim._decode_all
+
+        def corrupt_user_one(*args):
+            out, _ = real(*args)
+            out = out.copy()
+            out[len(out) // 2] ^= 1
+            return out, False
+
+        monkeypatch.setattr(cachesim, "_decode_all", corrupt_user_one)
+        p = construct_mn_pda(2, 1)
+        report = measure(p, trials=2, seed=4)
+        assert [row.decoded_ok for row in report.trace] == [True, False] * 2
+        assert not report.all_decoded
+
+
 class TestRounds:
     def test_exhaustive_demands_small_systems(self):
         for k, t_par in [(2, 1), (3, 1), (3, 2), (4, 2)]:

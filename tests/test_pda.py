@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from pdakit import pda as pda_module
 from pdakit.errors import InvalidParameter, InvalidPda, MalformedGrid, ParseError
 from pdakit.pda import (
     COND_COLOR_RANGE,
@@ -83,6 +84,27 @@ class TestVerify:
             for z in (None, declared):
                 got = [(v.condition, v.cells) for v in verify(grid, z).violations]
                 assert got == oracles.oracle_violations(grid, z)
+
+    def test_the_answer_builds_no_records(self, monkeypatch):
+        def no_records(*args, **kwargs):
+            raise AssertionError("a Violation was built")
+
+        rng = np.random.default_rng(20261019)
+        seen = set()
+        for _ in range(2000):
+            grid = oracles.random_grid(rng, max_f=7, max_k=7)
+            declared = int(rng.integers(0, len(grid) + 1))
+            for z in (None, declared):
+                expected = oracles.oracle_violations(grid, z)
+                pairs = [v for v in expected if v[0] != COND_COLUMN_STARS]
+                with monkeypatch.context() as patched:
+                    patched.setattr(pda_module, "Violation", no_records)
+                    pairs_hold, records = pda_module._pair_kernel(as_grid(grid))
+                    assert pairs_hold == (not pairs)
+                    assert verify(grid, z).valid == (not expected)
+                assert [(v.condition, v.cells) for v in records()] == pairs
+                seen.add((pairs_hold, not expected))
+        assert seen == {(True, True), (True, False), (False, False)}
 
 
 class TestCanonicalForm:
