@@ -26,6 +26,18 @@ caller hands in each masked row's placement mask, and the row's
 FeasibilityTracker keeps O(min(F, K) * E) state for it.  One sequence is
 a batch of one.
 
+A decode step is a few dozen numpy calls on arrays of a few rows, so
+their count, not their arithmetic, sets its time.  Each position's
+attention key, [attn_enc projection | encoder state], is one row of a
+(B, L, 3h) table, and a masked step gathers both halves with one take.
+Every step's decoder input, [context | embedding], is a row of one
+stacked array whose embeddings are filled in before the loop; each step
+writes its context into the next step's rows.  A masked row's support is
+its tracker's screen of n_colors + 1 columns, the last one the next
+color's, whose first use is the current position.  The GRU and softmax
+work in place, and each step's top score and partition sum become log
+probabilities after the loop.
+
 The backward pass is backpropagation through time with deferred GEMMs:
 each step computes only what the recurrence needs, and every weight
 gradient is formed once per batch from the stacked per-step rows.  A
@@ -62,25 +74,43 @@ from .params import GruParams, ModelParams
 _PAD = 0.0
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    return 0.5 * (1.0 + np.tanh(0.5 * x))
+# 0-d constants: numpy converts a Python float operand again on every call
+_HALF, _ONE = np.array(0.5), np.array(1.0)
+_HALF.flags.writeable = _ONE.flags.writeable = False
+
+
+def _sigmoid(x: np.ndarray, out=None) -> np.ndarray:
+    """0.5 * (1 + tanh(x / 2)), which cannot overflow; in place when out is x."""
+    y = np.multiply(x, _HALF, out)
+    np.tanh(y, y)
+    y += _ONE
+    y *= _HALF
+    return y
 
 
 # --- GRU cell -------------------------------------------------------------
 
 
-def _gru_forward(ux: np.ndarray, y_prev: np.ndarray, w_t: np.ndarray):
+def _gru_forward(ux: np.ndarray, y_prev: np.ndarray, w_t: np.ndarray, out=None):
     """One step for a block of rows on inputs already projected: x @ u.T + b.
 
     y_prev is (b, h) with w_t = w.T, or a stack of GRUs, (g, b, h) with
-    w_t (g, h, 3h).
+    w_t (g, h, 3h).  The new state goes to out when it is given.
     """
     h = y_prev.shape[-1]
     wy = y_prev @ w_t
-    gates = _sigmoid(ux[..., : 2 * h] + wy[..., : 2 * h])
-    r, z = gates[..., :h], gates[..., h:]
-    cand = np.tanh(ux[..., 2 * h :] + r * wy[..., 2 * h :])
-    y = z * y_prev + (1.0 - z) * cand
+    # the sigmoid runs over all three thirds; only the gates' two are read
+    gates = ux + wy
+    _sigmoid(gates, gates)
+    r, z = gates[..., :h], gates[..., h : 2 * h]
+    cand = r * wy[..., 2 * h :]
+    cand += ux[..., 2 * h :]
+    np.tanh(cand, cand)
+    # z * y_prev + (1 - z) * cand, each product rounded as written
+    y = np.multiply(z, y_prev, out)
+    mix = _ONE - z
+    mix *= cand
+    y += mix
     return y, (y_prev, gates, wy, cand)
 
 
@@ -116,7 +146,7 @@ def _gru_backward(dy, cache, w: np.ndarray):
     """
     y_prev, gates, wy_cand, cand = cache
     h = cand.shape[-1]
-    r, z = gates[..., :h], gates[..., h:]
+    r, z = gates[..., :h], gates[..., h : 2 * h]
     da_c = dy * (1.0 - z) * (1.0 - cand * cand)
     da_r = da_c * wy_cand * r * (1.0 - r)
     da_z = dy * (y_prev - cand) * z * (1.0 - z)
@@ -153,16 +183,22 @@ class _Batch:
     rows still running at step t, which are rows 0..active[t]-1.  Per-step
     rows are stacked in step order, step t's at offsets[t]:offsets[t+1];
     valid is the (L, B) length mask, time-major, so X[valid] stacks a
-    time-major (L, B, .) array the same way.  Over stacked rows, rev maps
-    (t, k) to (n_k - 1 - t, k), each row reversed within its own length.
-    embs holds each stacked position's embedding.
+    time-major (L, B, .) array the same way, and steps holds each stacked
+    position's step.  Over stacked rows, rev maps (t, k) to
+    (n_k - 1 - t, k), each row reversed within its own length, and prev
+    maps each stacked row of steps 1.. to the row's position one step
+    earlier, (t, k) to (t - 1, k).  embs holds each stacked position's
+    embedding.
     """
 
     def __init__(self, edges_list, params: ModelParams):
         lengths = [len(e) for e in edges_list]
-        # a stable sort, longest first; empty rows never step
-        self.rows = sorted((k for k, n in enumerate(lengths) if n),
-                           key=lengths.__getitem__, reverse=True)
+        if len(lengths) == 1:
+            self.rows = [0] if lengths[0] else []
+        else:
+            # a stable sort, longest first; empty rows never step
+            self.rows = sorted((k for k, n in enumerate(lengths) if n),
+                               key=lengths.__getitem__, reverse=True)
         self.edges = [edges_list[row] for row in self.rows]
         n = np.array([lengths[row] for row in self.rows], dtype=np.int64)
         b, L = len(n), int(n[0]) if len(n) else 0
@@ -170,8 +206,10 @@ class _Batch:
         self.valid = np.arange(L)[:, None] < n
         self.active = self.valid.sum(axis=1).tolist()
         self.offsets = list(accumulate(self.active, initial=0))
-        steps, ks = self.valid.nonzero()
-        self.rev = np.array(self.offsets[:-1], dtype=np.int64)[n[ks] - 1 - steps] + ks
+        self.steps, ks = self.valid.nonzero()
+        self.rev = np.array(self.offsets[:-1], dtype=np.int64)[n[ks] - 1 - self.steps] + ks
+        # the positions of steps 0..L-2 whose row runs one step more
+        self.prev = self.valid[1:][self.valid[:-1]].nonzero()[0]
         cells = np.zeros((L, b, 2), dtype=np.int64)
         for k, edges in enumerate(self.edges):
             try:
@@ -203,19 +241,21 @@ class _Batch:
 # --- encoder ----------------------------------------------------------------
 
 
-def _encode(batch: _Batch, params: ModelParams, keep_caches: bool):
-    """Encoder states (B, L, 2h), batch-major, and the caches of its steps.
+def _encode(batch: _Batch, params: ModelParams, keep_caches: bool, states: np.ndarray):
+    """Write the encoder states into states, (B, L, 2h); return the caches of its steps.
 
     Both directions step together, as one stacked GRU over (2, b, .)
     blocks.  The backward direction reads each row reversed within its
     own length, so at step s both run the same rows, and row k's backward
     state at step s belongs to position n_k - 1 - s.  Every input is
-    projected in one product per direction before the first step.
+    projected in one product per direction before the first step.  The
+    padded slots of states are left as they are.
     """
     h = params.config.hidden_dim
     L, B = batch.valid.shape
     off, rev, fwd, bwd = batch.offsets, batch.rev, params.fwd, params.bwd
-    xu = np.empty((2, off[-1], 3 * h))
+    # (2, N, .) views of (N, 2, .) buffers, so that a step's (2, b, .) rows are one block
+    xu = np.empty((off[-1], 2, 3 * h)).transpose(1, 0, 2)
     np.matmul(batch.embs, fwd.u.T, out=xu[0])
     xu[0] += fwd.b
     # permute the product, not embs: BLAS can round a moved row differently (seen at d >= 32)
@@ -223,20 +263,18 @@ def _encode(batch: _Batch, params: ModelParams, keep_caches: bool):
     xu[1] = xu[1][rev]
     xu[1] += bwd.b
     w_t = np.concatenate([fwd.w.T[None], bwd.w.T[None]])
-    ys = np.empty((2, off[-1], h))
+    ys = np.empty((off[-1], 2, h)).transpose(1, 0, 2)
     y = np.zeros((2, B, h))
     caches = []
     for s in range(L):
         rows = slice(off[s], off[s + 1])
-        y, cache = _gru_forward(xu[:, rows], y[:, : batch.active[s]], w_t)
-        ys[:, rows] = y
+        y, cache = _gru_forward(xu[:, rows], y[:, : batch.active[s]], w_t, ys[:, rows])
         if keep_caches:
             caches.append(_taped(cache))
-    states = np.full((B, L, 2 * h), _PAD)
     time_major = states.transpose(1, 0, 2)
     time_major[..., :h][batch.valid] = ys[0]
     time_major[..., h:][batch.valid] = ys[1][rev]
-    return states, caches
+    return caches
 
 
 def encode(edges, params: ModelParams) -> np.ndarray:
@@ -246,8 +284,9 @@ def encode(edges, params: ModelParams) -> np.ndarray:
     """
     if not len(edges):
         raise InvalidParameter("cannot encode an empty edge sequence")
-    states, _ = _encode(_Batch([edges], params), params, keep_caches=False)
-    return states[0]
+    states = np.empty((len(edges), 2 * params.config.hidden_dim))
+    _encode(_Batch([edges], params), params, False, states[None])
+    return states
 
 
 # --- attention pointer ------------------------------------------------------
@@ -255,25 +294,29 @@ def encode(edges, params: ModelParams) -> np.ndarray:
 
 def _activations(pre_enc, q):
     """The attention's tanh layer; the backward pass recomputes it, bit for bit."""
-    return np.tanh(pre_enc + q[:, None, :])
+    a = pre_enc + q[:, None, :]
+    return np.tanh(a, out=a)
 
 
-def _attend(pre_enc, q, v, pad):
+def _attend(pre_enc, q, v, pad, m=None, z=None):
     """Pointer distributions of a block of rows over their (b, W) supports.
 
     pre_enc holds the attn_enc projections of the supported states,
     (b, W, h); q the attn_dec projections of the decoder states, (b, h).
     pad marks support columns that only fill a row to width W, or is
-    None.  Returns probabilities, raw scores, and the log of each row's
-    partition sum.
+    None.  Returns probabilities and raw scores; each row's top score
+    and partition sum go to m and z, both (b, 1), so its log partition
+    sum is m + log(z).
     """
     u = _activations(pre_enc, q) @ v
     if pad is not None:
         u[pad] = -np.inf
-    m = u.max(axis=1)
-    ex = np.exp(u - m[:, None])
-    z = ex.sum(axis=1)
-    return ex / z[:, None], u, m + np.log(z)
+    m = np.maximum.reduce(u, 1, None, m, True)
+    p = u - m
+    np.exp(p, p)
+    z = np.add.reduce(p, 1, None, z, True)
+    p /= z
+    return p, u
 
 
 def decode_step(states, d_t, mask, params: ModelParams) -> np.ndarray:
@@ -292,7 +335,7 @@ def decode_step(states, d_t, mask, params: ModelParams) -> np.ndarray:
     if idx.size == 0:
         raise NoFeasibleAction("every position is masked off")
     p1 = states[idx] @ params.attn_enc.T
-    p, _, _ = _attend(p1[None], d_t[None] @ params.attn_dec.T, params.attn_v, None)
+    p, _ = _attend(p1[None], d_t[None] @ params.attn_dec.T, params.attn_v, None)
     out = np.zeros(states.shape[0])
     out[idx] = p[0]
     return out
@@ -357,13 +400,15 @@ class FeasibilityTracker:
 
     The tracker turns the mask, transposing it when F < K, so that its
     columns are the shorter side, S = min(F, K).  The column rule is a
-    dense S-by-E table, col_open[j, c]: every member row so far has a star
-    in column j.  The row rule packs S bits into ceil(S/64) words, word w
-    holding columns 64w..64w+63: members[w, c] holds color c's member
-    columns and row_bits[w, i] row i's edge columns, so color c is blocked
-    for row i when some members[w, c] & row_bits[w, i] is nonzero.  Memory
-    is O(S * E).  A new member writes S flags and one word; a query reads
-    n_colors flags and n_colors * ceil(S/64) words.
+    dense S-by-(E+1) table, col_open[j, c]: every member row so far has a
+    star in column j.  The row rule packs S bits into ceil(S/64) words,
+    word w holding columns 64w..64w+63: members[w, c] holds color c's
+    member columns and row_bits[w, i] row i's edge columns, so color c is
+    blocked for row i when some members[w, c] & row_bits[w, i] is nonzero.
+    Memory is O(S * E).  A new member writes S flags and one word; a query
+    reads n_colors flags and n_colors * ceil(S/64) words.  Column n_colors
+    belongs to the next color, which has no members yet, so every cell
+    passes it.
     """
 
     def __init__(self, adj: np.ndarray):
@@ -372,7 +417,8 @@ class FeasibilityTracker:
         if self.transposed:
             adj = adj.T
         s = adj.shape[1]
-        cap = max(np.count_nonzero(adj), 1)
+        # one column per cell, and one for the next color after the last
+        cap = np.count_nonzero(adj) + 1
         words = -(-s // 64)
         row_bits = np.zeros((len(adj), 8 * words), dtype=np.uint8)
         row_bits[:, : -(-s // 8)] = np.packbits(adj, axis=1, bitorder="little")
@@ -395,17 +441,24 @@ class FeasibilityTracker:
         self.col_open[:, c] &= self.stars[i]
         self.members[j >> 6, c] |= _BITS[j & 63]
 
-    def feasible(self, i: int, j: int) -> np.ndarray:
-        """Boolean vector over colors 0..n_colors-1: may take cell (i, j)."""
+    def feasible(self, i: int, j: int, n: int | None = None) -> np.ndarray:
+        """Boolean vector over colors 0..n-1: may take cell (i, j).
+
+        n defaults to n_colors; n_colors + 1 adds the next color's flag,
+        which is always True.
+        """
         if self.transposed:
             i, j = j, i
-        n = self.n_colors
-        # the member columns each color shares with row i's edges, OR-ed over words
-        shared = self.members[0, :n] & self.row_bits[0, i]
+        if n is None:
+            n = self.n_colors
+        # the member columns each color shares with row i's edges, OR-ed over
+        # words; row_bits[w, i, ...] is a 0-d view, which numpy takes faster than a scalar
+        shared = self.members[0, :n] & self.row_bits[0, i, ...]
         for w in range(1, len(self.members)):
-            shared |= self.members[w, :n] & self.row_bits[w, i]
-        # True > shared holds exactly where shared is 0, and False > shared nowhere
-        return np.greater(self.col_open[j, :n], shared)
+            shared |= self.members[w, :n] & self.row_bits[w, i, ...]
+        open_ = np.logical_not(shared)
+        open_ &= self.col_open[j, :n]
+        return open_
 
 
 # --- episodes ------------------------------------------------------------------
@@ -433,47 +486,6 @@ class Episode:
             raise InvalidParameter("choices, colors, and edges must share a length")
 
 
-class _Screen:
-    """One masked row's feasibility state: its tracker, first uses and colors."""
-
-    def __init__(self, mask, edges):
-        self.edges = edges
-        self.tracker = FeasibilityTracker(mask)
-        self.first = np.empty(len(edges), dtype=np.int64)
-        self.colors: list[int] = []
-
-    def support(self, t: int) -> np.ndarray:
-        """First uses of the colors open to position t, then t itself."""
-        feas = self.tracker.feasible(*self.edges[t])
-        return np.concatenate([self.first[: self.tracker.n_colors][feas], [t]])
-
-    def record(self, t: int, c: int) -> None:
-        i, j = self.edges[t]
-        if c == t:
-            self.first[self.tracker.new_color(i, j)] = t
-            self.colors.append(self.tracker.n_colors)
-        else:
-            self.colors.append(self.colors[c])
-            self.tracker.add_member(self.colors[c] - 1, i, j)
-
-
-def _supports(screens, t: int, b: int):
-    """Step t's supports when some row is masked: (b, W) positions, widths, pad.
-
-    A masked row offers its screen's support, any other row 0..t.  Rows
-    are padded with t to the widest one, and pad marks the filler.
-    """
-    rows = [np.arange(t + 1) if s is None else s.support(t) for s in screens[:b]]
-    if b == 1:
-        return rows[0][None], len(rows[0]), None
-    widths = np.array([len(r) for r in rows])
-    idx = np.full((b, widths.max()), t)
-    for k, r in enumerate(rows):
-        idx[k, : len(r)] = r
-    pad = np.arange(idx.shape[1]) >= widths[:, None]
-    return idx, widths, pad if pad.any() else None
-
-
 def _run(batch: _Batch, params: ModelParams, masks, pick, keep_caches: bool):
     """Decode every row of a batch in one pass; the engine behind every entry point.
 
@@ -483,64 +495,99 @@ def _run(batch: _Batch, params: ModelParams, masks, pick, keep_caches: bool):
     pick(t, idx, p, widths) returns each running row's chosen column of
     p; idx is None when every support is the slice 0..t.  Returns the
     sorted rows' choices, (B, L), their log probabilities, and the tape
-    the backward pass needs (None without caches).
+    the backward pass needs (None without caches).  The module docstring
+    describes how a step is laid out.
     """
     B, L = len(batch.rows), len(batch.active)
     h = params.config.hidden_dim
-    states, enc_caches = _encode(batch, params, keep_caches)
-    p1 = states @ params.attn_enc.T
-    screens = [None if m is None else _Screen(m, batch.edges[k]) for k, m in enumerate(masks)]
-    masked_rows = [k for k, s in enumerate(screens) if s is not None]
-    if masked_rows:
-        # flat views: one take per step gathers every row's support
-        p1_flat, states_flat = p1.reshape(B * L, h), states.reshape(B * L, 2 * h)
+    off, active = batch.offsets, batch.active
+    keys = np.full((B, L, 3 * h), _PAD)
+    states = keys[..., h:]
+    enc_caches = _encode(batch, params, keep_caches, states)
+    np.matmul(states, params.attn_enc.T, out=keys[..., :h])
+    dec, v = params.dec, params.attn_v
+    u_t, w_t, q_t = dec.u.T, dec.w.T, params.attn_dec.T
+    # a bias row per batch row: adding a block of the same shape skips numpy's broadcasting
+    bias = dec.b[None].repeat(B, 0)
+    xs = np.empty((off[-1], dec.u.shape[1]))
+    ds = np.empty((off[-1], h))
+    if L:
+        xs[: off[1], : 2 * h] = 0.0
+        xs[: off[1], 2 * h :] = params.start
+        # step t >= 1 reads the embedding of each running row's position t - 1
+        xs[off[1] :, 2 * h :] = batch.embs[batch.prev]
+    screened = [k for k, m in enumerate(masks) if m is not None]
+    if screened:
+        trackers = [None if m is None else FeasibilityTracker(m) for m in masks]
+        # first[k][c] is row k's first use of color c, color[k][l] the color index at l
+        first = [None if m is None else np.empty(len(e), dtype=np.int64)
+                 for m, e in zip(masks, batch.edges)]
+        color = [[] for _ in range(B)]
+        flat_keys = keys.reshape(B * L, 3 * h)
         base = np.arange(B)[:, None] * L
     choices = np.zeros((B, L), dtype=np.int64)
-    # each step's log probability of its choice, summed in step order at the end
-    scores = np.zeros((L, B))
-    dec = params.dec
-    d = np.zeros((B, h))
-    context = np.zeros((B, 2 * h))
+    # each step's chosen score, top score and partition sum, made log probabilities at the end
+    picked, top, zsum = np.zeros((L, B)), np.zeros((L, B, 1)), np.ones((L, B, 1))
     ar = np.arange(B)
+    d = np.zeros((B, h))
     steps = []
-    if keep_caches:
-        # decoder inputs and states, stacked as the weight gradients read them
-        xs = np.empty((batch.offsets[-1], dec.u.shape[1]))
-        ds = np.empty((batch.offsets[-1], h))
     for t in range(L):
-        b = batch.active[t]
-        rows = ar[:b]
-        if t == 0:
-            emb = params.start[None].repeat(b, axis=0)
-        else:
-            emb = batch.embs[batch.offsets[t - 1] : batch.offsets[t - 1] + b]
-        x = np.concatenate([context[:b], emb], axis=1)
-        d, gcache = _gru_forward(x @ dec.u.T + dec.b, d[:b], dec.w.T)
-        q = d @ params.attn_dec.T
-        if masked_rows:
-            idx, widths, pad = _supports(screens, t, b)
-            flat = idx + base[:b]
-            pre_enc, s_idx = p1_flat.take(flat, axis=0), states_flat.take(flat, axis=0)
+        b, o, o1 = active[t], off[t], off[t + 1]
+        ux = xs[o:o1] @ u_t
+        ux += bias[:b]
+        d, gcache = _gru_forward(ux, d[:b], w_t, ds[o:o1])
+        if screened:
+            sups = []
+            for k in range(b):
+                tracker = trackers[k]
+                if tracker is None:
+                    sups.append(np.arange(t + 1))
+                    continue
+                n = tracker.n_colors
+                first[k][n] = t
+                sups.append(first[k][: n + 1][tracker.feasible(*batch.edges[k][t], n + 1)])
+            if b == 1:  # nothing to pad, and row 0's flat positions are its own
+                idx = flat = sups[0][None]
+                widths, pad = idx.shape[1], None
+            else:
+                widths = np.array([len(r) for r in sups])
+                idx = np.full((b, widths.max()), t)
+                for k, r in enumerate(sups):
+                    idx[k, : len(r)] = r
+                pad = np.arange(idx.shape[1]) >= widths[:, None]
+                pad = pad if pad.any() else None
+                flat = idx + base[:b]
+            key = flat_keys.take(flat, 0)
         else:
             idx, widths, pad = None, t + 1, None
-            pre_enc, s_idx = p1[:b, : t + 1], states[:b, : t + 1]
-        p, u, log_z = _attend(pre_enc, q, params.attn_v, pad)
+            key = keys[:b, : t + 1]
+        p, u = _attend(key[..., :h], d @ q_t, v, pad, top[t, :b], zsum[t, :b])
         pos = pick(t, idx, p, widths)
+        rows = ar[:b]
+        picked[t, :b] = u[rows, pos]
         choice = pos if idx is None else idx[rows, pos]
-        scores[t, :b] = u[rows, pos] - log_z
         choices[:b, t] = choice
-        for k in masked_rows:
-            if k >= b:
-                break
-            screens[k].record(t, int(choice[k]))
-        context = (p[:, None, :] @ s_idx)[:, 0]
+        if screened:
+            cs = choice.tolist()
+            for k in screened:
+                if k >= b:
+                    break
+                c, (i, j) = cs[k], batch.edges[k][t]
+                if c == t:
+                    color[k].append(trackers[k].new_color(i, j))
+                else:
+                    color[k].append(color[k][c])
+                    trackers[k].add_member(color[k][c], i, j)
+        nb = active[t + 1] if t + 1 < L else 0
+        if nb:
+            # context_t = p @ s_idx, the first half of step t+1's input
+            np.matmul(p[:nb, None, :], key[:nb, :, h:], out=xs[o1 : o1 + nb, None, : 2 * h])
         if keep_caches:
-            o = batch.offsets[t]
-            xs[o : o + b], ds[o : o + b] = x, d
             steps.append((idx, p, pos, _taped(gcache)))
     tape = None
     if keep_caches:
-        tape = {"states": states, "encoder": enc_caches, "steps": steps, "x": xs, "d": ds}
+        tape = {"keys": keys, "encoder": enc_caches, "steps": steps, "x": xs, "d": ds}
+    scores = picked - (top[..., 0] + np.log(zsum[..., 0]))
     logprob = np.cumsum(scores, axis=0)[-1] if L else np.zeros(B)
     return choices, logprob, tape
 
@@ -549,12 +596,11 @@ def _greedy(t, idx, p, widths):
     return p.argmax(axis=1)
 
 
-def _sampler(rngs):
-    """Inverse-CDF draws, one generator per sorted row."""
+def _sampler(draws):
+    """Inverse-CDF draws: step t of sorted row k reads the uniform draws[k, t]."""
 
     def pick(t, idx, p, widths):
-        r = np.array([rng.random() for rng in rngs[: len(p)]])
-        pos = (np.cumsum(p, axis=1) <= r[:, None]).sum(axis=1)
+        pos = (np.cumsum(p, axis=1) <= draws[: len(p), t, None]).sum(axis=1)
         return np.minimum(pos, widths - 1)
 
     return pick
@@ -592,7 +638,11 @@ def _rollouts(adjs, params: ModelParams, mode: str, seeds, use_mask: bool,
     elif mode == "sample":
         if seeds is None or len(seeds) != len(adjs):
             raise InvalidParameter("sampling needs one seed per placement")
-        pick = _sampler([np.random.default_rng(seeds[row]) for row in batch.rows])
+        # one draw per step, from the row's own generator, in step order
+        draws = np.zeros((len(batch.rows), len(batch.active)))
+        for k, row in enumerate(batch.rows):
+            draws[k, : batch.lengths[k]] = np.random.default_rng(seeds[row]).random(batch.lengths[k])
+        pick = _sampler(draws)
     else:
         raise InvalidParameter(f"unknown rollout mode {mode!r}")
     masks = [adjs[row].mask if use_mask else None for row in batch.rows]
@@ -655,12 +705,18 @@ def _score(rows, params: ModelParams, coef=None):
     masks = [edges_to_mask(shape, edges) if use_mask else None
              for shape, edges, _, use_mask in rows]
     batch = _Batch([r[1] for r in rows], params)
-    choices = batch.pad([r[2] for r in rows], float)
-    steps = np.arange(choices.shape[1])
-    bad = batch.valid.T & ~((0 <= choices) & (choices <= steps) & (choices == np.floor(choices)))
+    if len(rows) == 1:
+        # one row is already in sorted, stacked order, and needs no padding
+        stacked = np.asarray(rows[0][2], dtype=float)
+        choices = stacked[None]
+    else:
+        choices = batch.pad([r[2] for r in rows], float)
+        stacked = choices.T[batch.valid]
+    bad = ~((0 <= stacked) & (stacked <= batch.steps) & (stacked == np.floor(stacked)))
     if bad.any():
-        k, t = np.argwhere(bad.T)[0][::-1]
-        raise InvalidPointer(f"choice {choices[k, t]:g} at step {t} is not an available position")
+        n = int(bad.argmax())  # stacked step by step, so the earliest step's first row
+        raise InvalidPointer(
+            f"choice {stacked[n]:g} at step {batch.steps[n]} is not an available position")
     _, logprob, tape = _run(batch, params, [masks[row] for row in batch.rows],
                             _replay(choices.astype(np.int64)), coef is not None)
     out = np.zeros(len(rows))
@@ -729,12 +785,12 @@ def _decoder_backward(batch: _Batch, tape, coef, params: ModelParams, grads):
     gradient on the encoder states, (B, L, 2h), and on every step's
     decoder input embedding, stacked.
     """
-    states, steps, x, d = tape["states"], tape.pop("steps"), tape.pop("x"), tape.pop("d")
+    keys, steps, x, d = tape["keys"], tape.pop("steps"), tape.pop("x"), tape.pop("d")
     B, L = len(batch.rows), len(batch.active)
     h = params.config.hidden_dim
     dec = params.dec
     u_context = dec.u[:, : 2 * h]
-    p1 = states @ params.attn_enc.T
+    p1, states = keys[..., :h], keys[..., h:]
     y_prev = np.concatenate([s[3][0] for s in steps])
     dstates = np.zeros_like(states)
     dp1 = np.zeros((B, L, h))
@@ -750,11 +806,12 @@ def _decoder_backward(batch: _Batch, tape, coef, params: ModelParams, grads):
         # context_t = p @ s_idx feeds step t+1; dcontext holds its gradient
         dctx = dcontext[:b]
         if idx is None:
-            s_idx, pre_enc = states[:b, : t + 1], p1[:b, : t + 1]
+            key = keys[:b, : t + 1]
             dstates[:b, : t + 1] += p[:, :, None] * dctx[:, None, :]
         else:
-            s_idx, pre_enc = states[rows[:, None], idx], p1[rows[:, None], idx]
+            key = keys[rows[:, None], idx]
             np.add.at(dstates, (rows[:, None], idx), p[:, :, None] * dctx[:, None, :])
+        pre_enc, s_idx = key[..., :h], key[..., h:]
         t_act = _activations(pre_enc, d[packed] @ params.attn_dec.T)
         g = (s_idx @ dctx[:, :, None])[:, :, 0]
         seed = -p
@@ -792,9 +849,7 @@ def _backward(batch: _Batch, tape, coef, params: ModelParams):
     # the decoder input of step t holds the start at t = 0, else the embedding of t-1
     off = batch.offsets
     grads["start"] += dx_emb[: off[1]].sum(axis=0)
-    for t in range(1, len(batch.active)):
-        b = batch.active[t]
-        demb[off[t - 1] : off[t - 1] + b] += dx_emb[off[t] : off[t] + b]
+    demb[batch.prev] += dx_emb[off[1] :]
     table = grads["embed"].T
     for slot in batch.slots:
         np.add.at(table, slot, demb)

@@ -107,6 +107,47 @@ def random_adjacency(rng, max_f=5, max_k=5):
     return AdjacencyMatrix(mask)
 
 
+# Masked greedy pointers of the color benchmark's model (seed 0, h = 8) on the
+# cyclic E=256 placement and on MN(8,4), (K, F, Z) = (8, 70, 35), as recorded
+# with the decoder before its step was rewritten, with their log probabilities.
+COLOR_MODEL_PINS = {
+    (64, 16, 12): (-472.47939461405446, (
+        0, 1, 2, 3, 0, 5, 6, 7, 8, 9, 10, 11, 12, 1, 10, 15, 2, 3, 11, 5, 0, 8, 12, 2,
+        9, 1, 3, 0, 10, 11, 8, 9, 15, 12, 1, 10, 36, 37, 11, 2, 0, 8, 12, 36, 9, 1, 37,
+        0, 10, 11, 8, 9, 2, 12, 1, 10, 36, 37, 11, 15, 3, 8, 12, 36, 9, 65, 37, 67, 68,
+        69, 70, 71, 65, 69, 74, 75, 36, 37, 6, 79, 80, 81, 82, 83, 7, 65, 36, 80, 88,
+        37, 81, 91, 6, 82, 94, 88, 83, 97, 98, 99, 100, 80, 81, 83, 104, 94, 97, 100,
+        82, 98, 80, 104, 99, 81, 94, 88, 116, 97, 98, 99, 100, 80, 122, 116, 104, 83,
+        97, 100, 128, 129, 130, 98, 128, 99, 122, 135, 136, 137, 138, 97, 116, 129, 138,
+        100, 98, 130, 97, 100, 128, 136, 116, 135, 137, 129, 130, 155, 138, 157, 136,
+        137, 122, 116, 129, 138, 164, 130, 157, 128, 155, 136, 135, 164, 137, 129, 130,
+        155, 138, 157, 136, 137, 180, 181, 129, 138, 164, 130, 186, 187, 155, 136, 180,
+        164, 137, 193, 157, 155, 186, 181, 81, 104, 187, 180, 88, 83, 164, 193, 157, 94,
+        155, 181, 99, 104, 186, 187, 164, 215, 180, 193, 181, 186, 220, 221, 187, 180,
+        5, 225, 193, 65, 228, 181, 3, 122, 186, 187, 91, 235, 88, 193, 225, 5, 15, 241,
+        65, 82, 244, 135, 193, 91, 6, 235, 241, 244, 225, 253, 254, 94,
+    )),
+    (8, 70, 35): (-574.4810002590364, (
+        0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21,
+        22, 23, 24, 25, 26, 27, 28, 29, 30, 31, 32, 33, 34, 0, 2, 13, 6, 3, 1, 41, 42,
+        43, 14, 45, 46, 47, 48, 7, 12, 51, 4, 53, 5, 55, 56, 57, 58, 59, 60, 61, 62, 63,
+        64, 65, 66, 67, 68, 69, 70, 71, 72, 73, 74, 75, 0, 77, 78, 79, 80, 81, 82, 83,
+        84, 85, 86, 87, 88, 89, 90, 91, 92, 93, 94, 95, 96, 97, 98, 99, 100, 101, 102,
+        103, 104, 81, 93, 82, 94, 109, 46, 68, 112, 113, 114, 80, 91, 84, 83, 102, 92,
+        121, 122, 123, 124, 103, 85, 90, 70, 71, 95, 131, 132, 47, 67, 100, 101, 72, 73,
+        139, 81, 86, 88, 74, 121, 123, 109, 69, 22, 45, 80, 91, 87, 104, 97, 75, 122,
+        132, 131, 32, 90, 96, 100, 98, 57, 41, 46, 47, 139, 53, 101, 171, 172, 173, 174,
+        78, 77, 99, 89, 113, 112, 124, 69, 43, 48, 93, 83, 103, 86, 104, 33, 121, 122,
+        17, 34, 80, 71, 42, 97, 51, 65, 132, 58, 66, 64, 101, 206, 207, 208, 209, 79,
+        88, 99, 13, 114, 112, 67, 69, 53, 48, 91, 83, 85, 75, 96, 225, 123, 131, 33, 32,
+        46, 95, 72, 98, 234, 65, 139, 237, 238, 209, 207, 241, 242, 172, 244, 94, 87,
+        89, 248, 249, 250, 251, 252, 253, 254, 84, 256, 257, 258, 259, 260, 261, 262,
+        263, 264, 102, 92, 267, 268, 269, 270, 271, 272, 273, 274, 73, 276, 277, 238,
+        124,
+    )),
+}
+
+
 class TestGruStep:
     def test_zero_weights_zero_state(self):
         gp = GruParams.init(3, 2, np.random.default_rng(0))
@@ -412,6 +453,29 @@ class TestFeasibilityTracker:
                 members.append([(i, j)])
         assert seen == {True, False}
 
+    def test_next_column_is_open_to_every_cell(self):
+        # the decoder screens n_colors + 1 columns: the last one is the next
+        # color's, which has no members yet, so every cell must pass it
+        rng = np.random.default_rng(20261019)
+        for _ in range(60):
+            adj = random_adjacency(rng, max_f=7, max_k=7).mask
+            edges = extract_edge_sequence(AdjacencyMatrix(adj))
+            tracker = FeasibilityTracker(adj)
+            members: list[list[tuple[int, int]]] = []
+            for i, j in edges:
+                n = tracker.n_colors
+                for cell in edges:
+                    feas = tracker.feasible(*cell, n + 1)
+                    assert feas.tolist() == [oracle_feasible(adj, m, *cell) for m in members + [[]]]
+                open_colors = np.nonzero(tracker.feasible(i, j))[0]
+                if open_colors.size and rng.random() < 0.7:
+                    c = int(rng.choice(open_colors))
+                    tracker.add_member(c, i, j)
+                    members[c].append((i, j))
+                else:
+                    assert tracker.new_color(i, j) == n
+                    members.append([(i, j)])
+
     @pytest.mark.parametrize("k, f, z", [(14, 3432, 1716), (1024, 16, 12)])
     def test_memory_is_linear_in_the_short_side(self, k, f, z):
         # MN(14,7) and the cyclic E=4096 placement; a dense F-by-E table
@@ -508,6 +572,17 @@ class TestRollout:
             rollout(CROSS, tiny_params(), mode="beam")
         with pytest.raises(InvalidParameter, match="one seed per placement"):
             rollout_batch([CROSS, CROSS], tiny_params(), mode="sample", seeds=[1])
+
+    @pytest.mark.parametrize("k, f, z", sorted(COLOR_MODEL_PINS))
+    def test_color_model_greedy_choices_are_pinned(self, k, f, z):
+        params = ModelParams.init(ModelConfig(f_max=924, k_max=1024, embed_dim=8, hidden_dim=8),
+                                  seed=0)
+        adj = placement_to_adjacency(z, f, k, default_star_pattern(k, f, z))
+        logprob, choices = COLOR_MODEL_PINS[k, f, z]
+        ep = rollout(adj, params, mode="greedy", use_mask=True)
+        assert ep.choices == choices
+        assert abs(ep.logprob - logprob) <= 1e-12
+        assert ep.reward == 1
 
 
 class TestSupervisedLoss:
