@@ -193,12 +193,9 @@ class _Batch:
 
     def __init__(self, edges_list, params: ModelParams):
         lengths = [len(e) for e in edges_list]
-        if len(lengths) == 1:
-            self.rows = [0] if lengths[0] else []
-        else:
-            # a stable sort, longest first; empty rows never step
-            self.rows = sorted((k for k, n in enumerate(lengths) if n),
-                               key=lengths.__getitem__, reverse=True)
+        # a stable sort, longest first; empty rows never step
+        self.rows = sorted((k for k, n in enumerate(lengths) if n),
+                           key=lengths.__getitem__, reverse=True)
         self.edges = [edges_list[row] for row in self.rows]
         n = np.array([lengths[row] for row in self.rows], dtype=np.int64)
         b, L = len(n), int(n[0]) if len(n) else 0
@@ -400,15 +397,15 @@ class FeasibilityTracker:
 
     The tracker turns the mask, transposing it when F < K, so that its
     columns are the shorter side, S = min(F, K).  The column rule is a
-    dense S-by-(E+1) table, col_open[j, c]: every member row so far has a
+    dense S-by-E table, col_open[j, c]: every member row so far has a
     star in column j.  The row rule packs S bits into ceil(S/64) words,
     word w holding columns 64w..64w+63: members[w, c] holds color c's
     member columns and row_bits[w, i] row i's edge columns, so color c is
     blocked for row i when some members[w, c] & row_bits[w, i] is nonzero.
     Memory is O(S * E).  A new member writes S flags and one word; a query
-    reads n_colors flags and n_colors * ceil(S/64) words.  Column n_colors
-    belongs to the next color, which has no members yet, so every cell
-    passes it.
+    reads n_colors flags and n_colors * ceil(S/64) words.  While a cell is
+    still to be placed, n_colors < E, so column n_colors exists; it is the
+    next color's, which has no members yet, so every cell passes it.
     """
 
     def __init__(self, adj: np.ndarray):
@@ -417,8 +414,7 @@ class FeasibilityTracker:
         if self.transposed:
             adj = adj.T
         s = adj.shape[1]
-        # one column per cell, and one for the next color after the last
-        cap = np.count_nonzero(adj) + 1
+        cap = max(np.count_nonzero(adj), 1)
         words = -(-s // 64)
         row_bits = np.zeros((len(adj), 8 * words), dtype=np.uint8)
         row_bits[:, : -(-s // 8)] = np.packbits(adj, axis=1, bitorder="little")
@@ -705,13 +701,8 @@ def _score(rows, params: ModelParams, coef=None):
     masks = [edges_to_mask(shape, edges) if use_mask else None
              for shape, edges, _, use_mask in rows]
     batch = _Batch([r[1] for r in rows], params)
-    if len(rows) == 1:
-        # one row is already in sorted, stacked order, and needs no padding
-        stacked = np.asarray(rows[0][2], dtype=float)
-        choices = stacked[None]
-    else:
-        choices = batch.pad([r[2] for r in rows], float)
-        stacked = choices.T[batch.valid]
+    choices = batch.pad([r[2] for r in rows], float)
+    stacked = choices.T[batch.valid]
     bad = ~((0 <= stacked) & (stacked <= batch.steps) & (stacked == np.floor(stacked)))
     if bad.any():
         n = int(bad.argmax())  # stacked step by step, so the earliest step's first row
