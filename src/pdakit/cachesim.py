@@ -242,27 +242,16 @@ def _check_rows(grid: np.ndarray, lib: FileLibrary) -> None:
         raise DimensionError(f"library has {lib.f} packets per file, array has {len(grid)} rows")
 
 
-def _xor_in(acc: np.ndarray, data: np.ndarray, group: np.ndarray, files: np.ndarray,
-            rows: np.ndarray) -> None:
-    """acc[group[i]] ^= data[files[i] - 1, rows[i]] for every i; group ascending.
+def _xor_runs(acc: np.ndarray, packets: np.ndarray, src: np.ndarray, first: np.ndarray,
+              count: np.ndarray) -> None:
+    """acc[i] ^= packets[src[first[i] + r]] for every r < count[i]; count non-increasing.
 
-    One pass per position inside a group.  Groups are visited largest
-    first, so pass r XORs into a prefix of a reordered copy of acc, in
-    place, and no pass gathers more than len(acc) packets.
+    Pass r XORs into the prefix of acc whose rows have more than r packets
+    to add, in place, so no pass gathers more than len(acc) packets.
     """
-    size = np.bincount(group, minlength=len(acc))
-    order = np.argsort(-size, kind="stable")
-    where = np.empty_like(order)
-    where[order] = np.arange(len(order))
-    rank = np.arange(len(group)) - np.searchsorted(group, group)
-    items = np.argsort(rank * len(acc) + where[group])
-    work = acc[order]
-    start = 0
-    for n in np.bincount(rank).tolist():
-        at = items[start:start + n]
-        work[:n] ^= data[files[at] - 1, rows[at]]
-        start += n
-    acc[order] = work
+    prefix = np.searchsorted(-count, -np.arange(count.max(initial=0)))
+    for r, m in enumerate(prefix.tolist()):
+        acc[:m] ^= packets.take(src[first[:m] + r], axis=0)
 
 
 def place(p, lib: FileLibrary) -> list[Cache]:
@@ -287,10 +276,16 @@ def deliver(p, lib: FileLibrary, d) -> Transcript:
     rows, cols = rows[order], cols[order]
     slots = grid[rows, cols]
     files = np.asarray(d.d, dtype=np.int64)[cols]
-    n_slots = int(grid.max(initial=0))
-    payloads = np.zeros((n_slots, lib.packet_size), dtype=np.uint8)
-    _xor_in(payloads, lib.data, slots - 1, files, rows)
+    n_slots, size = int(grid.max(initial=0)), lib.packet_size
     starts = np.searchsorted(slots, np.arange(1, n_slots + 2))
+    # Slots with the most contributors first, as the XOR kernel needs.
+    count = np.diff(starts)
+    by_count = np.argsort(-count, kind="stable")
+    work = np.zeros((n_slots, size), dtype=np.uint8)
+    packets = lib.data.reshape(lib.n_files * lib.f, size)
+    _xor_runs(work, packets, (files - 1) * lib.f + rows, starts[by_count], count[by_count])
+    payloads = np.empty_like(work)
+    payloads[by_count] = work
     return Transcript._of_table(payloads, files, rows, starts)
 
 
@@ -307,7 +302,8 @@ def decode(k: int, cache: Cache, transcript: Transcript, d, p) -> bytes:
     d = _check_demand(d, grid.shape[1], len(cache.data))
     if not 0 <= k < len(d):
         raise InvalidParameter(f"user {k} is not one of the array's {len(d)} users")
-    return _decode_all([k], [cache], transcript, [d[k]], grid)[0].tobytes()
+    out, _ = _decode_all([k], cache.data, cache.held[:, None], transcript, [d[k]], grid)
+    return out.tobytes()
 
 
 # Packet bytes one XOR block gathers.  On K=10, F=252 rounds with 4 KiB
@@ -315,22 +311,22 @@ def decode(k: int, cache: Cache, transcript: Transcript, d, p) -> bytes:
 _BLOCK = 512 << 10
 
 
-def _decode_all(users, caches, transcript: Transcript, want, grid: np.ndarray):
+def _decode_all(users, data: np.ndarray, held: np.ndarray, transcript: Transcript, want,
+                grid: np.ndarray):
     """decode() for every users[u] at once: (out, all equal to the library).
 
-    caches[u] and want[u] are user users[u]'s cache and file; all caches
-    read one library.  The index work runs once for all users: the
-    (user, row) pairs, each pair's contributors, its own packet and the
-    missing-packet check.  When several users fail, the lowest one's first
-    failure is raised.  Then windows of whole users, about _BLOCK output
-    bytes or one user each, are XORed in blocks of at most _BLOCK bytes
-    into their slice of out, one (len(users)·F, B) uint8 array: rows
-    [u·F, (u+1)·F) are user users[u]'s file.
+    data is the library's (N, F, B) packets; column u of the (F, len(users))
+    star mask held is user users[u]'s cache, and want[u] its file.  The
+    index work runs once for all users: the (user, row) pairs, each pair's
+    contributors, its own packet and the missing-packet check.  When
+    several users fail, the lowest one's first failure is raised.  Then
+    windows of whole users, about _BLOCK output bytes or one user each, are
+    XORed in blocks of at most _BLOCK bytes into their slice of out, one
+    (len(users)·F, B) uint8 array: rows [u·F, (u+1)·F) are user users[u]'s
+    file.
     """
-    data = caches[0].data
     n_files, f, size = data.shape
     want = np.asarray(want, dtype=np.int64)
-    held = np.stack([c.held for c in caches], axis=1)
     column = grid[:, users]
     need = column != STAR
     # One pair per decoded (user, row): users ascending, rows in column order.
@@ -371,8 +367,8 @@ def _decode_all(users, caches, transcript: Transcript, want, grid: np.ndarray):
     bounds = [b for lo_w, hi_w in itertools.pairwise(window_bounds)
               for b in range(lo_w, hi_w, per_block)]
     bounds.append(len(slot))
-    # Inside a block the pairs with the most others come first, so the
-    # r-th others of a block XOR into a prefix of its packets.
+    # Inside a block the pairs with the most others come first, as the XOR
+    # kernel needs.
     block = np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))
     order = np.lexsort((-n_other, block))
     first_other, n_other = first_other[order], n_other[order]
@@ -383,7 +379,7 @@ def _decode_all(users, caches, transcript: Transcript, want, grid: np.ndarray):
     star_cell = (su % width) * f + sr
     star_src = (want[su] - 1) * f + sr
 
-    packets = data.reshape(-1, size)
+    packets = data.reshape(n_files * f, size)
     out = np.empty((len(want) * f, size), dtype=np.uint8)
     ok = True
     j = 0
@@ -395,11 +391,7 @@ def _decode_all(users, caches, transcript: Transcript, want, grid: np.ndarray):
         while bounds[j] < window_bounds[w + 1]:
             lo_j, hi_j = bounds[j], bounds[j + 1]
             acc = payloads.take(slot_at[lo_j:hi_j], axis=0)
-            first_j = first_other[lo_j:hi_j]
-            # prefix[r]: how many of the block's pairs have more than r others.
-            prefix = np.searchsorted(-n_other[lo_j:hi_j], -np.arange(n_other[lo_j]))
-            for r, m in enumerate(prefix.tolist()):
-                acc[:m] ^= packets.take(src[first_j[:m] + r], axis=0)
+            _xor_runs(acc, packets, src, first_other[lo_j:hi_j], n_other[lo_j:hi_j])
             window[cell[lo_j:hi_j]] = acc
             j += 1
         # One user's file is compared with a view of the library, not a copy.
@@ -503,10 +495,9 @@ def run_round(p, lib: FileLibrary, d) -> RoundResult:
     grid = _grid(p)
     users = grid.shape[1]
     d = _check_demand(d, users, lib.n_files)
-    caches = place(grid, lib)
     transcript = deliver(grid, lib, d)
-    out, all_ok = _decode_all(range(users), caches, transcript, d.d, grid)
-    return RoundResult._of_files(transcript, out.reshape(users, -1), all_ok)
+    out, all_ok = _decode_all(range(users), lib.data, grid == STAR, transcript, d.d, grid)
+    return RoundResult._of_files(transcript, out.reshape(users, lib.f * lib.packet_size), all_ok)
 
 
 @dataclass(frozen=True)

@@ -267,11 +267,22 @@ def construct_mn_pda(k_users: int, t: int) -> Pda:
         raise InvalidParameter(f"need at least 2 users, got {k_users}")
     if not 1 <= t <= k_users - 1:
         raise InvalidParameter(f"t={t} outside [1, {k_users - 1}]")
+    # The grid first: a shape too large for memory fails here, before the
+    # subsets and the binomial table are built.  C(K,t) >= (K/m)^m for
+    # m = min(t, K-t), so past 2^63 rows it fails before C(K,t) itself,
+    # which takes minutes to compute at K in the millions.
+    too_large = f"the C({k_users}, {t}) x {k_users} array's cells do not fit in memory"
+    m = min(t, k_users - t)
+    if m * math.log2(k_users / m) > 63:
+        raise InvalidParameter(too_large)
+    try:
+        grid = np.empty((math.comb(k_users, t), k_users), dtype=np.int64)
+    except (MemoryError, ValueError):    # ValueError: more elements than an index can address
+        raise InvalidParameter(too_large) from None
     rows = np.array(list(itertools.combinations(range(k_users), t)), dtype=np.int64)
     # Combinatorial number system: c_0 < ... < c_t has lexicographic index
     # C(K, t+1) - 1 - sum_i C(K-1-c_i, t+1-i) among the (t+1)-subsets.
     binom = np.array([[math.comb(n, r) for r in range(t + 2)] for n in range(k_users)])
-    grid = np.empty((len(rows), k_users), dtype=np.int64)
     for k in range(k_users):
         after = rows > k  # members past k move one place up in T ∪ {k}
         members = binom[k_users - 1 - rows, t + 1 - np.arange(t) - after].sum(axis=1)

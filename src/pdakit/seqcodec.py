@@ -91,7 +91,10 @@ def placement_to_adjacency(z: int, f: int, k: int, star_pattern) -> AdjacencyMat
     columns = list(star_pattern)
     if len(columns) != k:
         raise InvalidPlacement(f"expected {k} star sets, got {len(columns)}")
-    mask = np.ones((f, k), dtype=bool)
+    try:
+        mask = np.ones((f, k), dtype=bool)
+    except (MemoryError, ValueError):    # ValueError: more elements than an index can address
+        raise InvalidParameter(f"the {f} x {k} placement's cells do not fit in memory") from None
     for j, rows in enumerate(columns):
         star_set = {int(r) for r in rows}
         if len(star_set) != z:

@@ -460,17 +460,23 @@ class TestExitCodes:
         assert not (tmp_path / "out").exists()
 
     # Every request is above 1 PiB, so it fails at once under any overcommit
-    # policy and nothing is faulted in; the last two exceed numpy's index range.
+    # policy and nothing is faulted in; the last five exceed numpy's index range.
     @pytest.mark.parametrize("command", [
         ["simulate", "--pda", "mn21.pda", "--packet-size", 10**15],   # 5.3 PiB of packets
         ["simulate", "--pda", "mn21.pda", "--files", 10**15],         # 114 PiB of packets
         ["simulate", "--pda", "mn21.pda", "--trials", 10**14],        # 1.4 PiB of demands
         ["pipeline", "--users", 3, "--rows", 3, "--stars", 1, "--out", "o.pda",
          "--trials", 10**14],                                         # 2.1 PiB of demands
+        ["pipeline", "--users", 1000, "--rows", 10**13, "--stars", 1,
+         "--out", "o.pda"],                                           # 8.9 PiB of mask
         ["simulate", "--pda", "mn21.pda", "--packet-size", 10**20],
         ["simulate", "--pda", "mn21.pda", "--trials", 10**20],
-    ], ids=["packet-size", "files", "trials", "pipeline-trials", "packet-size-index",
-            "trials-index"])
+        ["construct", "--users", 3 * 10**9, "--t", 1, "--out", "o.pda"],
+        ["augment", "--source", f"{3 * 10**9},1", "--count", 2, "--out", "o.jsonl"],
+        ["construct", "--users", 10**7, "--t", 5 * 10**6, "--out", "o.pda"],  # C(K,t) > 2^63
+    ], ids=["packet-size", "files", "trials", "pipeline-trials", "pipeline-mask",
+            "packet-size-index", "trials-index", "construct-index", "augment-index",
+            "construct-binomial"])
     def test_request_too_large_to_allocate_is_an_input_error(self, tmp_path, monkeypatch, capsys,
                                                               command):
         monkeypatch.chdir(tmp_path)

@@ -1,6 +1,7 @@
 import dataclasses
 import importlib
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -811,6 +812,37 @@ class TestSequenceLogprob:
 
             numeric = oracles.central_difference_grad(fn, params.flatten(), eps=1e-5)
             assert oracles.relative_error(grads_to_vec(params, grads), numeric) < 1e-4
+
+    @pytest.mark.parametrize("use_mask, most", [(False, 2), (True, 9)])
+    def test_numpy_calls_per_decoder_step_do_not_grow(self, use_mask, most):
+        # Counts the numpy calls a profiler sees in one pass: numpy functions,
+        # ufunc methods and ndarray methods.  A step's share is the growth
+        # from 8 to 16 edges, so the set-up before the first step cancels.
+        params = ModelParams.init(ModelConfig(8, 8, 4, 5), seed=0)
+        cells = [(i, j) for j in range(4) for i in range(4)]
+
+        def numpy_calls(n):
+            count = 0
+
+            def profile(frame, event, fn):
+                nonlocal count
+                owner = getattr(fn, "__self__", None)
+                count += event == "c_call" and (
+                    isinstance(owner, (np.ndarray, np.ufunc))
+                    or (getattr(fn, "__module__", None) or "").startswith("numpy"))
+
+            before = sys.getprofile()
+            sys.setprofile(profile)
+            try:
+                sequence_logprob((4, 4), cells[:n], tuple(range(n)), params, use_mask)
+            finally:
+                sys.setprofile(before)
+            return count
+
+        short, long = numpy_calls(8), numpy_calls(16)
+        per_step = (long - short) / 8
+        assert per_step <= most, (f"{per_step} numpy calls per decoder step ({short} at 8 edges, "
+                                  f"{long} at 16), at most {most} allowed")
 
 
 class TestClipGrads:
