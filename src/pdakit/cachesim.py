@@ -24,13 +24,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DecodeError, DimensionError, InvalidParameter
+from .errors import DecodeError, DimensionError, InvalidParameter, allocating
 from .pda import STAR, Pda, as_grid
-
-
-def _grid(p) -> np.ndarray:
-    """The array's grid, unvalidated: broken arrays must reach decode."""
-    return p.grid if isinstance(p, Pda) else as_grid(p)
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -64,11 +59,9 @@ class FileLibrary:
         if n_files < 1 or f < 1 or packet_size < 1:
             raise InvalidParameter("library dimensions must be positive")
         rng = np.random.default_rng(seed)
-        try:
+        with allocating(f"{n_files} files of {f} packets of {packet_size} bytes "
+                        "do not fit in memory"):
             words = rng.integers(0, 2**32, size=(n_files * f, -(-packet_size // 4)), dtype=np.uint32)
-        except (MemoryError, ValueError):    # ValueError: more elements than an index can address
-            raise InvalidParameter(f"{n_files} files of {f} packets of {packet_size} bytes "
-                                   "do not fit in memory") from None
         packets = words.astype("<u4", copy=False).view(np.uint8)[:, :packet_size]
         return cls(packets.reshape(n_files, f, packet_size))
 
@@ -256,7 +249,7 @@ def _xor_runs(acc: np.ndarray, packets: np.ndarray, src: np.ndarray, first: np.n
 
 def place(p, lib: FileLibrary) -> list[Cache]:
     """Each user's cache: every file's packet at the column's star rows."""
-    grid = _grid(p)
+    grid = as_grid(p)
     _check_rows(grid, lib)
     held = grid == STAR
     held.setflags(write=False)
@@ -268,7 +261,7 @@ def deliver(p, lib: FileLibrary, d) -> Transcript:
 
     Contributors of a slot are its cells in row-major order.
     """
-    grid = _grid(p)
+    grid = as_grid(p)
     _check_rows(grid, lib)
     d = _check_demand(d, grid.shape[1], lib.n_files)
     rows, cols = np.nonzero(grid != STAR)
@@ -298,7 +291,7 @@ def decode(k: int, cache: Cache, transcript: Transcript, d, p) -> bytes:
     (rows in column order, then contributors in slot order), a slot the
     transcript does not carry, or payloads that are not packet-sized.
     """
-    grid = _grid(p)
+    grid = as_grid(p)
     d = _check_demand(d, grid.shape[1], len(cache.data))
     if not 0 <= k < len(d):
         raise InvalidParameter(f"user {k} is not one of the array's {len(d)} users")
@@ -492,7 +485,7 @@ class RoundResult:
 
 def run_round(p, lib: FileLibrary, d) -> RoundResult:
     """place + deliver + decode for every user, checked bit-exactly."""
-    grid = _grid(p)
+    grid = as_grid(p)
     users = grid.shape[1]
     d = _check_demand(d, users, lib.n_files)
     transcript = deliver(grid, lib, d)
@@ -529,10 +522,8 @@ def measure(p, trials: int = 20, seed: int = 0, n_files: Optional[int] = None,
         raise InvalidParameter(f"trials must be >= 0, got {trials}")
     n = p.k + 1 if n_files is None else n_files
     lib = FileLibrary.random(n, p.f, packet_size=packet_size, seed=seed)
-    try:
+    with allocating(f"{trials} trials of {p.k} demands do not fit in memory"):
         demands = np.random.default_rng(seed).integers(1, n + 1, size=(trials, p.k)).tolist()
-    except (MemoryError, ValueError):    # ValueError: more elements than an index can address
-        raise InvalidParameter(f"{trials} trials of {p.k} demands do not fit in memory") from None
     trace: list[TraceRow] = []
     for trial, demand in enumerate(demands):
         result = run_round(p, lib, demand)

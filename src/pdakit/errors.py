@@ -1,4 +1,6 @@
-"""Exception types shared across the package, and the parse-boundary rules they back."""
+"""Exception types shared across the package, and the input-boundary rules they back."""
+
+from contextlib import contextmanager
 
 
 class PdakitError(Exception):
@@ -111,3 +113,16 @@ def json_int(value, what: str) -> int:
     if type(value) is not int:
         raise ParseError(f"{what} {value!r} is not an integer")
     return value
+
+
+@contextmanager
+def allocating(message: str):
+    """Numpy refusing the allocation inside is the request's fault: InvalidParameter(message).
+
+    Numpy refuses with MemoryError, or with ValueError for more elements
+    than an index can address.  Wrap only the allocating call.
+    """
+    try:
+        yield
+    except (MemoryError, ValueError):
+        raise InvalidParameter(message) from None

@@ -26,6 +26,7 @@ from .errors import (
     InvalidParameter,
     InvalidPda,
     ParseError,
+    allocating,
     json_int,
 )
 from .pda import COND_COLUMN_STARS, STAR, Pda, _pair_kernel, as_grid, verify
@@ -77,10 +78,8 @@ class BipartiteColoredGraph:
 
 def pda_to_graph(p) -> BipartiteColoredGraph:
     """One edge (user, row, color) per integer cell; stars give no edge."""
-    if isinstance(p, Pda):
-        grid = p.grid
-    else:
-        grid = as_grid(p)
+    grid = as_grid(p)
+    if not isinstance(p, Pda):
         report = verify(grid)
         if not report.valid:
             raise InvalidPda("array fails validation", report.violations)
@@ -105,10 +104,8 @@ def _edge_grid(g: BipartiteColoredGraph) -> np.ndarray:
     """
     if not g.is_fully_colored():
         raise IncompleteColoring("graph has uncolored edges")
-    try:
+    with allocating(f"a {g.f} x {g.k} grid does not fit in memory"):
         grid = np.zeros((g.f, g.k), dtype=np.int64)
-    except MemoryError:
-        raise InvalidParameter(f"a {g.f} x {g.k} grid does not fit in memory") from None
     for u, v, c in g.edges:
         grid[v, u] = c
     return grid

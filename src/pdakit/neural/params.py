@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from ..errors import DimensionError, InvalidParameter, ParseError, json_int, read_text
+from ..errors import DimensionError, InvalidParameter, ParseError, allocating, json_int, read_text
 
 # Uniform init half-width.  Pointer logits are products of several weight
 # tensors, so a much smaller scale starts training on a flat plateau.
@@ -133,12 +133,14 @@ class ModelParams:
         def mat(*shape):
             return rng.uniform(-INIT_SCALE, INIT_SCALE, size=shape)
 
-        parts = [mat(d, config.f_max + config.k_max)]
-        for m in (d, d, 2 * h + d):
-            gru = GruParams.init(m, h, rng)
-            parts += [gru.u, gru.w, gru.b]
-        parts += [mat(h, 2 * h), mat(h, h), mat(h), mat(d)]
-        return cls(config, np.concatenate([t.ravel() for t in parts]))
+        with allocating(f"the weights for embed_dim={d}, hidden_dim={h} do not fit in memory"):
+            parts = [mat(d, config.f_max + config.k_max)]
+            for m in (d, d, 2 * h + d):
+                gru = GruParams.init(m, h, rng)
+                parts += [gru.u, gru.w, gru.b]
+            parts += [mat(h, 2 * h), mat(h, h), mat(h), mat(d)]
+            vector = np.concatenate([t.ravel() for t in parts])
+        return cls(config, vector)
 
     def tensor_items(self) -> list[tuple[str, np.ndarray]]:
         """All tensors in layout order, each GRU as its u, w, b; names key checkpoints and grads."""

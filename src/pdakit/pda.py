@@ -25,7 +25,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import InvalidParameter, InvalidPda, MalformedGrid, ParseError
+from .errors import InvalidParameter, InvalidPda, MalformedGrid, ParseError, allocating
 
 STAR = 0
 
@@ -74,11 +74,14 @@ class VerifyReport:
 def as_grid(raw) -> np.ndarray:
     """Normalize raw input into an int matrix with 0 marking stars.
 
-    Accepts a 2-D collection whose entries are positive integers (colors)
-    or one of ``0``, ``None``, ``"*"`` (stars).  Raises MalformedGrid for
-    ragged rows, empty grids, or any other entry.  An int64 ndarray comes
-    back as itself, not a copy: callers that keep the grid must copy it.
+    Accepts a Pda, whose read-only grid comes back with no scan, or a 2-D
+    collection whose entries are positive integers (colors) or one of
+    ``0``, ``None``, ``"*"`` (stars).  Raises MalformedGrid for ragged
+    rows, empty grids, or any other entry.  An int64 ndarray comes back as
+    itself, not a copy: callers that keep the grid must copy it.
     """
+    if isinstance(raw, Pda):
+        return raw.grid
     if isinstance(raw, np.ndarray):
         if raw.ndim != 2 or raw.size == 0:
             raise MalformedGrid(f"expected a non-empty 2-D grid, got shape {raw.shape}")
@@ -275,10 +278,8 @@ def construct_mn_pda(k_users: int, t: int) -> Pda:
     m = min(t, k_users - t)
     if m * math.log2(k_users / m) > 63:
         raise InvalidParameter(too_large)
-    try:
+    with allocating(too_large):
         grid = np.empty((math.comb(k_users, t), k_users), dtype=np.int64)
-    except (MemoryError, ValueError):    # ValueError: more elements than an index can address
-        raise InvalidParameter(too_large) from None
     rows = np.array(list(itertools.combinations(range(k_users), t)), dtype=np.int64)
     # Combinatorial number system: c_0 < ... < c_t has lexicographic index
     # C(K, t+1) - 1 - sum_i C(K-1-c_i, t+1-i) among the (t+1)-subsets.
@@ -302,11 +303,8 @@ def construct_mn_pda(k_users: int, t: int) -> Pda:
 
 def pda_to_text(p, comments: Sequence[str] = ()) -> str:
     """Text of a Pda, or of an unvalidated raw grid (Z: column 0's stars)."""
-    if isinstance(p, Pda):
-        grid, z = p.grid, p.z
-    else:
-        grid = as_grid(p)
-        z = int((grid[:, 0] == STAR).sum())
+    grid = as_grid(p)
+    z = p.z if isinstance(p, Pda) else int((grid[:, 0] == STAR).sum())
     f, k = grid.shape
     lines = [f"# {c}" for c in comments]
     lines.append(f"{k} {f} {z} {int(grid.max(initial=0))}")

@@ -28,6 +28,7 @@ from .errors import (
     MalformedGrid,
     ParseError,
     PdakitError,
+    allocating,
     json_int,
     read_text,
 )
@@ -91,10 +92,8 @@ def placement_to_adjacency(z: int, f: int, k: int, star_pattern) -> AdjacencyMat
     columns = list(star_pattern)
     if len(columns) != k:
         raise InvalidPlacement(f"expected {k} star sets, got {len(columns)}")
-    try:
+    with allocating(_too_large(f, k)):
         mask = np.ones((f, k), dtype=bool)
-    except (MemoryError, ValueError):    # ValueError: more elements than an index can address
-        raise InvalidParameter(f"the {f} x {k} placement's cells do not fit in memory") from None
     for j, rows in enumerate(columns):
         star_set = {int(r) for r in rows}
         if len(star_set) != z:
@@ -106,10 +105,13 @@ def placement_to_adjacency(z: int, f: int, k: int, star_pattern) -> AdjacencyMat
     return AdjacencyMatrix(mask=mask)
 
 
+def _too_large(f: int, k: int) -> str:
+    return f"the {f} x {k} placement's cells do not fit in memory"
+
+
 def pda_to_adjacency(p) -> AdjacencyMatrix:
     """Mask of an existing array: True where the cell holds an integer."""
-    grid = p.grid if isinstance(p, Pda) else as_grid(p)
-    return AdjacencyMatrix(mask=grid != STAR)
+    return AdjacencyMatrix(mask=as_grid(p) != STAR)
 
 
 def extract_edge_sequence(a: AdjacencyMatrix) -> tuple[EdgeCell, ...]:
@@ -156,7 +158,8 @@ def edges_to_mask(shape, edges) -> np.ndarray:
     """
     flat = placement_cells(shape, edges)
     f, k = shape
-    mask = np.zeros(f * k, dtype=bool)
+    with allocating(_too_large(f, k)):
+        mask = np.zeros(f * k, dtype=bool)
     mask[flat] = True
     return mask.reshape(f, k)
 
@@ -202,6 +205,9 @@ def default_star_pattern(k: int, f: int, z: int) -> tuple[tuple[int, ...], ...]:
     """
     if f < 1 or k < 1 or not 0 <= z <= f:
         raise InvalidParameter(f"bad placement shape k={k}, f={f}, z={z}")
+    # The mask this pattern is for must fit before a binomial or a tuple is built.
+    with allocating(_too_large(f, k)):
+        np.empty((f, k), dtype=bool)
     if z * k % f == 0:
         t = z * k // f
         if 1 <= t <= k - 1:

@@ -574,6 +574,18 @@ class TestRoundResult:
 
 
 class TestRounds:
+    def test_zero_byte_packets(self):
+        p = construct_mn_pda(4, 2)
+        lib = FileLibrary(np.zeros((p.k + 1, p.f, 0), dtype=np.uint8))
+        demand = (1, 2, 3, 5)
+        transcript = deliver(p, lib, demand)
+        assert transcript.payloads.shape == (p.s, 0)
+        result = run_round(p, lib, demand)
+        assert result.all_ok and result.files.shape == (p.k, 0)
+        assert result.transcript.payloads.shape == (p.s, 0)
+        caches = place(p, lib)
+        assert all(decode(k, caches[k], transcript, demand, p) == b"" for k in range(p.k))
+
     def test_exhaustive_demands_small_systems(self):
         for k, t_par in [(2, 1), (3, 1), (3, 2), (4, 2)]:
             p = construct_mn_pda(k, t_par)

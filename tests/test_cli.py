@@ -460,7 +460,9 @@ class TestExitCodes:
         assert not (tmp_path / "out").exists()
 
     # Every request is above 1 PiB, so it fails at once under any overcommit
-    # policy and nothing is faulted in; the last five exceed numpy's index range.
+    # policy and nothing is faulted in; the five "-index" cases and
+    # "construct-binomial" exceed numpy's index range.  "pipeline-users" must
+    # fail on the mask's size before any star pattern is built for its users.
     @pytest.mark.parametrize("command", [
         ["simulate", "--pda", "mn21.pda", "--packet-size", 10**15],   # 5.3 PiB of packets
         ["simulate", "--pda", "mn21.pda", "--files", 10**15],         # 114 PiB of packets
@@ -474,13 +476,23 @@ class TestExitCodes:
         ["construct", "--users", 3 * 10**9, "--t", 1, "--out", "o.pda"],
         ["augment", "--source", f"{3 * 10**9},1", "--count", 2, "--out", "o.jsonl"],
         ["construct", "--users", 10**7, "--t", 5 * 10**6, "--out", "o.pda"],  # C(K,t) > 2^63
+        ["pipeline", "--users", 10**15, "--rows", 2, "--stars", 1,
+         "--out", "o.pda"],                                           # 1.8 PiB of mask
+        ["train", "--corpus", "huge.jsonl", "--checkpoint", "m.json",
+         "--log", "l.csv"],                                           # 1.73 EiB of mask
+        ["train", "--corpus", "c.jsonl", "--checkpoint", "m.json", "--log", "l.csv",
+         "--hidden-dim", 10**14],                                     # 11 PiB of weights
     ], ids=["packet-size", "files", "trials", "pipeline-trials", "pipeline-mask",
             "packet-size-index", "trials-index", "construct-index", "augment-index",
-            "construct-binomial"])
+            "construct-binomial", "pipeline-users", "train-corpus-shape", "train-hidden-dim"])
     def test_request_too_large_to_allocate_is_an_input_error(self, tmp_path, monkeypatch, capsys,
                                                               command):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "mn21.pda").write_text(pda_to_text(construct_mn_pda(2, 1)))
+        make_corpus(tmp_path, count=2, name="c.jsonl")
+        (tmp_path / "huge.jsonl").write_text('{"_meta": {}}\n' + json.dumps(
+            {"K": 2000000000, "F": 1000000000, "Z": 1000000000, "edges": [], "colors": []}) + "\n")
+        capsys.readouterr()
         assert run(*command) == 2
         out, err = capsys.readouterr()
         assert "do not fit in memory" in err and "Traceback" not in err

@@ -75,11 +75,14 @@ class TestGraphType:
             graph_from_json('{"k": 10000000000, "f": 10000000000, "edges": []}')
 
     def test_huge_declared_shape_cannot_assemble(self):
-        # both need the dense 10^9 x 10^9 grid, 6.94 EiB; the error is a pdakit one
-        g = graph_from_json('{"k": 1000000000, "f": 1000000000, "edges": []}')
-        for fn in (graph_to_pda, is_strong):
-            with pytest.raises(InvalidParameter, match="does not fit in memory"):
-                fn(g)
+        # both need the dense int64 grid; the error is a pdakit one whether numpy
+        # raises MemoryError (10^9 x 10^9, 6.94 EiB) or, past the index range,
+        # ValueError (2*10^9 x 10^9, 13.9 EiB)
+        for k in (1000000000, 2000000000):
+            g = graph_from_json(f'{{"k": {k}, "f": 1000000000, "edges": []}}')
+            for fn in (graph_to_pda, is_strong):
+                with pytest.raises(InvalidParameter, match="does not fit in memory"):
+                    fn(g)
 
     def test_degrees_and_color_count(self):
         g = BipartiteColoredGraph(

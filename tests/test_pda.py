@@ -153,6 +153,13 @@ class TestPdaType:
         raw = np.array([[S, 1], [1, S]], dtype=np.int64)
         assert as_grid(raw) is raw
 
+    def test_a_pda_is_accepted_wherever_a_grid_is(self):
+        p = construct_mn_pda(4, 2)
+        assert as_grid(p) is p.grid and not as_grid(p).flags.writeable
+        assert verify(p).valid and verify(p, z=p.z).valid
+        assert Pda.from_grid(p) == p
+        assert pda_to_text(p) == pda_to_text(p.grid)
+
     def test_changing_the_callers_array_leaves_the_pda_alone(self):
         raw = np.array([[S, 1], [1, S]], dtype=np.int64)
         p = Pda.from_grid(raw)
