@@ -385,10 +385,10 @@ class TestAgainstOracle:
         assert min(outcomes.values()) > 200
 
     def test_small_blocks_match_the_oracle(self, monkeypatch):
-        # With 24-byte blocks a block holds 24, 8, 3 or 1 packets of 1, 3, 8
-        # or 64 bytes.  So blocks split one user's rows, and windows of
-        # max(1, packets per block // F) whole users span several users,
-        # all-star columns among them.
+        # With 24-byte blocks a block holds 24, 8, 3 or 1 decoded rows of 1,
+        # 3, 8 or 64 bytes, cut from the user-major (user, row) pairs.  So
+        # blocks split one user's rows, and one block holds rows of users on
+        # both sides of an all-star column, which has no pairs.
         block = 24
         monkeypatch.setattr(cachesim, "_BLOCK", block)
         rng = np.random.default_rng(20261019)
@@ -396,17 +396,22 @@ class TestAgainstOracle:
         grids += [greedy_grid(4, 4, 2, 0), greedy_grid(8, 4, 3, 1)]
         grids += [break_pair(grids[int(rng.integers(0, len(grids)))], rng) for _ in range(10)]
         grids += [oracles.random_grid(rng) for _ in range(100)]
+        # An all-star column inside each of the first 15 grids.
+        grids += [[row[:j] + [S] + row[j:] for row in grid]
+                  for grid in grids[:15] for j in [int(rng.integers(1, len(grid[0])))]]
         seen = {"decoded": 0, "missing": 0, "split": 0, "spans all-star": 0}
         for n, grid in enumerate(grids):
             f, k = len(grid), len(grid[0])
             stars = [sum(row[j] == S for row in grid) for j in range(k)]
+            # The user of each pair, pairs user-major as the decoder cuts them.
+            pair_user = [j for j in range(k) for _ in range(f - stars[j])]
             for size in (1, 3, 8, 64):
                 per_block = max(1, block // size)
-                width = max(1, per_block // f)
-                seen["split"] += max(f - z for z in stars) > per_block
+                blocks = [pair_user[b:b + per_block] for b in range(0, len(pair_user), per_block)]
+                seen["split"] += any(pair_user[b - 1] == pair_user[b]
+                                     for b in range(per_block, len(pair_user), per_block))
                 seen["spans all-star"] += any(
-                    width > 1 and u0 + 1 < k and f in stars[u0:u0 + width]
-                    for u0 in range(0, k, width))
+                    stars[j] == f for users in blocks for j in range(users[0] + 1, users[-1]))
                 n_files = int(rng.integers(1, k + 1))
                 lib = FileLibrary.random(n_files, f, packet_size=size, seed=n)
                 demand = tuple(int(x) for x in rng.integers(1, n_files + 1, size=k))
@@ -499,6 +504,28 @@ class TestOneKernel:
             assert str(info.value) == messages[0]
             failed += 1
         assert failed > 20
+
+    def test_a_flipped_payload_bit_fails_only_its_slots_rows(self, monkeypatch):
+        # 8-byte packets and 32-byte blocks: MN(5,2)'s 30 decoded rows take 8 blocks.
+        monkeypatch.setattr(cachesim, "_BLOCK", 32)
+        p = construct_mn_pda(5, 2)
+        grid = p.grid
+        lib = FileLibrary.random(6, p.f, packet_size=8, seed=3)
+        d = (2, 6, 2, 1, 4)
+        records = list(deliver(p, lib, d).broadcasts)
+        slot, byte, bit = 7, 5, 3
+        payload = bytearray(records[slot - 1].payload)
+        payload[byte] ^= 1 << bit
+        records[slot - 1] = Broadcast(slot, bytes(payload), records[slot - 1].contributors)
+        tampered = Transcript(broadcasts=records)
+        out, ok = cachesim._decode_all(range(p.k), lib.data, grid == STAR, tampered, d, grid)
+        assert not ok
+        flip = np.zeros(8, dtype=np.uint8)
+        flip[byte] = 1 << bit
+        expect = lib.data[np.array(d) - 1].copy()
+        expect[(grid == slot).T] ^= flip
+        assert np.count_nonzero(grid == slot) == 3
+        assert np.array_equal(out.reshape(p.k, p.f, 8), expect)
 
 
 class TestRoundResult:

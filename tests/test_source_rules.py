@@ -1,5 +1,6 @@
 """Rules about where a decision lives in the source, checked by reading the modules."""
 
+import ast
 import re
 from pathlib import Path
 
@@ -17,3 +18,19 @@ def test_only_errors_decides_that_an_allocation_failed():
               if path.name != "errors.py"
               and re.search(r"\bMemoryError\b", path.read_text(encoding="utf-8"))]
     assert naming == []
+
+
+def test_cachesim_xors_bytes_only_in_its_xor_kernel():
+    # cachesim._xor_runs is the one XOR kernel of delivery and decoding; an
+    # XOR anywhere else in the module is a second copy of it.
+    tree = ast.parse((PACKAGE / "cachesim.py").read_text(encoding="utf-8"))
+    kernels = [node for node in tree.body
+               if isinstance(node, ast.FunctionDef) and node.name == "_xor_runs"]
+    assert len(kernels) == 1
+    tree.body.remove(kernels[0])
+    xor_names = {"bitwise_xor", "xor", "__xor__", "__ixor__"}
+    xors = [node.lineno for node in ast.walk(tree)
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.BitXor)
+            or isinstance(node, ast.Name) and node.id in xor_names
+            or isinstance(node, ast.Attribute) and node.attr in xor_names]
+    assert xors == []
