@@ -292,6 +292,9 @@ def decode(k: int, cache: Cache, transcript: Transcript, d, p) -> bytes:
     transcript does not carry, or payloads that are not packet-sized.
     """
     grid = as_grid(p)
+    if len(cache.held) != len(grid):
+        raise DimensionError(f"cache has {len(cache.held)} packet rows per file, "
+                             f"array has {len(grid)} rows")
     d = _check_demand(d, grid.shape[1], len(cache.data))
     if not 0 <= k < len(d):
         raise InvalidParameter(f"user {k} is not one of the array's {len(d)} users")
@@ -317,8 +320,11 @@ def _decode_all(users, data: np.ndarray, held: np.ndarray, transcript: Transcrip
     several users fail, the lowest one's first failure is raised.  out,
     one (len(users)·F, B) uint8 array whose rows [u·F, (u+1)·F) are user
     users[u]'s file, starts as the demanded files, so the star rows are
-    final.  The pairs are then XORed in blocks of at most _BLOCK bytes;
-    each block is compared with the rows of out it overwrites.
+    final.  Each pair's run, its slot payload XOR every contributor
+    including its own packet W(want, row), cancels to zero when the pair
+    decodes correctly.  The runs are XORed in blocks of at most _BLOCK
+    bytes; a block that is all zero leaves out as it is, and only a block
+    that is not has the demanded packets XORed back out and written.
     """
     n_files, f, size = data.shape
     want = np.asarray(want, dtype=np.int64)
@@ -350,16 +356,22 @@ def _decode_all(users, data: np.ndarray, held: np.ndarray, transcript: Transcrip
     if len(slot) and payloads.shape[1] != size:
         raise DecodeError(f"the transcript's payloads have {payloads.shape[1]} bytes, packets {size}")
 
-    # Each pair's other contributors as flat packet indices, pair by pair.
-    src = ((pf - 1) * f + pr)[other]
-    n_other = count.copy()
-    n_other[pair[own]] -= 1
-    first_other = np.cumsum(n_other) - n_other
+    # Each pair's run is its slot's contributors, own packet included, as
+    # flat packet indices: entries [lo, lo + count) of the transcript's table.
+    src = (transcript.files - 1) * f + transcript.rows
+    if len(own) < len(slot):
+        # A slot that does not list the pair's own packet (a transcript not
+        # made for this array): its run gets W(want, row) appended.
+        lacks_own = np.ones(len(slot), dtype=bool)
+        lacks_own[pair[own]] = False
+        src = np.insert(src[at], np.cumsum(count)[lacks_own], ((want[pu] - 1) * f + prow)[lacks_own])
+        count = count + lacks_own
+        lo = np.cumsum(count) - count
     per_block = max(1, _BLOCK // max(size, 1))
-    # Inside a block the pairs with the most others come first, as the XOR
+    # Inside a block the pairs with the longest runs come first, as the XOR
     # kernel needs.
-    order = np.lexsort((-n_other, np.arange(len(slot)) // per_block))
-    first_other, n_other = first_other[order], n_other[order]
+    order = np.lexsort((-count, np.arange(len(slot)) // per_block))
+    lo, count = lo[order], count[order]
     cell = (pu * f + prow)[order]
     slot_at = slot[order] - 1
 
@@ -371,9 +383,14 @@ def _decode_all(users, data: np.ndarray, held: np.ndarray, transcript: Transcrip
     for lo_b in range(0, len(slot), per_block):
         b = slice(lo_b, lo_b + per_block)
         acc = payloads.take(slot_at[b], axis=0)
-        _xor_runs(acc, packets, src, first_other[b], n_other[b])
-        ok = ok and np.array_equal(acc, out.take(cell[b], axis=0))
-        out[cell[b]] = acc
+        _xor_runs(acc, packets, src, lo[b], count[b])
+        if acc.any():
+            # XOR the demanded packets, which out still holds, back out:
+            # what is left is what the block decoded.
+            ok = False
+            n = len(acc)
+            _xor_runs(acc, out, cell, np.arange(lo_b, lo_b + n), np.ones(n, dtype=np.int64))
+            out[cell[b]] = acc
     return out, ok
 
 

@@ -283,6 +283,17 @@ class TestDecode:
         with pytest.raises(DecodeError, match="cache lacks star rows"):
             decode(0, caches[1], t, (1, 2), CROSS)
 
+    def test_array_of_another_f_is_rejected(self):
+        placed = construct_mn_pda(4, 2)
+        lib = small_lib(placed)
+        caches = place(placed, lib)
+        d = (1, 2, 3, 4)
+        t = deliver(placed, lib, d)
+        for other in (construct_mn_pda(4, 1), construct_mn_pda(4, 3)):
+            with pytest.raises(DimensionError,
+                               match=f"cache has 6 packet rows per file, array has {other.f} rows"):
+                decode(0, caches[0], t, d, other)
+
     def test_broken_pair_fuzz(self):
         # duplicate an existing color somewhere that ruins the star-cross
         # structure; the simulator must notice for every such array
@@ -526,6 +537,45 @@ class TestOneKernel:
         expect[(grid == slot).T] ^= flip
         assert np.count_nonzero(grid == slot) == 3
         assert np.array_equal(out.reshape(p.k, p.f, 8), expect)
+
+    def test_a_valid_round_does_no_check_work_beyond_its_runs(self, monkeypatch):
+        # 8-byte packets and 32-byte blocks: MN(5,2)'s 30 decoded rows take 8 blocks.
+        monkeypatch.setattr(cachesim, "_BLOCK", 32)
+        calls = []
+        real = cachesim._xor_runs
+
+        def counted(*args):
+            calls.append(len(args[0]))
+            return real(*args)
+
+        monkeypatch.setattr(cachesim, "_xor_runs", counted)
+        p = construct_mn_pda(5, 2)
+        lib = FileLibrary.random(6, p.f, packet_size=8, seed=4)
+        result = run_round(p, lib, (2, 6, 2, 1, 4))
+        assert result.all_ok
+        # One call for deliver's payloads, then one per block of 4 rows: no restore pass.
+        assert calls == [p.s] + [4] * 7 + [2]
+
+    def test_a_slot_that_does_not_list_its_own_packet(self):
+        # Slot 4 is cell (0, 2) alone.  Its record lists a packet user 2
+        # caches, (1, 2), in place of the one it decodes, (4, 0).
+        p = Pda.from_grid([[S, 1, 4], [1, S, 3], [2, 3, S]])
+        grid = p.grid
+        lib = FileLibrary.random(4, p.f, packet_size=8, seed=5)
+        d = (2, 3, 4)
+        records = list(deliver(p, lib, d).broadcasts)
+        assert records[3].contributors == ((4, 0),)
+        records[3] = Broadcast(4, records[3].payload, ((1, 2),))
+        tampered = Transcript(broadcasts=records)
+        out, ok = cachesim._decode_all(range(p.k), lib.data, grid == STAR, tampered, d, grid)
+        assert not ok
+        expect = lib.data[np.array(d) - 1].copy()
+        payload = np.frombuffer(records[3].payload, dtype=np.uint8)
+        expect[2, 0] = payload ^ lib.data[0, 2]
+        assert not np.array_equal(expect[2, 0], lib.data[3, 0])
+        assert np.array_equal(out.reshape(p.k, p.f, 8), expect)
+        caches = place(p, lib)
+        assert decode(2, caches[2], tampered, d, p) == expect[2].tobytes()
 
 
 class TestRoundResult:
