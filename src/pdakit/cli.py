@@ -27,9 +27,8 @@ from .neural import TrainConfig, load_checkpoint, rollout, save_checkpoint, trai
 from .pda import Pda, construct_mn_pda, pda_from_text, pda_to_text
 from .seqcodec import (
     assemble_array,
-    default_star_pattern,
+    default_adjacency,
     extract_edge_sequence,
-    placement_to_adjacency,
     read_corpus,
     training_pair_from_pda,
     write_corpus,
@@ -98,7 +97,7 @@ def cmd_pipeline(args):
     if args.trials < 0:
         raise InvalidParameter(f"--trials must be >= 0, got {args.trials}")
     k, f, z = args.users, args.rows, args.stars
-    adjacency = placement_to_adjacency(z, f, k, default_star_pattern(k, f, z))
+    adjacency = default_adjacency(k, f, z)
     comments = [
         f"pdakit pipeline users={k} rows={f} stars={z} "
         f"seed={args.seed} colorer={args.colorer} mask={not args.no_mask}"
@@ -291,7 +290,7 @@ def cmd_bench(args):
                 f"checkpoint addresses up to F={params.config.f_max}, "
                 f"K={params.config.k_max}; size {edges_n} needs F={f}, K={k}"
             )
-        adjacency = placement_to_adjacency(z, f, k, default_star_pattern(k, f, z))
+        adjacency = default_adjacency(k, f, z)
         g = _uncolored_graph(adjacency)
         t0 = time.perf_counter()
         greedy_strong_color(g, order="lex")

@@ -259,6 +259,19 @@ def rate(p: Pda) -> RateReport:
     )
 
 
+def _binom_up_to(n: int, r: int, limit: int) -> Optional[int]:
+    """C(n, r) for 0 < r < n if it is at most ``limit``, else None.
+
+    C(n, r) >= (n/m)^m for m = min(r, n-r), so one far past the limit is
+    refused before it is computed, which takes minutes at n in the millions.
+    """
+    m = min(r, n - r)
+    if m * math.log2(n / m) > math.log2(limit):
+        return None
+    c = math.comb(n, r)
+    return c if c <= limit else None
+
+
 def construct_mn_pda(k_users: int, t: int) -> Pda:
     """The classical Maddah-Ali--Niesen array for K users at cache level t/K.
 
@@ -270,16 +283,13 @@ def construct_mn_pda(k_users: int, t: int) -> Pda:
         raise InvalidParameter(f"need at least 2 users, got {k_users}")
     if not 1 <= t <= k_users - 1:
         raise InvalidParameter(f"t={t} outside [1, {k_users - 1}]")
-    # The grid first: a shape too large for memory fails here, before the
-    # subsets and the binomial table are built.  C(K,t) >= (K/m)^m for
-    # m = min(t, K-t), so past 2^63 rows it fails before C(K,t) itself,
-    # which takes minutes to compute at K in the millions.
+    # The grid first: a shape too large for memory fails before the subsets are built.
     too_large = f"the C({k_users}, {t}) x {k_users} array's cells do not fit in memory"
-    m = min(t, k_users - t)
-    if m * math.log2(k_users / m) > 63:
+    f = _binom_up_to(k_users, t, 2**63)
+    if f is None:
         raise InvalidParameter(too_large)
     with allocating(too_large):
-        grid = np.empty((math.comb(k_users, t), k_users), dtype=np.int64)
+        grid = np.empty((f, k_users), dtype=np.int64)
     rows = np.array(list(itertools.combinations(range(k_users), t)), dtype=np.int64)
     # Combinatorial number system: c_0 < ... < c_t has lexicographic index
     # C(K, t+1) - 1 - sum_i C(K-1-c_i, t+1-i) among the (t+1)-subsets.

@@ -14,7 +14,7 @@ Also holds the training-pair JSONL format used to persist corpora of
 from __future__ import annotations
 
 import json
-import math
+import operator
 import sys
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
@@ -32,7 +32,7 @@ from .errors import (
     json_int,
     read_text,
 )
-from .pda import STAR, Pda, as_grid, construct_mn_pda
+from .pda import STAR, Pda, _binom_up_to, as_grid, construct_mn_pda
 
 EdgeCell = tuple[int, int]
 
@@ -95,7 +95,10 @@ def placement_to_adjacency(z: int, f: int, k: int, star_pattern) -> AdjacencyMat
     with allocating(_too_large(f, k)):
         mask = np.ones((f, k), dtype=bool)
     for j, rows in enumerate(columns):
-        star_set = {int(r) for r in rows}
+        try:
+            star_set = {operator.index(r) for r in rows}
+        except TypeError:
+            raise InvalidPlacement(f"column {j} star rows must be integers") from None
         if len(star_set) != z:
             raise InvalidPlacement(f"column {j} has {len(star_set)} stars, expected {z}")
         for i in star_set:
@@ -195,28 +198,32 @@ def sequences_from_pda(p) -> tuple[AdjacencyMatrix, tuple[EdgeCell, ...], tuple[
     return a, extract_edge_sequence(a), tuple(p.grid.T[a.mask.T].tolist())
 
 
-def default_star_pattern(k: int, f: int, z: int) -> tuple[tuple[int, ...], ...]:
-    """Per-column star rows for a (k, f, z) placement.
+def default_adjacency(k: int, f: int, z: int) -> AdjacencyMatrix:
+    """Mask of the default (k, f, z) placement: True at edge cells.
 
-    Uses the classical t-subset placement when the shape matches it
-    exactly (t = k*z/f integral, f and z the corresponding binomials),
-    else a balanced cyclic pattern: column j caches rows (j + m) mod f
-    for m < z.  Both give every column exactly z stars.
+    The classical t-subset placement when the shape matches it exactly
+    (t = k*z/f integral and f = C(k, t), so z = C(k-1, t-1)), else a
+    balanced cyclic one: column j caches rows (j + m) mod f for m < z.
     """
     if f < 1 or k < 1 or not 0 <= z <= f:
         raise InvalidParameter(f"bad placement shape k={k}, f={f}, z={z}")
-    # The mask this pattern is for must fit before a binomial or a tuple is built.
     with allocating(_too_large(f, k)):
-        np.empty((f, k), dtype=bool)
-    if z * k % f == 0:
-        t = z * k // f
-        if 1 <= t <= k - 1:
-            if f == math.comb(k, t) and z == math.comb(k - 1, t - 1):
-                p = construct_mn_pda(k, t)
-                return tuple(p.star_rows(j) for j in range(k))
-    return tuple(
-        tuple(sorted((j + m) % f for m in range(z))) for j in range(k)
-    )
+        mask = np.empty((f, k), dtype=bool)
+    t = z * k // f
+    if z * k % f == 0 and 1 <= t <= k - 1 and _binom_up_to(k, t, f) == f:
+        np.not_equal(construct_mn_pda(k, t).grid, STAR, out=mask)
+    else:
+        # Cell (i, j) is a star when (i - j) mod f < z.  Entry s of the circulant row
+        # tests i - j = f-1-s, so row i is its window at f-1-i: no F x K int temporary.
+        circulant = np.arange(f - 1, -k, -1) % f >= z
+        mask[:] = np.lib.stride_tricks.sliding_window_view(circulant, k)[::-1]
+    return AdjacencyMatrix(mask=mask)
+
+
+def default_star_pattern(k: int, f: int, z: int) -> tuple[tuple[int, ...], ...]:
+    """Per-column star rows of ``default_adjacency(k, f, z)``, ascending: z in each."""
+    stars = ~default_adjacency(k, f, z).mask
+    return tuple(map(tuple, np.nonzero(stars.T)[1].reshape(k, z).tolist()))
 
 
 # --- training-pair JSONL --------------------------------------------------

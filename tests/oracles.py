@@ -364,6 +364,22 @@ def mn_grid(k_users, t):
     return grid
 
 
+def default_stars(k, f, z):
+    """Star cells (i, j) of the default (k, f, z) placement, built independently.
+
+    The t-subset placement when t = zk/f is a whole number in [1, k-1] and
+    there are exactly f t-subsets of the k users (counted, never computed
+    as a binomial, so a huge count costs f + 1 steps): row i caches the
+    users of the i-th subset in lexicographic order.  Otherwise column j
+    caches rows (j + m) mod f for m < z.
+    """
+    if z * k % f == 0 and 0 < z * k // f < k:
+        subsets = list(itertools.islice(itertools.combinations(range(k), z * k // f), f + 1))
+        if len(subsets) == f:
+            return {(i, j) for i, subset in enumerate(subsets) for j in subset}
+    return {((j + m) % f, j) for j in range(k) for m in range(z)}
+
+
 def _sig(x):
     import numpy as np
 

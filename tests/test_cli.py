@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import warnings
 from pathlib import Path
 
@@ -136,6 +137,18 @@ class TestPipeline:
         assert run("pipeline", "--users", 2, "--rows", 2, "--stars", 1,
                    "--colorer", "neural", "--out", tmp_path / "p.pda") == 2
         assert "checkpoint" in capsys.readouterr().err
+
+    def test_million_users_reach_the_checkpoint_check_with_no_binomial(self, tmp_path,
+                                                                        monkeypatch, capsys):
+        def refuse(*args):
+            raise AssertionError("math.comb called")
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(math, "comb", refuse)
+        assert run("pipeline", "--users", 10**6, "--rows", 2, "--stars", 1,
+                   "--colorer", "neural", "--out", "o.pda") == 2
+        err = capsys.readouterr().err
+        assert "needs --checkpoint" in err and "Traceback" not in err
 
     def test_undersized_checkpoint_rejected(self, tmp_path, capsys):
         ckpt = tmp_path / "model.json"

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -213,6 +215,15 @@ class TestMnConstruction:
             construct_mn_pda(3, 0)
         with pytest.raises(InvalidParameter):
             construct_mn_pda(3, 3)
+
+    def test_shape_past_the_index_range_computes_no_binomial(self, monkeypatch):
+        # C(10^7, 5*10^6) has millions of digits; the lower bound refuses it first.
+        def refuse(*args):
+            raise AssertionError("math.comb called")
+
+        monkeypatch.setattr(math, "comb", refuse)
+        with pytest.raises(InvalidParameter, match="do not fit in memory"):
+            construct_mn_pda(10**7, 5 * 10**6)
 
 
 class TestRate:

@@ -1,4 +1,6 @@
 import json
+import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -18,6 +20,7 @@ from pdakit.seqcodec import (
     AdjacencyMatrix,
     TrainingPair,
     assemble_array,
+    default_adjacency,
     default_star_pattern,
     edges_to_mask,
     extract_edge_sequence,
@@ -68,6 +71,14 @@ class TestAdjacency:
     def test_wrong_column_count_rejected(self):
         with pytest.raises(InvalidPlacement):
             placement_to_adjacency(1, 2, 3, [{0}, {1}])
+
+    def test_non_integer_star_rows_rejected(self):
+        # int() would truncate these to a valid-looking row.
+        for pattern in ([[1.5], [0]], [[np.float64(0.9)], [1]], [["1"], [0]]):
+            with pytest.raises(InvalidPlacement, match="column 0 star rows must be integers"):
+                placement_to_adjacency(1, 2, 2, pattern)
+        a = placement_to_adjacency(1, 2, 2, [np.array([1]), [np.int64(0)]])
+        assert np.array_equal(a.mask, [[True, False], [False, True]])
 
     def test_mask_requires_bool(self):
         with pytest.raises(MalformedGrid):
@@ -279,6 +290,42 @@ class TestDefaultPattern:
     def test_bad_shape_rejected(self):
         with pytest.raises(InvalidParameter):
             default_star_pattern(2, 3, 4)
+
+    def test_matches_the_oracle(self):
+        # Every small shape, every t-subset shape up to K=14, and the cyclic
+        # F=16, Z=12 shapes the benchmark colors.
+        shapes = [(k, f, z) for k in range(1, 15) for f in range(1, 41) for z in range(f + 1)]
+        shapes += [(k, math.comb(k, t), math.comb(k - 1, t - 1))
+                   for k in range(2, 15) for t in range(1, k)]
+        shapes += [(k, 16, 12) for k in (16, 32, 64, 128, 256, 512, 1024)]
+        for k, f, z in shapes:
+            stars = oracles.default_stars(k, f, z)
+            a = default_adjacency(k, f, z)
+            assert set(zip(*np.nonzero(~a.mask))) == stars, (k, f, z)
+            assert default_star_pattern(k, f, z) == tuple(
+                tuple(i for i in range(f) if (i, j) in stars) for j in range(k))
+
+    def test_large_shapes_compute_no_binomial(self, monkeypatch):
+        # f = C(k, t) is decided by a lower bound on C(k, t); at K in the
+        # millions the binomial itself takes minutes.
+        def refuse(*args):
+            raise AssertionError("math.comb called")
+
+        monkeypatch.setattr(math, "comb", refuse)
+        for k in (10**6, 4 * 10**6):
+            a = default_adjacency(k, 2, 1)
+            assert a.edge_count == k
+            assert not a.mask[0, ::2].any() and a.mask[0, 1::2].all()
+
+    def test_peak_memory_is_the_mask_and_its_copy(self):
+        f, k = 2000, 2000
+        tracemalloc.start()
+        try:
+            default_adjacency(k, f, 700)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * f * k
 
 
 class TestCorpus:

@@ -20,6 +20,18 @@ def test_only_errors_decides_that_an_allocation_failed():
     assert naming == []
 
 
+def test_only_pda_computes_binomials():
+    # Whether a shape is a t-subset one is decided in pda, where a lower bound
+    # refuses a binomial far past the rows asked for; a module calling
+    # math.comb itself skips that bound.
+    modules = sorted(PACKAGE.rglob("*.py"))
+    assert PACKAGE / "pda.py" in modules
+    naming = [str(path.relative_to(PACKAGE)) for path in modules
+              if path.name != "pda.py"
+              and re.search(r"\bcomb\b", path.read_text(encoding="utf-8"))]
+    assert naming == []
+
+
 def test_cachesim_xors_bytes_only_in_its_xor_kernel():
     # cachesim._xor_runs is the one XOR kernel of delivery and decoding; an
     # XOR anywhere else in the module is a second copy of it.
