@@ -147,12 +147,22 @@ class Cache(Mapping):
 
 @dataclass(frozen=True)
 class DemandVector:
-    """One file request per user, values in 1..N."""
+    """One file request per user, values in 1..N.
+
+    Entries are read with operator.index: Python and numpy integers pass,
+    and anything int() would truncate or parse (1.5, "2") is refused.
+    """
 
     d: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "d", tuple(int(x) for x in self.d))
+        d = []
+        for k, x in enumerate(self.d):
+            try:
+                d.append(operator.index(x))
+            except TypeError:
+                raise InvalidParameter(f"user {k}'s demand {x!r} is not an integer") from None
+        object.__setattr__(self, "d", tuple(d))
         if any(x < 1 for x in self.d):
             raise InvalidParameter(f"demand values must be >= 1, got {self.d}")
 
@@ -315,16 +325,18 @@ def _decode_all(users, data: np.ndarray, held: np.ndarray, transcript: Transcrip
 
     data is the library's (N, F, B) packets; column u of the (F, len(users))
     star mask held is user users[u]'s cache, and want[u] its file.  The
-    index work runs once for all users: the (user, row) pairs, each pair's
-    contributors, its own packet and the missing-packet check.  When
-    several users fail, the lowest one's first failure is raised.  out,
-    one (len(users)·F, B) uint8 array whose rows [u·F, (u+1)·F) are user
-    users[u]'s file, starts as the demanded files, so the star rows are
-    final.  Each pair's run, its slot payload XOR every contributor
-    including its own packet W(want, row), cancels to zero when the pair
-    decodes correctly.  The runs are XORed in blocks of at most _BLOCK
-    bytes; a block that is all zero leaves out as it is, and only a block
-    that is not has the demanded packets XORed back out and written.
+    index work runs once per (user, row) pair: each pair's contributors,
+    its own packet and the missing-packet check.  When several users fail,
+    the lowest one's first failure is raised.  out, one (len(users)·F, B)
+    uint8 array whose rows [u·F, (u+1)·F) are user users[u]'s file, starts
+    as the demanded files, so the star rows are final.  The bytes are XORed
+    once per slot that some pair reads, not once per pair: the slot's
+    residue, its payload XOR every contributor it lists, is zero when the
+    transcript is the array's.  A pair whose slot lists its own packet
+    W(want, row) decodes the residue XOR W(want, row); one whose slot does
+    not (a transcript not made for this array) decodes the residue.  The
+    runs are XORed in blocks of at most _BLOCK bytes; a block of zero
+    residues whose slots list every pair's own packet leaves out as it is.
     """
     n_files, f, size = data.shape
     want = np.asarray(want, dtype=np.int64)
@@ -356,42 +368,58 @@ def _decode_all(users, data: np.ndarray, held: np.ndarray, transcript: Transcrip
     if len(slot) and payloads.shape[1] != size:
         raise DecodeError(f"the transcript's payloads have {payloads.shape[1]} bytes, packets {size}")
 
-    # Each pair's run is its slot's contributors, own packet included, as
-    # flat packet indices: entries [lo, lo + count) of the transcript's table.
-    src = (transcript.files - 1) * f + transcript.rows
-    if len(own) < len(slot):
-        # A slot that does not list the pair's own packet (a transcript not
-        # made for this array): its run gets W(want, row) appended.
-        lacks_own = np.ones(len(slot), dtype=bool)
-        lacks_own[pair[own]] = False
-        src = np.insert(src[at], np.cumsum(count)[lacks_own], ((want[pu] - 1) * f + prow)[lacks_own])
-        count = count + lacks_own
-        lo = np.cumsum(count) - count
+    # One run per slot that some pair reads: entries [starts[s-1], starts[s])
+    # of the transcript's table, as flat packet indices.  Inside a block the
+    # slots with the longest runs come first, as the XOR kernel needs.
+    read = np.bincount(slot, minlength=n_slots + 1).nonzero()[0]
+    first = starts[read - 1]
+    count = starts[read] - first
     per_block = max(1, _BLOCK // max(size, 1))
-    # Inside a block the pairs with the longest runs come first, as the XOR
-    # kernel needs.
-    order = np.lexsort((-count, np.arange(len(slot)) // per_block))
-    lo, count = lo[order], count[order]
-    cell = (pu * f + prow)[order]
-    slot_at = slot[order] - 1
+    order = np.lexsort((-count, np.arange(len(read)) // per_block))
+    read, first, count = read[order], first[order], count[order]
+    src = (transcript.files - 1) * f + transcript.rows
 
     packets = data.reshape(n_files * f, size)
     out = np.empty((len(want) * f, size), dtype=np.uint8)
     # want is range-checked; mode="raise" would buffer a copy of out.
     np.take(data, want - 1, axis=0, out=out.reshape(len(want), f, size), mode="clip")
-    ok = True
-    for lo_b in range(0, len(slot), per_block):
+    ok, groups = True, None
+    for i, lo_b in enumerate(range(0, len(read), per_block)):
         b = slice(lo_b, lo_b + per_block)
-        acc = payloads.take(slot_at[b], axis=0)
-        _xor_runs(acc, packets, src, lo[b], count[b])
-        if acc.any():
-            # XOR the demanded packets, which out still holds, back out:
-            # what is left is what the block decoded.
-            ok = False
-            n = len(acc)
-            _xor_runs(acc, out, cell, np.arange(lo_b, lo_b + n), np.ones(n, dtype=np.int64))
-            out[cell[b]] = acc
+        acc = payloads.take(read[b] - 1, axis=0)
+        _xor_runs(acc, packets, src, first[b], count[b])
+        if acc.any() or len(own) < len(slot):
+            if groups is None:
+                groups = _pairs_by_block(slot, pu * f + prow, pair[own], read, per_block)
+            bounds, run, cell, lists_own = groups
+            q = slice(bounds[i], bounds[i + 1])
+            # Each pair's residue, XORed with W(want, row), which out still
+            # holds, where the slot lists it: what the pair decoded.
+            got = acc.take(run[q] - lo_b, axis=0)
+            _xor_runs(got, out, cell[q], np.arange(len(got)), lists_own[q])
+            ok = ok and np.array_equal(got, out[cell[q]])
+            out[cell[q]] = got
     return out, ok
+
+
+def _pairs_by_block(slot, cell, listed, read, per_block):
+    """The pairs grouped by the block that holds their slot's run.
+
+    cell is each pair's row of out and listed the pairs whose slot lists
+    their own packet.  Returns (bounds, run, cell, lists_own), the last
+    three per pair in block order: block i's pairs are entries
+    [bounds[i], bounds[i+1]), those whose slot lists their own packet
+    (lists_own 1) first, and run is the index in read of the pair's slot.
+    """
+    position = np.zeros(int(read.max(initial=0)) + 1, dtype=np.int64)
+    position[read] = np.arange(len(read))
+    run = position[slot]
+    lists_own = np.zeros(len(slot), dtype=np.int64)
+    lists_own[listed] = 1
+    order = np.lexsort((-lists_own, run // per_block))
+    run = run[order]
+    bounds = np.searchsorted(run // per_block, np.arange(-(-len(read) // per_block) + 1))
+    return bounds, run, cell[order], lists_own[order]
 
 
 def _raise_first(users, lacks, sent, slot, pu, pair, missing, pf, pr):

@@ -16,7 +16,6 @@ compare equal byte for byte.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -272,6 +271,34 @@ def _binom_up_to(n: int, r: int, limit: int) -> Optional[int]:
     return c if c <= limit else None
 
 
+def _t_subset_stars(k: int, t: int, out: np.ndarray) -> None:
+    """Row i of the (C(k, t), k) bool out: True at the i-th t-subset of range(k), lexicographically.
+
+    At column j the rows form blocks of C(k-j, m) that still need m
+    members from columns j.. ; the first C(k-j-1, m-1) rows of a block take
+    j.  Blocks of one column that need the same m continue alike, so one of
+    them is built and the others copy it at the end, deepest first: O(k·t)
+    numpy calls, and no memory beyond out.
+    """
+    out[:] = False
+    level = {t: (0, len(out))} if t else {}  # members still needed -> rows built for it
+    copies = []
+    for j in range(k):
+        nxt: dict[int, tuple[int, int]] = {}
+        for m, (lo, hi) in level.items():
+            take = lo + math.comb(k - j - 1, m - 1)
+            out[lo:take, j] = True
+            for need, rows in ((m - 1, (lo, take)), (m, (take, hi))):
+                if need and rows[0] < rows[1]:
+                    if need in nxt:
+                        copies.append((j + 1, nxt[need], rows))
+                    else:
+                        nxt[need] = rows
+        level = nxt
+    for j, (lo, hi), (to, end) in reversed(copies):
+        out[to:end, j:] = out[lo:hi, j:]
+
+
 def construct_mn_pda(k_users: int, t: int) -> Pda:
     """The classical Maddah-Ali--Niesen array for K users at cache level t/K.
 
@@ -290,7 +317,9 @@ def construct_mn_pda(k_users: int, t: int) -> Pda:
         raise InvalidParameter(too_large)
     with allocating(too_large):
         grid = np.empty((f, k_users), dtype=np.int64)
-    rows = np.array(list(itertools.combinations(range(k_users), t)), dtype=np.int64)
+        stars = np.empty((f, k_users), dtype=bool)
+    _t_subset_stars(k_users, t, stars)
+    rows = np.nonzero(stars)[1].reshape(f, t)
     # Combinatorial number system: c_0 < ... < c_t has lexicographic index
     # C(K, t+1) - 1 - sum_i C(K-1-c_i, t+1-i) among the (t+1)-subsets.
     binom = np.array([[math.comb(n, r) for r in range(t + 2)] for n in range(k_users)])
@@ -299,7 +328,7 @@ def construct_mn_pda(k_users: int, t: int) -> Pda:
         members = binom[k_users - 1 - rows, t + 1 - np.arange(t) - after].sum(axis=1)
         own = binom[k_users - 1 - k, t + 1 - (~after).sum(axis=1)]
         grid[:, k] = math.comb(k_users, t + 1) - members - own
-    grid[np.arange(len(rows))[:, None], rows] = STAR
+    grid[stars] = STAR
     return Pda(grid=grid, z=math.comb(k_users - 1, t - 1))
 
 

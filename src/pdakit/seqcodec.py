@@ -32,7 +32,7 @@ from .errors import (
     json_int,
     read_text,
 )
-from .pda import STAR, Pda, _binom_up_to, as_grid, construct_mn_pda
+from .pda import STAR, Pda, _binom_up_to, _t_subset_stars, as_grid
 
 EdgeCell = tuple[int, int]
 
@@ -211,7 +211,8 @@ def default_adjacency(k: int, f: int, z: int) -> AdjacencyMatrix:
         mask = np.empty((f, k), dtype=bool)
     t = z * k // f
     if z * k % f == 0 and 1 <= t <= k - 1 and _binom_up_to(k, t, f) == f:
-        np.not_equal(construct_mn_pda(k, t).grid, STAR, out=mask)
+        _t_subset_stars(k, t, mask)
+        np.logical_not(mask, out=mask)
     else:
         # Cell (i, j) is a star when (i - j) mod f < z.  Entry s of the circulant row
         # tests i - j = f-1-s, so row i is its window at f-1-i: no F x K int temporary.

@@ -88,6 +88,10 @@ def oracle_canonical(grid):
     return [[STAR if v == STAR else new[v] for v in row] for row in rows]
 
 
+def _xor(a, b):
+    return bytes(x ^ y for x, y in zip(a, b))
+
+
 def oracle_round(grid, packets, demand):
     """One coded caching round written out packet by packet with Python bytes.
 
@@ -104,9 +108,6 @@ def oracle_round(grid, packets, demand):
     k = len(rows[0])
     size = len(packets[0][0])
 
-    def xor(a, b):
-        return bytes(x ^ y for x, y in zip(a, b))
-
     broadcasts = []
     for s in range(1, max(max(r) for r in rows) + 1):
         payload = bytes(size)
@@ -114,9 +115,27 @@ def oracle_round(grid, packets, demand):
         for i in range(f):
             for j in range(k):
                 if rows[i][j] == s:
-                    payload = xor(payload, packets[demand[j] - 1][i])
+                    payload = _xor(payload, packets[demand[j] - 1][i])
                     contributors.append((demand[j], i))
         broadcasts.append((payload, contributors))
+    return broadcasts, oracle_decode(grid, packets, demand, broadcasts)
+
+
+def oracle_decode(grid, packets, demand, broadcasts):
+    """Every user's file decoded pair by pair from the given broadcasts.
+
+    broadcasts[s - 1] is (payload, contributors) for slot s, as
+    oracle_round builds them, or altered: a (user, row) pair removes the
+    first contributor equal to its own packet (demand, row) when the slot
+    lists it, and XORs every contributor into the payload otherwise.
+    Returns decoded: decoded[u] is user u's file, or ("missing", packet,
+    slot) for the first packet user u needs but does not cache, scanning
+    rows in column order, then each slot's other contributors in order.
+    """
+    rows = [list(r) for r in grid]
+    f = len(rows)
+    k = len(rows[0])
+
     decoded = []
     for u in range(k):
         want = demand[u]
@@ -128,17 +147,18 @@ def oracle_round(grid, packets, demand):
                 out += packets[want - 1][i]
                 continue
             payload, contributors = broadcasts[s - 1]
-            others = list(contributors)
-            others.remove((want, i))
+            others = [tuple(c) for c in contributors]
+            if (want, i) in others:
+                others.remove((want, i))
             missing = [c for c in others if c not in cached]
             if missing:
                 out = ("missing", missing[0], s)
                 break
             for n, j in others:
-                payload = xor(payload, packets[n - 1][j])
+                payload = _xor(payload, packets[n - 1][j])
             out += payload
         decoded.append(out)
-    return broadcasts, decoded
+    return decoded
 
 
 def oracle_strong_coloring(k_count, f_count, edges):

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import re
 from collections.abc import Mapping
 
 import numpy as np
@@ -81,6 +82,28 @@ class TestLibrary:
     def test_demand_range_checked(self):
         with pytest.raises(InvalidParameter):
             DemandVector(d=(1, 0))
+
+    @pytest.mark.parametrize("demand, user, shown", [
+        ((1.5, 2, 3, 4), 0, "1.5"),             # int() would serve file 1
+        ((1, np.float64(2.9), 3, 4), 1, "np.float64(2.9)"),   # int() would serve file 2
+        ((1, 2, "2", 4), 2, "'2'"),             # int() would parse it
+    ])
+    def test_non_integer_demands_are_rejected(self, demand, user, shown):
+        p = construct_mn_pda(4, 2)
+        lib = FileLibrary.random(4, p.f, packet_size=8, seed=1)
+        message = f"user {user}'s demand {shown} is not an integer"
+        with pytest.raises(InvalidParameter, match=re.escape(message)):
+            run_round(p, lib, demand)
+        with pytest.raises(InvalidParameter, match=re.escape(message)):
+            DemandVector(d=demand)
+
+    def test_numpy_integer_demands_are_accepted(self):
+        p = construct_mn_pda(4, 2)
+        lib = FileLibrary.random(4, p.f, packet_size=8, seed=1)
+        demand = (np.int64(1), np.uint8(2), 3, np.int32(4))
+        assert DemandVector(d=demand).d == (1, 2, 3, 4)
+        assert all(type(x) is int for x in DemandVector(d=demand).d)
+        assert run_round(p, lib, demand).files.tobytes() == run_round(p, lib, (1, 2, 3, 4)).files.tobytes()
 
 
 class TestPlace:
@@ -356,6 +379,39 @@ def break_pair(grid, rng):
     return grid
 
 
+def tamper(grid, records, kind, rng, n_files):
+    """(records altered one way, the (row, user) cell altered), or None
+    when the grid offers no such change.
+
+    "none" leaves the records as they are.  "flip" flips one payload bit
+    of a slot.  "swap" replaces one contributor with a packet its cell's
+    user caches.  "drop" removes one cell's own packet from a slot of 2 or
+    more cells, payload unchanged.
+    """
+    records = list(records)
+    if kind == "none":
+        return records, None
+    slots = [b.slot for b in records if len(b.contributors) > (kind == "drop")]
+    if not slots or not records[0].payload:
+        return None
+    s = slots[int(rng.integers(0, len(slots)))]
+    payload, contributors = bytearray(records[s - 1].payload), list(records[s - 1].contributors)
+    c = int(rng.integers(0, len(contributors)))
+    cells = [(i, j) for i, row in enumerate(grid) for j, v in enumerate(row) if v == s]
+    if kind == "flip":
+        payload[int(rng.integers(0, len(payload)))] ^= 1 << int(rng.integers(0, 8))
+    elif kind == "drop":
+        del contributors[c]
+    else:
+        j = cells[c][1]
+        stars = [i for i, row in enumerate(grid) if row[j] == S]
+        if not stars:
+            return None
+        contributors[c] = (int(rng.integers(1, n_files + 1)), stars[int(rng.integers(0, len(stars)))])
+    records[s - 1] = Broadcast(s, bytes(payload), tuple(contributors))
+    return records, cells[c]
+
+
 class TestAgainstOracle:
     def test_rounds_match_packet_by_packet_oracle(self):
         rng = np.random.default_rng(20261018)
@@ -396,10 +452,10 @@ class TestAgainstOracle:
         assert min(outcomes.values()) > 200
 
     def test_small_blocks_match_the_oracle(self, monkeypatch):
-        # With 24-byte blocks a block holds 24, 8, 3 or 1 decoded rows of 1,
-        # 3, 8 or 64 bytes, cut from the user-major (user, row) pairs.  So
-        # blocks split one user's rows, and one block holds rows of users on
-        # both sides of an all-star column, which has no pairs.
+        # With 24-byte blocks a block holds 24, 8, 3 or 1 slot runs of 1, 3,
+        # 8 or 64 bytes.  The grids also cover cuts of that many user-major
+        # (user, row) pairs that split one user's rows, and cuts that span
+        # an all-star column, which has no pairs.
         block = 24
         monkeypatch.setattr(cachesim, "_BLOCK", block)
         rng = np.random.default_rng(20261019)
@@ -442,6 +498,59 @@ class TestAgainstOracle:
                         f"user {u} lacks packet {packet} needed to decode slot {slot}"
                     )
                     seen["missing"] += 1
+        assert min(seen.values()) > 20, seen
+
+    def test_tampered_transcripts_match_the_oracle(self, monkeypatch):
+        # One residue per slot, shared by the slot's pairs, must decode what
+        # a pair-by-pair decoder does, also when a slot's pairs differ in
+        # whether it lists their own packet.  24-byte blocks hold 24, 8, 3
+        # or 1 slot runs of 1, 3, 8 or 64 bytes.
+        monkeypatch.setattr(cachesim, "_BLOCK", 24)
+        rng = np.random.default_rng(20261023)
+        grids = [oracles.mn_grid(4, 2), oracles.mn_grid(5, 2)]
+        grids += [greedy_grid(4, 4, 2, 0), greedy_grid(5, 10, 4, 1), greedy_grid(8, 4, 3, 2)]
+        grids += [oracles.random_grid(rng) for _ in range(60)]
+        seen = {"none": 0, "flip": 0, "swap": 0, "drop": 0,
+                "decoded": 0, "wrong": 0, "missing": 0, "split slot": 0}
+        for n, grid in enumerate(grids):
+            k = len(grid[0])
+            array = np.array(grid, dtype=np.int64)
+            for size, kind in itertools.product((1, 3, 8, 64), ("none", "flip", "swap", "drop")):
+                n_files = int(rng.integers(1, k + 1))
+                lib = FileLibrary.random(n_files, len(grid), packet_size=size, seed=n)
+                demand = tuple(int(x) for x in rng.integers(1, n_files + 1, size=k))
+                tampered = tamper(grid, deliver(grid, lib, demand).broadcasts, kind, rng, n_files)
+                if tampered is None:
+                    continue
+                records, cell = tampered
+                seen[kind] += 1
+                packets = [[lib.packet(file, j) for j in range(len(grid))]
+                           for file in range(1, n_files + 1)]
+                decoded = oracles.oracle_decode(
+                    grid, packets, demand, [(b.payload, b.contributors) for b in records])
+                args = (range(k), lib.data, array == STAR, Transcript(broadcasts=records), demand, array)
+                first = next(((u, out) for u, out in enumerate(decoded)
+                              if isinstance(out, tuple)), None)
+                if first is not None:
+                    u, (_, packet, slot) = first
+                    with pytest.raises(DecodeError) as info:
+                        cachesim._decode_all(*args)
+                    assert str(info.value) == (
+                        f"user {u} lacks packet {packet} needed to decode slot {slot}"
+                    )
+                    seen["missing"] += 1
+                    continue
+                out, ok = cachesim._decode_all(*args)
+                assert [row.tobytes() for row in out.reshape(k, -1)] == decoded
+                wanted = [lib.file_bytes(file) for file in demand]
+                assert ok == (decoded == wanted)
+                seen["decoded" if ok else "wrong"] += 1
+                if kind == "drop" and not ok:
+                    # The cell whose own packet was dropped decodes right,
+                    # the other cells of its slot wrong.
+                    i, j = cell
+                    row = slice(i * size, (i + 1) * size)
+                    seen["split slot"] += decoded[j][row] == wanted[j][row]
         assert min(seen.values()) > 20, seen
 
 
@@ -517,7 +626,7 @@ class TestOneKernel:
         assert failed > 20
 
     def test_a_flipped_payload_bit_fails_only_its_slots_rows(self, monkeypatch):
-        # 8-byte packets and 32-byte blocks: MN(5,2)'s 30 decoded rows take 8 blocks.
+        # 8-byte packets and 32-byte blocks: MN(5,2)'s 10 slot runs take 3 blocks.
         monkeypatch.setattr(cachesim, "_BLOCK", 32)
         p = construct_mn_pda(5, 2)
         grid = p.grid
@@ -539,7 +648,7 @@ class TestOneKernel:
         assert np.array_equal(out.reshape(p.k, p.f, 8), expect)
 
     def test_a_valid_round_does_no_check_work_beyond_its_runs(self, monkeypatch):
-        # 8-byte packets and 32-byte blocks: MN(5,2)'s 30 decoded rows take 8 blocks.
+        # 8-byte packets and 32-byte blocks: MN(5,2)'s 10 slot runs take 3 blocks.
         monkeypatch.setattr(cachesim, "_BLOCK", 32)
         calls = []
         real = cachesim._xor_runs
@@ -553,8 +662,30 @@ class TestOneKernel:
         lib = FileLibrary.random(6, p.f, packet_size=8, seed=4)
         result = run_round(p, lib, (2, 6, 2, 1, 4))
         assert result.all_ok
-        # One call for deliver's payloads, then one per block of 4 rows: no restore pass.
-        assert calls == [p.s] + [4] * 7 + [2]
+        # One call for deliver's payloads, then one per block of 4 slots: no write-back pass.
+        assert calls == [p.s] + [4, 4, 2]
+
+    def test_a_valid_round_gathers_each_slot_once(self, monkeypatch):
+        # MN(6,3): E = 60 decoded rows in S = 15 slots of t + 1 = 4 cells each.
+        gathered = []
+        real = cachesim._xor_runs
+
+        def counted(acc, packets, src, first, count):
+            # acc holds the payloads taken; the kernel gathers count.sum() packets.
+            gathered.append(len(acc) + int(count.sum()))
+            return real(acc, packets, src, first, count)
+
+        p = construct_mn_pda(6, 3)
+        lib = FileLibrary.random(7, p.f, packet_size=8, seed=6)
+        d = (2, 7, 2, 1, 4, 3)
+        t = deliver(p, lib, d)
+        monkeypatch.setattr(cachesim, "_xor_runs", counted)
+        out, ok = cachesim._decode_all(range(p.k), lib.data, p.grid == STAR, t, d, p.grid)
+        assert ok and np.array_equal(out.reshape(p.k, -1), lib.data[np.array(d) - 1].reshape(p.k, -1))
+        e = int(np.count_nonzero(p.grid != STAR))
+        assert (e, p.s) == (60, 15)
+        # Each slot's 4 cells and its payload once: E + S, not E·(t+1) + E = 300.
+        assert sum(gathered) == e + p.s
 
     def test_a_slot_that_does_not_list_its_own_packet(self):
         # Slot 4 is cell (0, 2) alone.  Its record lists a packet user 2
@@ -576,6 +707,39 @@ class TestOneKernel:
         assert np.array_equal(out.reshape(p.k, p.f, 8), expect)
         caches = place(p, lib)
         assert decode(2, caches[2], tampered, d, p) == expect[2].tobytes()
+
+    def test_a_zero_residue_still_fails_a_pair_whose_slot_lacks_its_packet(self):
+        # Packet (1, 2) gets the bytes of (4, 0), so slot 4's record listing
+        # (1, 2) in place of (4, 0) cancels to zero; user 2 decodes that zero.
+        p = Pda.from_grid([[S, 1, 4], [1, S, 3], [2, 3, S]])
+        grid = p.grid
+        data = FileLibrary.random(4, p.f, packet_size=8, seed=5).data.copy()
+        data[0, 2] = data[3, 0]
+        lib = FileLibrary(data)
+        d = (2, 3, 4)
+        records = list(deliver(p, lib, d).broadcasts)
+        records[3] = Broadcast(4, records[3].payload, ((1, 2),))
+        out, ok = cachesim._decode_all(range(p.k), lib.data, grid == STAR,
+                                       Transcript(broadcasts=records), d, grid)
+        assert not ok
+        expect = lib.data[np.array(d) - 1].copy()
+        expect[2, 0] = 0
+        assert lib.data[3, 0].any()
+        assert np.array_equal(out.reshape(p.k, p.f, 8), expect)
+
+    def test_a_slot_that_lists_no_packet_decodes_from_its_payload(self):
+        # Slot 4 is cell (0, 2) alone and its payload is (4, 0) itself, so a
+        # record listing no contributor still decodes: nothing to cancel.
+        p = Pda.from_grid([[S, 1, 4], [1, S, 3], [2, 3, S]])
+        grid = p.grid
+        lib = FileLibrary.random(4, p.f, packet_size=8, seed=5)
+        d = (2, 3, 4)
+        records = list(deliver(p, lib, d).broadcasts)
+        records[3] = Broadcast(4, records[3].payload, ())
+        out, ok = cachesim._decode_all(range(p.k), lib.data, grid == STAR,
+                                       Transcript(broadcasts=records), d, grid)
+        assert ok
+        assert np.array_equal(out.reshape(p.k, p.f, 8), lib.data[np.array(d) - 1])
 
 
 class TestRoundResult:

@@ -327,6 +327,19 @@ class TestDefaultPattern:
             tracemalloc.stop()
         assert peak <= 2.5 * f * k
 
+    def test_t_subset_peak_memory_is_the_mask_and_its_copy(self):
+        # MN(12,6)'s placement: the stars are written into the mask, with no
+        # colored array built to read them from.
+        f, k = 924, 12
+        tracemalloc.start()
+        try:
+            a = default_adjacency(k, f, 462)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(~a.mask, construct_mn_pda(12, 6).grid == STAR)
+        assert peak <= 2.5 * f * k
+
 
 class TestCorpus:
     def make_pairs(self):
