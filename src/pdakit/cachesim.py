@@ -245,16 +245,27 @@ def _check_rows(grid: np.ndarray, lib: FileLibrary) -> None:
         raise DimensionError(f"library has {lib.f} packets per file, array has {len(grid)} rows")
 
 
+# Packet bytes one XOR pass gathers.  On the K=10, F=252 greedy round with
+# 4 KiB packets (CPU time per round, best of 5, 12 runs), 32 KiB blocks ran
+# 31-60% slower (median 48%), 2 MiB blocks 10-35% slower (median 16%), and
+# 256 KiB blocks as fast.
+_BLOCK = 512 << 10
+
+
 def _xor_runs(acc: np.ndarray, packets: np.ndarray, src: np.ndarray, first: np.ndarray,
               count: np.ndarray) -> None:
     """acc[i] ^= packets[src[first[i] + r]] for every r < count[i]; count non-increasing.
 
-    Pass r XORs into the prefix of acc whose rows have more than r packets
-    to add, in place, so no pass gathers more than len(acc) packets.
+    acc is walked in blocks of rows holding at most _BLOCK bytes.  Inside a
+    block, pass r XORs into the prefix of rows with more than r packets to
+    add, in place, so no pass gathers more than one block of packets.
     """
-    prefix = np.searchsorted(-count, -np.arange(count.max(initial=0)))
-    for r, m in enumerate(prefix.tolist()):
-        acc[:m] ^= packets.take(src[first[:m] + r], axis=0)
+    per_block = max(1, _BLOCK // max(acc.shape[1], 1))
+    for lo in range(0, len(acc), per_block):
+        runs = count[lo:lo + per_block]
+        prefix = np.searchsorted(-runs, -np.arange(runs.max(initial=0)))
+        for r, m in enumerate(prefix.tolist()):
+            acc[lo:lo + m] ^= packets.take(src[first[lo:lo + m] + r], axis=0)
 
 
 def place(p, lib: FileLibrary) -> list[Cache]:
@@ -312,13 +323,6 @@ def decode(k: int, cache: Cache, transcript: Transcript, d, p) -> bytes:
     return out.tobytes()
 
 
-# Packet bytes one XOR block gathers.  On the K=10, F=252 greedy round with
-# 4 KiB packets (CPU time per round, best of 5, 12 runs), 32 KiB blocks ran
-# 31-60% slower (median 48%), 2 MiB blocks 10-35% slower (median 16%), and
-# 256 KiB blocks as fast.
-_BLOCK = 512 << 10
-
-
 def _decode_all(users, data: np.ndarray, held: np.ndarray, transcript: Transcript, want,
                 grid: np.ndarray):
     """decode() for every users[u] at once: (out, all equal to the library).
@@ -335,8 +339,10 @@ def _decode_all(users, data: np.ndarray, held: np.ndarray, transcript: Transcrip
     transcript is the array's.  A pair whose slot lists its own packet
     W(want, row) decodes the residue XOR W(want, row); one whose slot does
     not (a transcript not made for this array) decodes the residue.  The
-    runs are XORed in blocks of at most _BLOCK bytes; a block of zero
-    residues whose slots list every pair's own packet leaves out as it is.
+    residues are one table, one row per slot read, made by one kernel
+    call.  Only the rows that move are decoded and written: those of pairs
+    whose slot's residue is not zero or does not list their own packet.
+    Every other pair decodes W(want, row) XOR 0, which out already holds.
     """
     n_files, f, size = data.shape
     want = np.asarray(want, dtype=np.int64)
@@ -369,57 +375,37 @@ def _decode_all(users, data: np.ndarray, held: np.ndarray, transcript: Transcrip
         raise DecodeError(f"the transcript's payloads have {payloads.shape[1]} bytes, packets {size}")
 
     # One run per slot that some pair reads: entries [starts[s-1], starts[s])
-    # of the transcript's table, as flat packet indices.  Inside a block the
-    # slots with the longest runs come first, as the XOR kernel needs.
+    # of the transcript's table, as flat packet indices, longest runs first
+    # as the XOR kernel needs.
     read = np.bincount(slot, minlength=n_slots + 1).nonzero()[0]
     first = starts[read - 1]
     count = starts[read] - first
-    per_block = max(1, _BLOCK // max(size, 1))
-    order = np.lexsort((-count, np.arange(len(read)) // per_block))
+    order = np.argsort(-count, kind="stable")
     read, first, count = read[order], first[order], count[order]
+    res = payloads.take(read - 1, axis=0)
     src = (transcript.files - 1) * f + transcript.rows
+    _xor_runs(res, data.reshape(n_files * f, size), src, first, count)
 
-    packets = data.reshape(n_files * f, size)
     out = np.empty((len(want) * f, size), dtype=np.uint8)
     # want is range-checked; mode="raise" would buffer a copy of out.
     np.take(data, want - 1, axis=0, out=out.reshape(len(want), f, size), mode="clip")
-    ok, groups = True, None
-    for i, lo_b in enumerate(range(0, len(read), per_block)):
-        b = slice(lo_b, lo_b + per_block)
-        acc = payloads.take(read[b] - 1, axis=0)
-        _xor_runs(acc, packets, src, first[b], count[b])
-        if acc.any() or len(own) < len(slot):
-            if groups is None:
-                groups = _pairs_by_block(slot, pu * f + prow, pair[own], read, per_block)
-            bounds, run, cell, lists_own = groups
-            q = slice(bounds[i], bounds[i + 1])
-            # Each pair's residue, XORed with W(want, row), which out still
-            # holds, where the slot lists it: what the pair decoded.
-            got = acc.take(run[q] - lo_b, axis=0)
-            _xor_runs(got, out, cell[q], np.arange(len(got)), lists_own[q])
-            ok = ok and np.array_equal(got, out[cell[q]])
-            out[cell[q]] = got
-    return out, ok
-
-
-def _pairs_by_block(slot, cell, listed, read, per_block):
-    """The pairs grouped by the block that holds their slot's run.
-
-    cell is each pair's row of out and listed the pairs whose slot lists
-    their own packet.  Returns (bounds, run, cell, lists_own), the last
-    three per pair in block order: block i's pairs are entries
-    [bounds[i], bounds[i+1]), those whose slot lists their own packet
-    (lists_own 1) first, and run is the index in read of the pair's slot.
-    """
-    position = np.zeros(int(read.max(initial=0)) + 1, dtype=np.int64)
+    if len(own) == len(slot) and not res.any():
+        return out, True
+    position = np.zeros(n_slots + 1, dtype=np.int64)
     position[read] = np.arange(len(read))
     run = position[slot]
     lists_own = np.zeros(len(slot), dtype=np.int64)
-    lists_own[listed] = 1
-    order = np.lexsort((-lists_own, run // per_block))
-    run = run[order]
-    bounds = np.searchsorted(run // per_block, np.arange(-(-len(read) // per_block) + 1))
-    return bounds, run, cell[order], lists_own[order]
+    lists_own[pair[own]] = 1
+    move = (res.any(axis=1)[run] | (lists_own == 0)).nonzero()[0]
+    move = move[np.argsort(-lists_own[move], kind="stable")]
+    cell = pu[move] * f + prow[move]
+    # Each moving pair's residue, XORed with W(want, row), which out still
+    # holds, where the slot lists it: what the pair decoded.
+    got = res.take(run[move], axis=0)
+    _xor_runs(got, out, cell, np.arange(len(got)), lists_own[move])
+    ok = np.array_equal(got, out[cell])
+    out[cell] = got
+    return out, ok
 
 
 def _raise_first(users, lacks, sent, slot, pu, pair, missing, pf, pr):

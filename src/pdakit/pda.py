@@ -416,7 +416,10 @@ def pda_from_text(text: str) -> Pda:
         p, violations = Pda.from_grid(grid, z=z_decl), []
     except InvalidPda as exc:
         violations = exc.violations
-    if not np.array_equal(np.unique(grid[grid != STAR]), np.arange(1, s_decl + 1)):
+    # Distinct colors, all >= 1, are exactly 1..S iff S of them end at S;
+    # nothing is sized by the header's S, which may be any decimal.
+    colors = np.unique(grid[grid != STAR])
+    if len(colors) != s_decl or (s_decl and int(colors[-1]) != s_decl):
         violations.append(Violation(COND_COLOR_RANGE, ()))
     if violations:
         raise InvalidPda(f"array fails validation ({len(violations)} violations)", violations)

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import re
+import tracemalloc
 from collections.abc import Mapping
 
 import numpy as np
@@ -452,10 +453,11 @@ class TestAgainstOracle:
         assert min(outcomes.values()) > 200
 
     def test_small_blocks_match_the_oracle(self, monkeypatch):
-        # With 24-byte blocks a block holds 24, 8, 3 or 1 slot runs of 1, 3,
-        # 8 or 64 bytes.  The grids also cover cuts of that many user-major
-        # (user, row) pairs that split one user's rows, and cuts that span
-        # an all-star column, which has no pairs.
+        # With 24-byte blocks a kernel block holds 24, 8, 3 or 1 rows of 1, 3,
+        # 8 or 64 bytes: slot runs, or the pairs a failed round writes.  The
+        # grids also cover cuts of that many user-major (user, row) pairs
+        # that split one user's rows, and cuts that span an all-star column,
+        # which has no pairs.
         block = 24
         monkeypatch.setattr(cachesim, "_BLOCK", block)
         rng = np.random.default_rng(20261019)
@@ -638,8 +640,18 @@ class TestOneKernel:
         payload[byte] ^= 1 << bit
         records[slot - 1] = Broadcast(slot, bytes(payload), records[slot - 1].contributors)
         tampered = Transcript(broadcasts=records)
+        calls = []
+        real = cachesim._xor_runs
+
+        def counted(*args):
+            calls.append(len(args[0]))
+            return real(*args)
+
+        monkeypatch.setattr(cachesim, "_xor_runs", counted)
         out, ok = cachesim._decode_all(range(p.k), lib.data, grid == STAR, tampered, d, grid)
         assert not ok
+        # One call for the residues, then one for slot 7's three rows alone.
+        assert calls == [p.s, 3]
         flip = np.zeros(8, dtype=np.uint8)
         flip[byte] = 1 << bit
         expect = lib.data[np.array(d) - 1].copy()
@@ -662,8 +674,32 @@ class TestOneKernel:
         lib = FileLibrary.random(6, p.f, packet_size=8, seed=4)
         result = run_round(p, lib, (2, 6, 2, 1, 4))
         assert result.all_ok
-        # One call for deliver's payloads, then one per block of 4 slots: no write-back pass.
-        assert calls == [p.s] + [4, 4, 2]
+        # One call for deliver's payloads, then one for the residues: no write-back pass.
+        assert calls == [p.s, p.s]
+
+    def test_the_kernel_gathers_one_block_at_a_time(self, monkeypatch):
+        # 256 rows of 4 KiB in 64 KiB blocks: 16 rows per block.  Untiled,
+        # a pass would gather all 1 MiB of packets at once.
+        block = 64 << 10
+        monkeypatch.setattr(cachesim, "_BLOCK", block)
+        rng = np.random.default_rng(8)
+        packets = rng.integers(0, 256, size=(64, 4096), dtype=np.uint8)
+        acc = rng.integers(0, 256, size=(256, 4096), dtype=np.uint8)
+        count = np.sort(rng.integers(0, 4, size=len(acc)))[::-1].copy()
+        first = np.cumsum(count) - count
+        src = rng.integers(0, len(packets), size=int(count.sum()))
+        expect = acc.copy()
+        for i in range(len(acc)):
+            for r in range(count[i]):
+                expect[i] ^= packets[src[first[i] + r]]
+        tracemalloc.start()
+        try:
+            cachesim._xor_runs(acc, packets, src, first, count)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * block
+        assert np.array_equal(acc, expect)
 
     def test_a_valid_round_gathers_each_slot_once(self, monkeypatch):
         # MN(6,3): E = 60 decoded rows in S = 15 slots of t + 1 = 4 cells each.

@@ -394,7 +394,9 @@ class TestSimulate:
     @pytest.mark.parametrize("text", [
         "2 2 1 7\n* 1\n1 *\n",   # header S is not the color count
         "2 2 1 1\n* 5\n5 *\n",   # colors with a gap below them
-    ], ids=["header-s", "gappy-colors"])
+        "2 2 1 999999999999999\n* 1\n1 *\n",   # an S numpy cannot allocate
+        "2 2 1 99999999999999999999999\n* 1\n1 *\n",   # an S past int64
+    ], ids=["header-s", "gappy-colors", "huge-s", "s-past-int64"])
     def test_header_that_misstates_the_colors_is_a_domain_failure(self, tmp_path, capsys, text):
         path = tmp_path / "bad.pda"
         path.write_text(text)

@@ -310,7 +310,10 @@ class TestTextFormat:
                 parse_pda_text(f"{header}\n* 1\n1 *\n")
 
     def test_header_color_range(self):
-        for text in ("2 2 1 2\n* 1\n1 *\n", "2 2 1 1\n* 5\n5 *\n"):
+        # The last two headers' S is never allocated: 10^15 and 10^23 colors.
+        for text in ("2 2 1 2\n* 1\n1 *\n", "2 2 1 1\n* 5\n5 *\n",
+                     "2 2 1 999999999999999\n* 1\n1 *\n",
+                     "2 2 1 99999999999999999999999\n* 1\n1 *\n"):
             with pytest.raises(InvalidPda) as exc:
                 pda_from_text(text)
             assert [v.condition for v in exc.value.violations] == [COND_COLOR_RANGE]

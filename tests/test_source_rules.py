@@ -46,3 +46,20 @@ def test_cachesim_xors_bytes_only_in_its_xor_kernel():
             or isinstance(node, ast.Name) and node.id in xor_names
             or isinstance(node, ast.Attribute) and node.attr in xor_names]
     assert xors == []
+
+
+def test_cachesim_tiles_only_in_its_xor_kernel():
+    # How many rows one XOR pass gathers is decided in _xor_runs alone; a
+    # caller naming _BLOCK tiles its runs a second time, or skips it.
+    tree = ast.parse((PACKAGE / "cachesim.py").read_text(encoding="utf-8"))
+    kernel, = [node for node in tree.body
+               if isinstance(node, ast.FunctionDef) and node.name == "_xor_runs"]
+    setting, = [node for node in tree.body if isinstance(node, ast.Assign)
+                and [ast.unparse(target) for target in node.targets] == ["_BLOCK"]]
+    tree.body.remove(kernel)
+    tree.body.remove(setting)
+    assert any(isinstance(node, ast.Name) and node.id == "_BLOCK" for node in ast.walk(kernel))
+    naming = [node.lineno for node in ast.walk(tree)
+              if isinstance(node, ast.Name) and node.id == "_BLOCK"
+              or isinstance(node, ast.Attribute) and node.attr == "_BLOCK"]
+    assert naming == []
