@@ -14,6 +14,7 @@ slots 1..S (the array's colors).
 from __future__ import annotations
 
 import csv
+import functools
 import itertools
 import json
 import operator
@@ -34,20 +35,24 @@ class FileLibrary:
 
     The bytes live once, in the read-only (N, F, B) uint8 array ``data``:
     data[i, j] is packet row j of file i+1 (files are 1-based in demands,
-    0-based here).
+    0-based here).  The library owns them, so round results may hold them
+    by reference.
     """
 
     data: np.ndarray
 
     def __init__(self, packets):
-        """packets: an (N, F, B) uint8 array, or N sequences of F equal-size packets."""
-        if not isinstance(packets, np.ndarray):
-            packets = _stack(packets)
+        """packets: an (N, F, B) uint8 array, copied, or N sequences of F equal-size packets."""
+        self._hold(np.array(packets) if isinstance(packets, np.ndarray) else _stack(packets))
+
+    def _hold(self, packets: np.ndarray) -> "FileLibrary":
+        """Take packets, an array no one else writes to, as ``data``."""
         if packets.ndim != 3 or packets.dtype != np.uint8 or 0 in packets.shape[:2]:
             raise InvalidParameter("library needs an (N, F, B) uint8 array with N, F >= 1")
-        data = np.ascontiguousarray(packets).view()
+        data = np.ascontiguousarray(packets)
         data.setflags(write=False)
         object.__setattr__(self, "data", data)
+        return self
 
     @classmethod
     def random(cls, n_files: int, f: int, packet_size: int = 64, seed: int = 0) -> "FileLibrary":
@@ -63,7 +68,7 @@ class FileLibrary:
                         "do not fit in memory"):
             words = rng.integers(0, 2**32, size=(n_files * f, -(-packet_size // 4)), dtype=np.uint32)
         packets = words.astype("<u4", copy=False).view(np.uint8)[:, :packet_size]
-        return cls(packets.reshape(n_files, f, packet_size))
+        return cls.__new__(cls)._hold(packets.reshape(n_files, f, packet_size))
 
     @property
     def n_files(self) -> int:
@@ -319,30 +324,32 @@ def decode(k: int, cache: Cache, transcript: Transcript, d, p) -> bytes:
     d = _check_demand(d, grid.shape[1], len(cache.data))
     if not 0 <= k < len(d):
         raise InvalidParameter(f"user {k} is not one of the array's {len(d)} users")
-    out, _ = _decode_all([k], cache.data, cache.held[:, None], transcript, [d[k]], grid)
-    return out.tobytes()
+    moved, got, _ = _decode_all([k], cache.data, cache.held[:, None], transcript, [d[k]], grid)
+    return _file_bytes(cache.data, d[k], moved, got)
 
 
 def _decode_all(users, data: np.ndarray, held: np.ndarray, transcript: Transcript, want,
                 grid: np.ndarray):
-    """decode() for every users[u] at once: (out, all equal to the library).
+    """decode() for every users[u] at once: (moved, got, all equal to the library).
 
     data is the library's (N, F, B) packets; column u of the (F, len(users))
     star mask held is user users[u]'s cache, and want[u] its file.  The
     index work runs once per (user, row) pair: each pair's contributors,
     its own packet and the missing-packet check.  When several users fail,
-    the lowest one's first failure is raised.  out, one (len(users)·F, B)
-    uint8 array whose rows [u·F, (u+1)·F) are user users[u]'s file, starts
-    as the demanded files, so the star rows are final.  The bytes are XORed
-    once per slot that some pair reads, not once per pair: the slot's
+    the lowest one's first failure is raised.  The decoded files are the
+    demanded library files except at the moved cells: moved[i] = u·F + row
+    is user users[u]'s packet row, and got[i] the B bytes it decoded there
+    (_assemble builds the dense files).  The bytes are XORed once per slot
+    that some pair reads, not once per pair: the slot's
     residue, its payload XOR every contributor it lists, is zero when the
     transcript is the array's.  A pair whose slot lists its own packet
     W(want, row) decodes the residue XOR W(want, row); one whose slot does
     not (a transcript not made for this array) decodes the residue.  The
     residues are one table, one row per slot read, made by one kernel
-    call.  Only the rows that move are decoded and written: those of pairs
-    whose slot's residue is not zero or does not list their own packet.
-    Every other pair decodes W(want, row) XOR 0, which out already holds.
+    call.  Only the rows that move are decoded: those of pairs whose slot's
+    residue is not zero or does not list their own packet.  Every other
+    pair decodes W(want, row) XOR 0, the library's own packet, so a valid
+    round moves nothing and copies no file.
     """
     n_files, f, size = data.shape
     want = np.asarray(want, dtype=np.int64)
@@ -383,14 +390,10 @@ def _decode_all(users, data: np.ndarray, held: np.ndarray, transcript: Transcrip
     order = np.argsort(-count, kind="stable")
     read, first, count = read[order], first[order], count[order]
     res = payloads.take(read - 1, axis=0)
-    src = (transcript.files - 1) * f + transcript.rows
-    _xor_runs(res, data.reshape(n_files * f, size), src, first, count)
-
-    out = np.empty((len(want) * f, size), dtype=np.uint8)
-    # want is range-checked; mode="raise" would buffer a copy of out.
-    np.take(data, want - 1, axis=0, out=out.reshape(len(want), f, size), mode="clip")
-    if len(own) == len(slot) and not res.any():
-        return out, True
+    packets = data.reshape(n_files * f, size)
+    _xor_runs(res, packets, (transcript.files - 1) * f + transcript.rows, first, count)
+    if len(own) == len(slot) and not res.max(initial=0):
+        return np.zeros(0, dtype=np.int64), np.zeros((0, size), dtype=np.uint8), True
     position = np.zeros(n_slots + 1, dtype=np.int64)
     position[read] = np.arange(len(read))
     run = position[slot]
@@ -398,14 +401,31 @@ def _decode_all(users, data: np.ndarray, held: np.ndarray, transcript: Transcrip
     lists_own[pair[own]] = 1
     move = (res.any(axis=1)[run] | (lists_own == 0)).nonzero()[0]
     move = move[np.argsort(-lists_own[move], kind="stable")]
-    cell = pu[move] * f + prow[move]
-    # Each moving pair's residue, XORed with W(want, row), which out still
-    # holds, where the slot lists it: what the pair decoded.
+    mine = (want[pu[move]] - 1) * f + prow[move]
+    # Each moving pair's residue, XORed with its own packet W(want, row)
+    # where the slot lists it: what the pair decoded.
     got = res.take(run[move], axis=0)
-    _xor_runs(got, out, cell, np.arange(len(got)), lists_own[move])
-    ok = np.array_equal(got, out[cell])
-    out[cell] = got
-    return out, ok
+    _xor_runs(got, packets, mine, np.arange(len(got)), lists_own[move])
+    return pu[move] * f + prow[move], got, np.array_equal(got, packets[mine])
+
+
+def _assemble(data: np.ndarray, want, moved: np.ndarray, got: np.ndarray) -> np.ndarray:
+    """The (len(want), F·B) decoded files that _decode_all's moves describe.
+
+    Row u is library file want[u], data[want[u] - 1], with packet row j
+    replaced by got[i] wherever moved[i] = u·F + j.
+    """
+    _, f, size = data.shape
+    out = data.take(np.asarray(want, dtype=np.int64) - 1, axis=0)
+    out.reshape(len(out) * f, size)[moved] = got
+    return out.reshape(len(out), f * size)
+
+
+def _file_bytes(data: np.ndarray, want: int, moved: np.ndarray, got: np.ndarray) -> bytes:
+    """One user's file as bytes, moved counting from its row 0: one copy unless it moved."""
+    if len(moved):
+        return _assemble(data, [want], moved, got).tobytes()
+    return data[want - 1].tobytes()
 
 
 def _raise_first(users, lacks, sent, slot, pu, pair, missing, pf, pr):
@@ -429,23 +449,24 @@ def _raise_first(users, lacks, sent, slot, pu, pair, missing, pf, pr):
 
 
 class _FileRows(Sequence):
-    """Read-only rows of a (K, F·B) uint8 array, each one bytes per access."""
+    """A round's decoded files, each one bytes per access."""
 
-    __slots__ = ("_files",)
+    __slots__ = ("_result",)
 
-    def __init__(self, files: np.ndarray):
-        self._files = files
+    def __init__(self, result: "RoundResult"):
+        self._result = result
 
     def __len__(self) -> int:
-        return len(self._files)
+        return len(self._result._want)
 
     def __getitem__(self, k):
+        users = range(len(self))[k]
         if isinstance(k, slice):
-            return tuple(row.tobytes() for row in self._files[k])
-        return self._files[operator.index(k)].tobytes()
+            return tuple(map(self._result._file, users))
+        return self._result._file(users)
 
     def __iter__(self):
-        return (row.tobytes() for row in self._files)
+        return map(self._result._file, range(len(self)))
 
     def __eq__(self, other):
         if not isinstance(other, Sequence):
@@ -455,47 +476,71 @@ class _FileRows(Sequence):
     __hash__ = None
 
     def __repr__(self):
-        return f"<{len(self)} decoded files of {self._files.shape[1]} bytes>"
+        _, f, size = self._result._data.shape
+        return f"<{len(self)} decoded files of {f * size} bytes>"
 
 
 @dataclass(frozen=True, init=False, eq=False)
 class RoundResult:
     """A round's transcript and every user's decoded file.
 
-    The files live once, in the read-only (K, F·B) uint8 array ``files``:
-    row k is user k's decoded file.  ``decoded[k]`` builds that row's
-    bytes on each access.
+    A result holds the library's read-only (N, F, B) packets by reference,
+    the demand, and the cells where a user decoded other bytes than its
+    file's packet (as _decode_all returns them).  A valid round has none,
+    so it copies no file.  ``files``, the read-only (K, F·B) uint8 array
+    whose row k is user k's decoded file, is built on its first read and
+    kept; ``decoded[k]`` builds user k's bytes alone on each access.
     """
 
     transcript: Transcript
-    files: np.ndarray
     all_ok: bool
 
     def __init__(self, transcript: Transcript, decoded: Sequence[bytes], all_ok: bool):
-        """decoded: one file per user, all of one length; copied once into ``files``."""
+        """decoded: one file per user, all of one length; joined once, as files 1..K."""
         rows = list(decoded)
         size = len(rows[0]) if rows else 0
         for k, row in enumerate(rows):
             if len(row) != size:
                 raise InvalidParameter(f"user {k}'s file has {len(row)} bytes, user 0's {size}")
-        files = np.frombuffer(b"".join(rows), dtype=np.uint8).reshape(len(rows), size)
-        self._hold(transcript, files, all_ok)
+        joined = np.frombuffer(b"".join(rows), dtype=np.uint8).reshape(len(rows), 1, size)
+        self._hold(transcript, joined, range(1, len(rows) + 1), np.zeros(0, dtype=np.int64),
+                   np.zeros((0, size), dtype=np.uint8), all_ok)
 
     @classmethod
-    def _of_files(cls, transcript: Transcript, files: np.ndarray, all_ok: bool) -> "RoundResult":
-        """A result over a (K, F·B) array built elsewhere; it becomes read-only."""
-        return cls.__new__(cls)._hold(transcript, files, all_ok)
+    def _of_moves(cls, transcript: Transcript, data: np.ndarray, want, moved: np.ndarray,
+                  got: np.ndarray, all_ok: bool) -> "RoundResult":
+        """A result over read-only library packets data and _decode_all's moves."""
+        return cls.__new__(cls)._hold(transcript, data, want, moved, got, all_ok)
 
-    def _hold(self, transcript, files, all_ok) -> "RoundResult":
-        files.setflags(write=False)
-        for name, value in (("transcript", transcript), ("files", files), ("all_ok", all_ok)):
+    def _hold(self, transcript, data, want, moved, got, all_ok) -> "RoundResult":
+        for name, value in (("transcript", transcript), ("all_ok", all_ok), ("_data", data),
+                            ("_want", np.asarray(want, dtype=np.int64)), ("_moved", moved),
+                            ("_got", got)):
             object.__setattr__(self, name, value)
         return self
 
+    @functools.cached_property
+    def files(self) -> np.ndarray:
+        files = _assemble(self._data, self._want, self._moved, self._got)
+        files.setflags(write=False)
+        return files
+
     @property
     def decoded(self) -> Sequence[bytes]:
-        """decoded[k]: user k's file as bytes, built from ``files`` on each access."""
-        return _FileRows(self.files)
+        """decoded[k]: user k's file as bytes, built on each access."""
+        return _FileRows(self)
+
+    def _file(self, k: int) -> bytes:
+        f = self._data.shape[1]
+        mine = self._moved // f == k
+        return _file_bytes(self._data, int(self._want[k]), self._moved[mine] - k * f, self._got[mine])
+
+    def _wrong_users(self) -> set[int]:
+        """The users whose decoded file differs from the library file they asked for."""
+        n_files, f, size = self._data.shape
+        user, row = np.divmod(self._moved, f)
+        packets = self._data.reshape(n_files * f, size)[(self._want[user] - 1) * f + row]
+        return set(user[(self._got != packets).any(axis=1)].tolist())
 
 
 def run_round(p, lib: FileLibrary, d) -> RoundResult:
@@ -504,8 +549,8 @@ def run_round(p, lib: FileLibrary, d) -> RoundResult:
     users = grid.shape[1]
     d = _check_demand(d, users, lib.n_files)
     transcript = deliver(grid, lib, d)
-    out, all_ok = _decode_all(range(users), lib.data, grid == STAR, transcript, d.d, grid)
-    return RoundResult._of_files(transcript, out.reshape(users, lib.f * lib.packet_size), all_ok)
+    moved, got, all_ok = _decode_all(range(users), lib.data, grid == STAR, transcript, d.d, grid)
+    return RoundResult._of_moves(transcript, lib.data, d.d, moved, got, all_ok)
 
 
 @dataclass(frozen=True)
@@ -541,11 +586,9 @@ def measure(p, trials: int = 20, seed: int = 0, n_files: Optional[int] = None,
         demands = np.random.default_rng(seed).integers(1, n + 1, size=(trials, p.k)).tolist()
     trace: list[TraceRow] = []
     for trial, demand in enumerate(demands):
-        result = run_round(p, lib, demand)
-        # run_round has compared every user; only a failed round needs it per user.
+        wrong = run_round(p, lib, demand)._wrong_users()
         for k, want in enumerate(demand):
-            ok = result.all_ok or np.array_equal(result.files[k], lib.data[want - 1].reshape(-1))
-            trace.append(TraceRow(trial=trial, user=k, demand=want, decoded_ok=ok))
+            trace.append(TraceRow(trial=trial, user=k, demand=want, decoded_ok=k not in wrong))
     return MeasureReport(
         delivery_rate=Fraction(p.s, p.f),
         uncoded_rate=Fraction(p.k) * (1 - Fraction(p.z, p.f)),

@@ -38,6 +38,12 @@ def small_lib(p, n_files=None, seed=1):
     return FileLibrary.random(n_files or p.k + 1, p.f, packet_size=8, seed=seed)
 
 
+def decode_all(users, data, held, transcript, want, grid):
+    """cachesim._decode_all's moves assembled into the (K, F·B) files: (out, ok)."""
+    moved, got, ok = cachesim._decode_all(users, data, held, transcript, want, grid)
+    return cachesim._assemble(data, want, moved, got), ok
+
+
 class TestLibrary:
     def test_random_is_seeded(self):
         a = FileLibrary.random(2, 3, packet_size=16, seed=4)
@@ -75,6 +81,30 @@ class TestLibrary:
         assert view == lib.packet(3, 1) and view.readonly
         assert np.shares_memory(np.frombuffer(view, dtype=np.uint8), lib.data)
         assert FileLibrary(lib.packets).packets == lib.packets
+
+    def test_the_library_owns_its_bytes(self):
+        # Results hold the library by reference, so a write to the array
+        # it was built from must reach neither the library nor a result.
+        a = np.zeros((3, 2, 4), dtype=np.uint8)
+        lib = FileLibrary(a)
+        result = run_round(CROSS, lib, (1, 3))
+        a[0, 0, 0] = 7
+        a[2] = 9
+        assert not lib.data.any() and a.flags.writeable
+        assert result.decoded == (bytes(8), bytes(8)) and not result.files.any()
+
+    def test_random_hands_over_its_own_array(self):
+        n, f, size = 4, 64, 4096
+        FileLibrary.random(1, 1, packet_size=4)   # the generator's first-use set-up
+        tracemalloc.start()
+        try:
+            lib = FileLibrary.random(n, f, packet_size=size, seed=2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert lib.data.shape == (n, f, size)
+        # One N·F·B array; a second copy would double the peak.
+        assert peak < 1.5 * n * f * size
 
     def test_unequal_packet_rejected(self):
         with pytest.raises(InvalidParameter):
@@ -542,7 +572,7 @@ class TestAgainstOracle:
                     )
                     seen["missing"] += 1
                     continue
-                out, ok = cachesim._decode_all(*args)
+                out, ok = decode_all(*args)
                 assert [row.tobytes() for row in out.reshape(k, -1)] == decoded
                 wanted = [lib.file_bytes(file) for file in demand]
                 assert ok == (decoded == wanted)
@@ -648,7 +678,7 @@ class TestOneKernel:
             return real(*args)
 
         monkeypatch.setattr(cachesim, "_xor_runs", counted)
-        out, ok = cachesim._decode_all(range(p.k), lib.data, grid == STAR, tampered, d, grid)
+        out, ok = decode_all(range(p.k), lib.data, grid == STAR, tampered, d, grid)
         assert not ok
         # One call for the residues, then one for slot 7's three rows alone.
         assert calls == [p.s, 3]
@@ -716,7 +746,7 @@ class TestOneKernel:
         d = (2, 7, 2, 1, 4, 3)
         t = deliver(p, lib, d)
         monkeypatch.setattr(cachesim, "_xor_runs", counted)
-        out, ok = cachesim._decode_all(range(p.k), lib.data, p.grid == STAR, t, d, p.grid)
+        out, ok = decode_all(range(p.k), lib.data, p.grid == STAR, t, d, p.grid)
         assert ok and np.array_equal(out.reshape(p.k, -1), lib.data[np.array(d) - 1].reshape(p.k, -1))
         e = int(np.count_nonzero(p.grid != STAR))
         assert (e, p.s) == (60, 15)
@@ -734,7 +764,7 @@ class TestOneKernel:
         assert records[3].contributors == ((4, 0),)
         records[3] = Broadcast(4, records[3].payload, ((1, 2),))
         tampered = Transcript(broadcasts=records)
-        out, ok = cachesim._decode_all(range(p.k), lib.data, grid == STAR, tampered, d, grid)
+        out, ok = decode_all(range(p.k), lib.data, grid == STAR, tampered, d, grid)
         assert not ok
         expect = lib.data[np.array(d) - 1].copy()
         payload = np.frombuffer(records[3].payload, dtype=np.uint8)
@@ -755,7 +785,7 @@ class TestOneKernel:
         d = (2, 3, 4)
         records = list(deliver(p, lib, d).broadcasts)
         records[3] = Broadcast(4, records[3].payload, ((1, 2),))
-        out, ok = cachesim._decode_all(range(p.k), lib.data, grid == STAR,
+        out, ok = decode_all(range(p.k), lib.data, grid == STAR,
                                        Transcript(broadcasts=records), d, grid)
         assert not ok
         expect = lib.data[np.array(d) - 1].copy()
@@ -772,7 +802,7 @@ class TestOneKernel:
         d = (2, 3, 4)
         records = list(deliver(p, lib, d).broadcasts)
         records[3] = Broadcast(4, records[3].payload, ())
-        out, ok = cachesim._decode_all(range(p.k), lib.data, grid == STAR,
+        out, ok = decode_all(range(p.k), lib.data, grid == STAR,
                                        Transcript(broadcasts=records), d, grid)
         assert ok
         assert np.array_equal(out.reshape(p.k, p.f, 8), lib.data[np.array(d) - 1])
@@ -780,6 +810,65 @@ class TestOneKernel:
 
 class TestRoundResult:
     """A round's files live in one read-only array; decoded builds bytes on request."""
+
+    def test_a_valid_round_copies_no_file(self):
+        # MN(8,4) with 4 KiB packets: K·F·B = 8·70·4096 bytes, 2.3 MB.
+        p = construct_mn_pda(8, 4)
+        lib = FileLibrary.random(p.k + 1, p.f, packet_size=4096, seed=8)
+        demand = (1, 9, 2, 2, 5, 7, 3, 8)
+        tracemalloc.start()
+        try:
+            result = run_round(p, lib, demand)
+            _, round_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            for k, want in enumerate(demand):
+                assert result.decoded[k] == lib.file_bytes(want)
+            _, read_peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.all_ok
+        bound = p.k * p.f * 4096
+        assert round_peak < bound and read_peak < bound
+
+    def test_files_match_the_oracle_and_are_built_once(self, monkeypatch):
+        # run_round over its own transcript and over tampered ones: files
+        # and decoded are the library patched where a user decoded other
+        # bytes, built on the first read of files and kept.
+        rng = np.random.default_rng(20261025)
+        grids = [oracles.mn_grid(4, 2), oracles.mn_grid(6, 3), greedy_grid(5, 10, 4, 0)]
+        real = cachesim.deliver
+        # A swapped contributor mostly leaves some user a packet it lacks,
+        # which raises; TestAgainstOracle covers that.
+        seen = {"none": 0, "flip": 0, "drop": 0, "wrong": 0}
+        for n, grid in enumerate(grids):
+            k = len(grid[0])
+            for _, size, kind in itertools.product(range(4), (1, 8, 64), ("none", "flip", "drop")):
+                lib = FileLibrary.random(k + 1, len(grid), packet_size=size, seed=n)
+                demand = tuple(int(x) for x in rng.integers(1, k + 2, size=k))
+                packets = [[lib.packet(file, j) for j in range(len(grid))]
+                           for file in range(1, k + 2)]
+                tampered = tamper(grid, real(grid, lib, demand).broadcasts, kind, rng, k + 1)
+                if tampered is None:
+                    continue
+                records = tampered[0]
+                if kind == "none":
+                    _, decoded = oracles.oracle_round(grid, packets, demand)
+                else:
+                    decoded = oracles.oracle_decode(
+                        grid, packets, demand, [(b.payload, b.contributors) for b in records])
+                if any(isinstance(out, tuple) for out in decoded):
+                    continue
+                monkeypatch.setattr(cachesim, "deliver",
+                                    lambda *args: Transcript(broadcasts=records))
+                result = run_round(grid, lib, demand)
+                assert result.decoded == decoded
+                files = result.files
+                assert [row.tobytes() for row in files] == decoded
+                assert not files.flags.writeable and result.files is files
+                assert result.all_ok == (decoded == [lib.file_bytes(w) for w in demand])
+                seen[kind] += 1
+                seen["wrong"] += not result.all_ok
+        assert min(seen.values()) > 10, seen
 
     def test_files_are_one_read_only_array_of_the_demanded_files(self):
         for p, size in ((construct_mn_pda(4, 2), 8), (CROSS, 1), (Pda.from_grid([[S], [S]]), 16)):
@@ -837,17 +926,33 @@ class TestRoundResult:
     def test_failed_round_is_traced_user_by_user(self, monkeypatch):
         real = cachesim._decode_all
 
-        def corrupt_user_one(*args):
-            out, _ = real(*args)
-            out = out.copy()
-            out[len(out) // 2] ^= 1
-            return out, False
+        def corrupt_user_one(users, data, held, transcript, want, grid):
+            moved, got, _ = real(users, data, held, transcript, want, grid)
+            out = cachesim._assemble(data, want, moved, got).reshape(-1, data.shape[2])
+            cell = len(out) // 2
+            return np.append(moved, cell), np.vstack([got, out[cell] ^ 1]), False
 
         monkeypatch.setattr(cachesim, "_decode_all", corrupt_user_one)
         p = construct_mn_pda(2, 1)
         report = measure(p, trials=2, seed=4)
         assert [row.decoded_ok for row in report.trace] == [True, False] * 2
         assert not report.all_decoded
+
+
+    def test_a_moved_cell_that_decodes_right_is_traced_ok(self, monkeypatch):
+        # MN(2,1)'s one slot lists user 1's packet first.  Dropping it from
+        # the record moves user 1's cell, which decodes the residue, its
+        # own packet; user 0's cell decodes that residue XOR its packet.
+        real = cachesim.deliver
+
+        def drop_first(*args):
+            records = list(real(*args).broadcasts)
+            records[0] = Broadcast(1, records[0].payload, records[0].contributors[1:])
+            return Transcript(broadcasts=records)
+
+        monkeypatch.setattr(cachesim, "deliver", drop_first)
+        report = measure(construct_mn_pda(2, 1), trials=3, seed=4)
+        assert [row.decoded_ok for row in report.trace] == [False, True] * 3
 
 
 class TestRounds:
