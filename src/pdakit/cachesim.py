@@ -18,7 +18,7 @@ import functools
 import itertools
 import json
 import operator
-from collections.abc import Mapping, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -26,7 +26,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DecodeError, DimensionError, InvalidParameter, allocating
-from .pda import STAR, Pda, as_grid
+from .pda import STAR, Pda, as_grid, rate
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -92,10 +92,26 @@ class FileLibrary:
         )
 
     def packet(self, file: int, row: int) -> bytes:
+        """Packet row ``row`` (0..F-1) of file ``file`` (1..N)."""
+        file, row = _index(file, "file", self.n_files + 1, 1), _index(row, "row", self.f)
         return self.data[file - 1, row].tobytes()
 
     def file_bytes(self, file: int) -> bytes:
-        return self.data[file - 1].tobytes()
+        """File ``file`` (1..N), its F packets joined."""
+        return self.data[_index(file, "file", self.n_files + 1, 1) - 1].tobytes()
+
+
+def _index(x, what: str, stop: Optional[int] = None, start: int = 0) -> int:
+    """x read with operator.index, refusing bool as as_grid does; in start..stop-1 if stop."""
+    try:
+        i = operator.index(x)
+    except TypeError:
+        i = None
+    if i is None or isinstance(x, bool):
+        raise InvalidParameter(f"{what} {x!r} is not an integer")
+    if stop is not None and not start <= i < stop:
+        raise InvalidParameter(f"{what} {i} is not in {start}..{stop - 1}")
+    return i
 
 
 def _stack(packets) -> np.ndarray:
@@ -115,12 +131,12 @@ def _stack(packets) -> np.ndarray:
     return np.frombuffer(joined, dtype=np.uint8).reshape(len(files), len(files[0]), b)
 
 
-class Cache(Mapping):
-    """One user's cache: packet (file, row) of every file at each held row.
+class Cache:
+    """One user's cache: every file's packet at each star row of its column.
 
-    A read-only view of the library's ``data``; nothing is copied.
-    ``held`` is the user's column star mask, so whether a packet is cached
-    is a mask test.  Iteration goes row by row, files ascending.
+    ``data`` is the library's read-only (N, F, B) packets, by reference,
+    and ``held`` the column's read-only star mask: packet (file, row) is
+    cached when held[row] is True.  Nothing is copied.
     """
 
     __slots__ = ("data", "held")
@@ -129,24 +145,8 @@ class Cache(Mapping):
         self.data = lib.data
         self.held = held
 
-    def __contains__(self, key) -> bool:
-        try:
-            file, row = map(operator.index, key)
-        except (TypeError, ValueError):
-            return False
-        return 1 <= file <= len(self.data) and 0 <= row < len(self.held) and bool(self.held[row])
-
-    def __getitem__(self, key) -> bytes:
-        if key not in self:
-            raise KeyError(key)
-        file, row = key
-        return self.data[file - 1, row].tobytes()
-
-    def __iter__(self):
-        files = range(1, len(self.data) + 1)
-        return ((file, row) for row in self.held.nonzero()[0].tolist() for file in files)
-
     def __len__(self) -> int:
+        """The number of packets cached, N per star row."""
         return len(self.data) * int(np.count_nonzero(self.held))
 
 
@@ -155,19 +155,15 @@ class DemandVector:
     """One file request per user, values in 1..N.
 
     Entries are read with operator.index: Python and numpy integers pass,
-    and anything int() would truncate or parse (1.5, "2") is refused.
+    and anything int() would truncate or parse (1.5, "2") is refused, as
+    is bool.
     """
 
     d: tuple[int, ...]
 
     def __post_init__(self):
-        d = []
-        for k, x in enumerate(self.d):
-            try:
-                d.append(operator.index(x))
-            except TypeError:
-                raise InvalidParameter(f"user {k}'s demand {x!r} is not an integer") from None
-        object.__setattr__(self, "d", tuple(d))
+        d = tuple(_index(x, f"user {k}'s demand") for k, x in enumerate(self.d))
+        object.__setattr__(self, "d", d)
         if any(x < 1 for x in self.d):
             raise InvalidParameter(f"demand values must be >= 1, got {self.d}")
 
@@ -322,6 +318,7 @@ def decode(k: int, cache: Cache, transcript: Transcript, d, p) -> bytes:
         raise DimensionError(f"cache has {len(cache.held)} packet rows per file, "
                              f"array has {len(grid)} rows")
     d = _check_demand(d, grid.shape[1], len(cache.data))
+    k = _index(k, "user")
     if not 0 <= k < len(d):
         raise InvalidParameter(f"user {k} is not one of the array's {len(d)} users")
     moved, got, _ = _decode_all([k], cache.data, cache.held[:, None], transcript, [d[k]], grid)
@@ -573,7 +570,7 @@ def measure(p, trials: int = 20, seed: int = 0, n_files: Optional[int] = None,
             packet_size: int = 64) -> MeasureReport:
     """Sample random demands and run full rounds; report loads exactly.
 
-    delivery_rate = S/F, uncoded_rate = K(1 - Z/F), both exact rationals.
+    delivery_rate = S/F, uncoded_rate = K(1 - Z/F), both exact, from pda.rate.
     n_files defaults to K+1 so every demand pattern is expressible.
     """
     if not isinstance(p, Pda):
@@ -584,14 +581,15 @@ def measure(p, trials: int = 20, seed: int = 0, n_files: Optional[int] = None,
     lib = FileLibrary.random(n, p.f, packet_size=packet_size, seed=seed)
     with allocating(f"{trials} trials of {p.k} demands do not fit in memory"):
         demands = np.random.default_rng(seed).integers(1, n + 1, size=(trials, p.k)).tolist()
+    loads = rate(p)
     trace: list[TraceRow] = []
     for trial, demand in enumerate(demands):
         wrong = run_round(p, lib, demand)._wrong_users()
         for k, want in enumerate(demand):
             trace.append(TraceRow(trial=trial, user=k, demand=want, decoded_ok=k not in wrong))
     return MeasureReport(
-        delivery_rate=Fraction(p.s, p.f),
-        uncoded_rate=Fraction(p.k) * (1 - Fraction(p.z, p.f)),
+        delivery_rate=loads.delivery_rate,
+        uncoded_rate=p.k * (1 - loads.memory_ratio),
         all_decoded=all(row.decoded_ok for row in trace),
         trace=tuple(trace),
     )

@@ -3,7 +3,6 @@ import itertools
 import json
 import re
 import tracemalloc
-from collections.abc import Mapping
 
 import numpy as np
 import pytest
@@ -118,6 +117,7 @@ class TestLibrary:
         ((1.5, 2, 3, 4), 0, "1.5"),             # int() would serve file 1
         ((1, np.float64(2.9), 3, 4), 1, "np.float64(2.9)"),   # int() would serve file 2
         ((1, 2, "2", 4), 2, "'2'"),             # int() would parse it
+        ((1, True, 3, 4), 1, "True"),           # operator.index would serve file 1
     ])
     def test_non_integer_demands_are_rejected(self, demand, user, shown):
         p = construct_mn_pda(4, 2)
@@ -127,6 +127,30 @@ class TestLibrary:
             run_round(p, lib, demand)
         with pytest.raises(InvalidParameter, match=re.escape(message)):
             DemandVector(d=demand)
+
+    def test_packet_lookups_are_checked(self):
+        lib = FileLibrary.random(3, 2, packet_size=4, seed=0)
+        for file in range(1, 4):
+            assert lib.file_bytes(file) == lib.data[file - 1].tobytes()
+            for row in range(2):
+                assert lib.packet(file, row) == lib.data[file - 1, row].tobytes()
+        assert lib.packet(np.int64(3), np.uint8(1)) == lib.data[2, 1].tobytes()
+        for file, row, message in [
+            (0, 0, "file 0 is not in 1..3"),
+            (-1, 0, "file -1 is not in 1..3"),
+            (4, 0, "file 4 is not in 1..3"),
+            (1, -1, "row -1 is not in 0..1"),
+            (1, 2, "row 2 is not in 0..1"),
+            (1.5, 0, "file 1.5 is not an integer"),
+            (1, 1.5, "row 1.5 is not an integer"),
+            (True, 0, "file True is not an integer"),
+            (1, True, "row True is not an integer"),
+        ]:
+            with pytest.raises(InvalidParameter, match=re.escape(message)):
+                lib.packet(file, row)
+            if row == 0:
+                with pytest.raises(InvalidParameter, match=re.escape(message)):
+                    lib.file_bytes(file)
 
     def test_numpy_integer_demands_are_accepted(self):
         p = construct_mn_pda(4, 2)
@@ -141,9 +165,8 @@ class TestPlace:
     def test_cross_pattern_caches(self):
         lib = small_lib(CROSS, n_files=2)
         caches = place(CROSS, lib)
-        assert set(caches[0]) == {(1, 0), (2, 0)}
-        assert set(caches[1]) == {(1, 1), (2, 1)}
-        assert caches[0][(2, 0)] == lib.packet(2, 0)
+        assert [cache.held.tolist() for cache in caches] == [[True, False], [False, True]]
+        assert caches[0].data[1, 0].tobytes() == lib.packet(2, 0)
 
     def test_no_stars_no_cache(self):
         p = Pda.from_grid([[1, 2], [3, 4]])
@@ -168,17 +191,15 @@ class TestPlace:
         with pytest.raises(DimensionError):
             place(CROSS, lib)
 
-    def test_caches_are_read_only_mappings(self):
-        lib = small_lib(CROSS, n_files=2)
-        cache = place(CROSS, lib)[1]
-        assert isinstance(cache, Mapping)
-        assert list(cache) == [(1, 1), (2, 1)]
-        assert (2, 1) in cache and (np.int64(1), np.int64(1)) in cache
-        for key in ((1, 0), (0, 1), (3, 1), (1, 2), (1, -1), "ab", 7, (1, 1, 1)):
-            assert key not in cache
-        with pytest.raises(KeyError):
-            cache[(1, 0)]
-        assert dict(cache) == {(1, 1): lib.packet(1, 1), (2, 1): lib.packet(2, 1)}
+    def test_a_cache_is_the_library_and_its_star_column(self):
+        for p in (CROSS, construct_mn_pda(4, 2), Pda.from_grid([[1, 2], [3, 4]])):
+            lib = small_lib(p)
+            for k, cache in enumerate(place(p, lib)):
+                assert len(cache) == lib.n_files * p.z
+                assert cache.data is lib.data
+                assert np.array_equal(cache.held, p.grid[:, k] == 0)
+                assert cache.held.tolist() == [j in p.star_rows(k) for j in range(p.f)]
+                assert not cache.held.flags.writeable
 
 
 class TestDeliver:
@@ -316,6 +337,16 @@ class TestDecode:
         assert decode(0, caches[0], t, (1, 2), grid) == lib.file_bytes(1)
         with pytest.raises(DecodeError, match="payloads have 3 bytes"):
             decode(1, caches[1], t, (1, 2), grid)
+
+    def test_a_non_integer_user_is_refused(self):
+        p = construct_mn_pda(3, 1)
+        lib = small_lib(p)
+        caches = place(p, lib)
+        t = deliver(p, lib, (1, 2, 3))
+        for k in (1.5, True, np.float64(1), "1"):
+            with pytest.raises(InvalidParameter, match=re.escape(f"user {k!r} is not an integer")):
+                decode(k, caches[1], t, (1, 2, 3), p)
+        assert decode(np.int64(1), caches[1], t, (1, 2, 3), p) == lib.file_bytes(2)
 
     def test_arguments_are_checked_as_deliver_checks_them(self):
         p = construct_mn_pda(3, 1)
