@@ -17,7 +17,6 @@ import csv
 import functools
 import itertools
 import json
-import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
@@ -25,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DecodeError, DimensionError, InvalidParameter, allocating
+from .errors import DecodeError, DimensionError, InvalidParameter, allocating, index
 from .pda import STAR, Pda, as_grid, rate
 
 
@@ -61,6 +60,8 @@ class FileLibrary:
         Packet by packet the bytes equal ``rng.bytes(packet_size)`` drawn
         file-major, which is how every seed has always filled the library.
         """
+        n_files, f = index(n_files, "n_files"), index(f, "f")
+        packet_size = index(packet_size, "packet_size")
         if n_files < 1 or f < 1 or packet_size < 1:
             raise InvalidParameter("library dimensions must be positive")
         rng = np.random.default_rng(seed)
@@ -93,25 +94,12 @@ class FileLibrary:
 
     def packet(self, file: int, row: int) -> bytes:
         """Packet row ``row`` (0..F-1) of file ``file`` (1..N)."""
-        file, row = _index(file, "file", self.n_files + 1, 1), _index(row, "row", self.f)
+        file, row = index(file, "file", self.n_files + 1, 1), index(row, "row", self.f)
         return self.data[file - 1, row].tobytes()
 
     def file_bytes(self, file: int) -> bytes:
         """File ``file`` (1..N), its F packets joined."""
-        return self.data[_index(file, "file", self.n_files + 1, 1) - 1].tobytes()
-
-
-def _index(x, what: str, stop: Optional[int] = None, start: int = 0) -> int:
-    """x read with operator.index, refusing bool as as_grid does; in start..stop-1 if stop."""
-    try:
-        i = operator.index(x)
-    except TypeError:
-        i = None
-    if i is None or isinstance(x, bool):
-        raise InvalidParameter(f"{what} {x!r} is not an integer")
-    if stop is not None and not start <= i < stop:
-        raise InvalidParameter(f"{what} {i} is not in {start}..{stop - 1}")
-    return i
+        return self.data[index(file, "file", self.n_files + 1, 1) - 1].tobytes()
 
 
 def _stack(packets) -> np.ndarray:
@@ -152,17 +140,12 @@ class Cache:
 
 @dataclass(frozen=True)
 class DemandVector:
-    """One file request per user, values in 1..N.
-
-    Entries are read with operator.index: Python and numpy integers pass,
-    and anything int() would truncate or parse (1.5, "2") is refused, as
-    is bool.
-    """
+    """One file request per user, values in 1..N, each read with errors.index."""
 
     d: tuple[int, ...]
 
     def __post_init__(self):
-        d = tuple(_index(x, f"user {k}'s demand") for k, x in enumerate(self.d))
+        d = tuple(index(x, f"user {k}'s demand") for k, x in enumerate(self.d))
         object.__setattr__(self, "d", d)
         if any(x < 1 for x in self.d):
             raise InvalidParameter(f"demand values must be >= 1, got {self.d}")
@@ -201,11 +184,12 @@ class Transcript:
         bcs = tuple(broadcasts)
         size = len(bcs[0].payload) if bcs else 0
         for n, b in enumerate(bcs):
-            if b.slot != n + 1 or len(b.payload) != size:
+            if index(b.slot, "slot") != n + 1 or len(b.payload) != size:
                 raise InvalidParameter(f"broadcast {n} is slot {b.slot} with {len(b.payload)} "
                                        f"bytes, expected slot {n + 1} with {size}")
         payloads = np.frombuffer(b"".join(b.payload for b in bcs), dtype=np.uint8)
-        cells = np.array([c for b in bcs for c in b.contributors], dtype=np.int64).reshape(-1, 2)
+        cells = np.array([(index(file, "file"), index(row, "row")) for b in bcs
+                          for file, row in b.contributors], dtype=np.int64).reshape(-1, 2)
         starts = np.cumsum([0, *(len(b.contributors) for b in bcs)])
         self._hold(payloads.reshape(len(bcs), size), cells[:, 0], cells[:, 1], starts)
 
@@ -318,7 +302,7 @@ def decode(k: int, cache: Cache, transcript: Transcript, d, p) -> bytes:
         raise DimensionError(f"cache has {len(cache.held)} packet rows per file, "
                              f"array has {len(grid)} rows")
     d = _check_demand(d, grid.shape[1], len(cache.data))
-    k = _index(k, "user")
+    k = index(k, "user")
     if not 0 <= k < len(d):
         raise InvalidParameter(f"user {k} is not one of the array's {len(d)} users")
     moved, got, _ = _decode_all([k], cache.data, cache.held[:, None], transcript, [d[k]], grid)
@@ -575,9 +559,10 @@ def measure(p, trials: int = 20, seed: int = 0, n_files: Optional[int] = None,
     """
     if not isinstance(p, Pda):
         p = Pda.from_grid(p)
+    trials = index(trials, "trials")
     if trials < 0:
         raise InvalidParameter(f"trials must be >= 0, got {trials}")
-    n = p.k + 1 if n_files is None else n_files
+    n = p.k + 1 if n_files is None else index(n_files, "n_files")
     lib = FileLibrary.random(n, p.f, packet_size=packet_size, seed=seed)
     with allocating(f"{trials} trials of {p.k} demands do not fit in memory"):
         demands = np.random.default_rng(seed).integers(1, n + 1, size=(trials, p.k)).tolist()

@@ -1,5 +1,6 @@
 """Exception types shared across the package, and the input-boundary rules they back."""
 
+import operator
 from contextlib import contextmanager
 
 
@@ -106,6 +107,23 @@ def read_text(path) -> str:
             return fh.read()
         except UnicodeDecodeError as exc:
             raise ParseError(f"{path}: not UTF-8 text at byte {exc.start}") from None
+
+
+def index(x, what: str, stop: int | None = None, start: int = 0) -> int:
+    """An integer a caller hands the library, read with operator.index; in start..stop-1 if stop.
+
+    Python and numpy integers pass.  Anything int() would truncate or parse
+    (1.5, np.float64(1.0), "1") is InvalidParameter, and so is bool, as as_grid refuses it.
+    """
+    try:
+        i = operator.index(x)
+    except TypeError:
+        i = None
+    if i is None or isinstance(x, bool):
+        raise InvalidParameter(f"{what} {x!r} is not an integer")
+    if stop is not None and not start <= i < stop:
+        raise InvalidParameter(f"{what} {i} is not in {start}..{stop - 1}")
+    return i
 
 
 def json_int(value, what: str) -> int:

@@ -27,6 +27,7 @@ from .errors import (
     InvalidPda,
     ParseError,
     allocating,
+    index,
     json_int,
 )
 from .pda import COND_COLUMN_STARS, STAR, Pda, _pair_kernel, as_grid, verify
@@ -53,7 +54,7 @@ class BipartiteColoredGraph:
         # no repeats; no dense mask, so a huge declared shape costs nothing
         placement_cells((self.f, self.k), [(v, u) for u, v, _ in self.edges])
         for u, v, c in self.edges:
-            if c is not None and c < 1:
+            if c is not None and index(c, "color") < 1:
                 raise InvalidParameter(f"edge ({u}, {v}) has non-positive color {c}")
         object.__setattr__(self, "edges", tuple(sorted(self.edges)))
 

@@ -63,6 +63,7 @@ from ..errors import (
     NoFeasibleAction,
     ShapeError,
     VocabularyError,
+    index,
 )
 from ..pda import verify
 from ..seqcodec import AdjacencyMatrix, assemble_array, edges_to_mask, extract_edge_sequence
@@ -346,7 +347,7 @@ def pointer_to_colors(choices: Sequence[int]) -> tuple[int, ...]:
     colors: list[int] = []
     fresh = 0
     for l, c in enumerate(choices):
-        c = int(c)
+        c = index(c, "pointer")
         if not 0 <= c <= l:
             raise InvalidPointer(f"step {l} points to {c}")
         if c == l:
@@ -367,7 +368,7 @@ def colors_to_pointers(colors: Sequence[int]) -> tuple[int, ...]:
     first: dict[int, int] = {}
     out: list[int] = []
     for l, c in enumerate(colors):
-        c = int(c)
+        c = index(c, "color")
         if c in first:
             out.append(first[c])
         elif c == len(first) + 1:
@@ -701,15 +702,18 @@ def _score(rows, params: ModelParams, coef=None):
     masks = [edges_to_mask(shape, edges) if use_mask else None
              for shape, edges, _, use_mask in rows]
     batch = _Batch([r[1] for r in rows], params)
-    choices = batch.pad([r[2] for r in rows], float)
+    try:
+        choices = batch.pad([r[2] for r in rows], np.int64)
+    except OverflowError:
+        raise InvalidPointer("a choice is outside every step's available positions") from None
     stacked = choices.T[batch.valid]
-    bad = ~((0 <= stacked) & (stacked <= batch.steps) & (stacked == np.floor(stacked)))
+    bad = ~((0 <= stacked) & (stacked <= batch.steps))
     if bad.any():
         n = int(bad.argmax())  # stacked step by step, so the earliest step's first row
         raise InvalidPointer(
-            f"choice {stacked[n]:g} at step {batch.steps[n]} is not an available position")
+            f"choice {stacked[n]} at step {batch.steps[n]} is not an available position")
     _, logprob, tape = _run(batch, params, [masks[row] for row in batch.rows],
-                            _replay(choices.astype(np.int64)), coef is not None)
+                            _replay(choices), coef is not None)
     out = np.zeros(len(rows))
     out[batch.rows] = logprob
     if coef is None:
@@ -728,7 +732,13 @@ def sequence_logprobs(rows, params: ModelParams) -> np.ndarray:
     for k, (_, edges, choices, _) in enumerate(rows):
         if len(choices) != len(edges):
             raise BadTarget(f"row {k} has {len(choices)} pointers for {len(edges)} edges")
-    return _score(rows, params)
+    return _score([(shape, edges, _pointers(choices), use_mask)
+                   for shape, edges, choices, use_mask in rows], params)
+
+
+def _pointers(choices) -> list[int]:
+    """A caller's pointer choices, each read by errors.index."""
+    return [index(c, "pointer") for c in choices]
 
 
 def sequence_logprob(shape, edges, choices, params: ModelParams, use_mask: bool) -> float:
@@ -891,7 +901,8 @@ def reinforce_objective_and_grad(episodes, params: ModelParams):
     """
     coef = _reinforce_coefs(episodes)
     logp, grads = _score(
-        [((ep.f, ep.k), ep.edges, ep.choices, ep.use_mask) for ep in episodes], params, coef
+        [((ep.f, ep.k), ep.edges, _pointers(ep.choices), ep.use_mask) for ep in episodes],
+        params, coef
     )
     return _objective(coef, logp.tolist()), grads
 

@@ -24,7 +24,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import InvalidParameter, InvalidPda, MalformedGrid, ParseError, allocating
+from .errors import InvalidParameter, InvalidPda, MalformedGrid, ParseError, allocating, index
 
 STAR = 0
 
@@ -177,8 +177,7 @@ def verify(raw, z: Optional[int] = None) -> VerifyReport:
     """
     grid = as_grid(raw)
     stars_per_col = (grid == STAR).sum(axis=0)
-    if z is None:
-        z = int(stars_per_col[0])
+    z = int(stars_per_col[0]) if z is None else index(z, "z")
     off = np.flatnonzero(stars_per_col != z)
     pairs_ok, pair_records = _pair_kernel(grid)
 
@@ -306,6 +305,7 @@ def construct_mn_pda(k_users: int, t: int) -> Pda:
     a star when k is in T, else the lexicographic index of T ∪ {k} among
     (t+1)-subsets.  Shape: F = C(K,t), Z = C(K-1,t-1), S = C(K,t+1).
     """
+    k_users, t = index(k_users, "k_users"), index(t, "t")
     if k_users < 2:
         raise InvalidParameter(f"need at least 2 users, got {k_users}")
     if not 1 <= t <= k_users - 1:

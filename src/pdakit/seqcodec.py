@@ -14,7 +14,6 @@ Also holds the training-pair JSONL format used to persist corpora of
 from __future__ import annotations
 
 import json
-import operator
 import sys
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
@@ -29,6 +28,7 @@ from .errors import (
     ParseError,
     PdakitError,
     allocating,
+    index,
     json_int,
     read_text,
 )
@@ -87,6 +87,7 @@ def placement_to_adjacency(z: int, f: int, k: int, star_pattern) -> AdjacencyMat
     star_pattern: sequence of k collections of row indices; each must
     contain exactly z distinct in-range rows, otherwise InvalidPlacement.
     """
+    z, f, k = index(z, "z"), index(f, "f"), index(k, "k")
     if f < 1 or k < 1 or not 0 <= z <= f:
         raise InvalidParameter(f"bad placement shape z={z}, f={f}, k={k}")
     columns = list(star_pattern)
@@ -96,8 +97,8 @@ def placement_to_adjacency(z: int, f: int, k: int, star_pattern) -> AdjacencyMat
         mask = np.ones((f, k), dtype=bool)
     for j, rows in enumerate(columns):
         try:
-            star_set = {operator.index(r) for r in rows}
-        except TypeError:
+            star_set = {index(r, "star row") for r in rows}
+        except (InvalidParameter, TypeError):
             raise InvalidPlacement(f"column {j} star rows must be integers") from None
         if len(star_set) != z:
             raise InvalidPlacement(f"column {j} has {len(star_set)} stars, expected {z}")
@@ -181,12 +182,12 @@ def assemble_array(
     if not np.array_equal(edges_to_mask(a.mask.shape, e), a.mask):
         raise InvalidParameter("edge sequence does not match the mask")
     i, j = np.asarray(e, dtype=np.int64).reshape(-1, 2).T
-    colors = np.asarray(c, dtype=np.int64)
+    grid = np.zeros(a.mask.shape, dtype=np.int64)
+    grid[i, j] = [index(x, "color") for x in c]
+    colors = grid[i, j]
     if (colors < 1).any():
         n = (colors < 1).argmax()
         raise InvalidParameter(f"color {colors[n]} at cell ({i[n]}, {j[n]}) is not positive")
-    grid = np.zeros(a.mask.shape, dtype=np.int64)
-    grid[i, j] = colors
     return grid
 
 
@@ -205,6 +206,7 @@ def default_adjacency(k: int, f: int, z: int) -> AdjacencyMatrix:
     (t = k*z/f integral and f = C(k, t), so z = C(k-1, t-1)), else a
     balanced cyclic one: column j caches rows (j + m) mod f for m < z.
     """
+    k, f, z = index(k, "k"), index(f, "f"), index(z, "z")
     if f < 1 or k < 1 or not 0 <= z <= f:
         raise InvalidParameter(f"bad placement shape k={k}, f={f}, z={z}")
     with allocating(_too_large(f, k)):
@@ -254,6 +256,8 @@ class TrainingPair:
             raise LengthMismatch(
                 f"{len(self.edges)} edges but {len(self.colors)} colors"
             )
+        for name in ("k", "f", "z"):
+            object.__setattr__(self, name, index(getattr(self, name), name))
         if self.k < 1 or self.f < 1 or not 0 <= self.z <= self.f:
             raise InvalidParameter(f"bad placement shape k={self.k}, f={self.f}, z={self.z}")
         degree = self.f - self.z

@@ -338,6 +338,21 @@ class TestDecode:
         with pytest.raises(DecodeError, match="payloads have 3 bytes"):
             decode(1, caches[1], t, (1, 2), grid)
 
+    def test_a_transcript_refuses_what_it_would_truncate(self):
+        # An int64 cast would read contributor (1.5, 1) as (1, 1), and decode
+        # would then return wrong bytes with no error.
+        lib = small_lib(CROSS, n_files=2)
+        bc = deliver(CROSS, lib, (1, 2)).broadcasts[0]
+        for cell in ((1.5, 1), (True, 0), (2, 0.9), (np.float64(2), 0), ("2", 0)):
+            with pytest.raises(InvalidParameter, match="is not an integer"):
+                Transcript(broadcasts=(Broadcast(1, bc.payload, ((1, 1), cell)),))
+        with pytest.raises(InvalidParameter, match="slot 1.0 is not an integer"):
+            Transcript(broadcasts=(Broadcast(1.0, bc.payload, bc.contributors),))
+        cells = tuple((np.int64(file), np.int64(row)) for file, row in bc.contributors)
+        t = Transcript(broadcasts=(Broadcast(np.int64(1), bc.payload, cells),))
+        assert t.files.tolist() == [file for file, _ in bc.contributors]
+        assert decode(0, place(CROSS, lib)[0], t, (1, 2), CROSS) == lib.file_bytes(1)
+
     def test_a_non_integer_user_is_refused(self):
         p = construct_mn_pda(3, 1)
         lib = small_lib(p)

@@ -347,6 +347,15 @@ class TestJson:
         with pytest.raises(ParseError, match="not an integer"):
             graph_from_json(text)
 
+    def test_a_color_is_read_by_the_integer_rule_so_json_reads_back(self):
+        # A float color would be written as 1.5 and refused by the reader; 1.2 and
+        # 1.7 would count as two colors where graph_to_pda sees one.
+        for colors in ((1.5, 2), (1.2, 1.7), (1.0, 2), (True, 2), (np.float64(1), 2)):
+            with pytest.raises(InvalidParameter, match="is not an integer"):
+                BipartiteColoredGraph(k=2, f=2, edges=((0, 1, colors[0]), (1, 0, colors[1])))
+        g = BipartiteColoredGraph(k=2, f=2, edges=((0, 1, 1), (1, 0, 2)))
+        assert graph_from_json(graph_to_json(g)) == g
+
     def test_same_seed_same_bytes(self):
         g1 = subsample(pda_to_graph(construct_mn_pda(5, 2)), delta=2, rng_seed=9)
         g2 = subsample(pda_to_graph(construct_mn_pda(5, 2)), delta=2, rng_seed=9)

@@ -793,6 +793,26 @@ class TestSequenceLogprob:
         with pytest.raises(InvalidPointer):
             sequence_logprob((2, 2), edges, (0, 0, 2), params, True)
 
+    def test_pointers_are_read_by_the_integer_rule(self):
+        # True and 1.0 must not score as pointer 1, and a pointer too large
+        # for an int64 pad is still off the support.
+        params = tiny_params(seed=1)
+        a = AdjacencyMatrix(np.array([[True, False], [True, True]]))
+        edges = extract_edge_sequence(a)
+        for use_mask in (False, True):
+            want = sequence_logprob((2, 2), edges, (0, 1, 2), params, use_mask)
+            assert sequence_logprob((2, 2), edges, (0, np.int64(1), 2), params, use_mask) == want
+            for bad in (True, 1.0, np.float64(1), "1"):
+                with pytest.raises(InvalidParameter, match="pointer .* is not an integer"):
+                    sequence_logprob((2, 2), edges, (0, bad, 2), params, use_mask)
+                ep = Episode(f=2, k=2, edges=edges, choices=(0, bad, 2), colors=(1, 2, 3),
+                             logprob=want, reward=1, use_mask=use_mask)
+                with pytest.raises(InvalidParameter, match="pointer .* is not an integer"):
+                    reinforce_objective_and_grad([ep], params)
+            for off in (3, -1, 2**63, 2**70, -2**70):
+                with pytest.raises(InvalidPointer):
+                    sequence_logprob((2, 2), edges, (0, off, 2), params, use_mask)
+
     def test_long_sequence_gradients_match_central_differences(self):
         # sequences of 20-40 edges, beyond the six of the acceptance check
         rng = np.random.default_rng(2027)

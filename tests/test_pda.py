@@ -266,6 +266,18 @@ class TestTextFormat:
         text = pda_to_text(p, comments=["seed=7"])
         assert pda_from_text(text) == p
 
+    def test_a_given_z_is_read_by_the_integer_rule_so_the_text_reads_back(self):
+        # z=True or 1.0 would reach the header as "True" or "1.0", which the reader refuses.
+        g = construct_mn_pda(3, 1).grid
+        for z in (1, np.int64(1)):
+            p = Pda.from_grid(g, z=z)
+            assert type(p.z) is int
+            assert pda_to_text(p).startswith("3 3 1 3\n")
+            assert pda_from_text(pda_to_text(p)) == p
+        for z in (True, 1.0, np.float64(1), "1"):
+            with pytest.raises(InvalidParameter, match="is not an integer"):
+                Pda.from_grid(g, z=z)
+
     def test_exact_bytes(self):
         p = Pda.from_grid([[S, 1], [1, S]])
         assert pda_to_text(p) == "2 2 1 1\n* 1\n1 *\n"

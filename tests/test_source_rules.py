@@ -20,6 +20,18 @@ def test_only_errors_decides_that_an_allocation_failed():
     assert naming == []
 
 
+def test_only_errors_decides_what_a_callers_integer_is():
+    # errors.index is the one rule that reads an integer a caller hands the
+    # library; a module naming operator.index has its own copy of it.
+    modules = sorted(PACKAGE.rglob("*.py"))
+    assert PACKAGE / "errors.py" in modules
+    naming = [str(path.relative_to(PACKAGE)) for path in modules
+              if path.name != "errors.py"
+              and re.search(r"\boperator\.index\b|\bfrom operator import\b.*\bindex\b",
+                            path.read_text(encoding="utf-8"))]
+    assert naming == []
+
+
 def test_only_pda_computes_binomials():
     # Whether a shape is a t-subset one is decided in pda, where a lower bound
     # refuses a binomial far past the rows asked for; a module calling
