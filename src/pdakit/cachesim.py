@@ -24,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DecodeError, DimensionError, InvalidParameter, allocating, index
+from .errors import DecodeError, DimensionError, InvalidParameter, allocating, cells, index
 from .pda import STAR, Pda, as_grid, rate
 
 
@@ -188,10 +188,9 @@ class Transcript:
                 raise InvalidParameter(f"broadcast {n} is slot {b.slot} with {len(b.payload)} "
                                        f"bytes, expected slot {n + 1} with {size}")
         payloads = np.frombuffer(b"".join(b.payload for b in bcs), dtype=np.uint8)
-        cells = np.array([(index(file, "file"), index(row, "row")) for b in bcs
-                          for file, row in b.contributors], dtype=np.int64).reshape(-1, 2)
+        pairs = cells([cell for b in bcs for cell in b.contributors], "contributor")
         starts = np.cumsum([0, *(len(b.contributors) for b in bcs)])
-        self._hold(payloads.reshape(len(bcs), size), cells[:, 0], cells[:, 1], starts)
+        self._hold(payloads.reshape(len(bcs), size), pairs[:, 0], pairs[:, 1], starts)
 
     @classmethod
     def _of_table(cls, *table: np.ndarray) -> "Transcript":
@@ -211,8 +210,8 @@ class Transcript:
     @property
     def broadcasts(self) -> tuple[Broadcast, ...]:
         """One record per slot, built from the table on each request."""
-        cells, bounds = list(zip(self.files.tolist(), self.rows.tolist())), self.starts.tolist()
-        return tuple(Broadcast(s, payload.tobytes(), tuple(cells[bounds[s - 1]:bounds[s]]))
+        pairs, bounds = list(zip(self.files.tolist(), self.rows.tolist())), self.starts.tolist()
+        return tuple(Broadcast(s, payload.tobytes(), tuple(pairs[bounds[s - 1]:bounds[s]]))
                      for s, payload in enumerate(self.payloads, start=1))
 
 

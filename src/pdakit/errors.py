@@ -2,6 +2,9 @@
 
 import operator
 from contextlib import contextmanager
+from itertools import chain
+
+import numpy as np
 
 
 class PdakitError(Exception):
@@ -124,6 +127,42 @@ def index(x, what: str, stop: int | None = None, start: int = 0) -> int:
     if stop is not None and not start <= i < stop:
         raise InvalidParameter(f"{what} {i} is not in {start}..{stop - 1}")
     return i
+
+
+def indices(xs, what: str) -> list[int]:
+    """index over a sequence, as a list; it runs per element only when one is not an int."""
+    xs = list(xs)
+    return xs if set(map(type, xs)) <= {int} else [index(x, what) for x in xs]
+
+
+def cells(pairs, what: str, shape=None) -> np.ndarray:
+    """A caller's (i, j) pairs as an (n, 2) int64 array, each index read by indices.
+
+    An int64 (n, 2) array, as this returns, passes as it is.  InvalidParameter for
+    what is not a sequence of pairs, an index past int64 and, with shape given,
+    the first cell outside it.
+    """
+    out = pairs
+    if not (isinstance(pairs, np.ndarray) and pairs.dtype == np.int64 and pairs.shape[1:] == (2,)):
+        try:
+            rows = list(pairs)
+            two = (all(issubclass(t, (tuple, list, np.ndarray)) for t in set(map(type, rows)))
+                   and set(map(len, rows)) <= {2})
+        except TypeError:  # pairs is not iterable, or a row is a 0-d array
+            two = False
+        if not two:
+            raise InvalidParameter(f"{what}s must be (i, j) pairs: tuples, lists or array rows")
+        flat = indices(chain.from_iterable(rows), what)
+        try:
+            out = np.fromiter(flat, np.int64, len(flat)).reshape(-1, 2)
+        except OverflowError:
+            raise InvalidParameter(f"{what} indices must fit in int64") from None
+    if shape is not None:
+        outside = (out < 0) | (out >= shape)
+        if np.count_nonzero(outside):
+            i, j = out[outside.any(axis=1).argmax()].tolist()
+            raise InvalidParameter(f"{what} ({i}, {j}) is outside the {shape[0]} x {shape[1]} grid")
+    return out
 
 
 def json_int(value, what: str) -> int:

@@ -27,6 +27,7 @@ from .errors import (
     InvalidPda,
     ParseError,
     allocating,
+    cells,
     index,
     json_int,
 )
@@ -50,13 +51,18 @@ class BipartiteColoredGraph:
     edges: tuple[Edge, ...]
 
     def __post_init__(self):
+        for name in ("k", "f"):
+            object.__setattr__(self, name, index(getattr(self, name), name))
         # the placement rule's checks on (packet, user) cells: in range, integer,
         # no repeats; no dense mask, so a huge declared shape costs nothing
-        placement_cells((self.f, self.k), [(v, u) for u, v, _ in self.edges])
-        for u, v, c in self.edges:
-            if c is not None and index(c, "color") < 1:
+        packet_user = cells([(v, u) for u, v, _ in self.edges], "edge")
+        placement_cells((self.f, self.k), packet_user)
+        colors = [None if c is None else index(c, "color") for _, _, c in self.edges]
+        edges = list(zip(packet_user[:, 1].tolist(), packet_user[:, 0].tolist(), colors))
+        for u, v, c in edges:
+            if c is not None and c < 1:
                 raise InvalidParameter(f"edge ({u}, {v}) has non-positive color {c}")
-        object.__setattr__(self, "edges", tuple(sorted(self.edges)))
+        object.__setattr__(self, "edges", tuple(sorted(edges)))
 
     @property
     def n_colors(self) -> int:
@@ -207,6 +213,7 @@ def subsample(g: BipartiteColoredGraph, delta: int, rng_seed: int) -> BipartiteC
     to a valid array with z grown to f - delta.  Surviving colors are
     renumbered consecutively.  All randomness comes from rng_seed.
     """
+    delta = index(delta, "delta")
     degrees = g.k_degrees()
     if len(set(degrees)) > 1:
         raise DegreeViolation(f"user degrees differ: {sorted(set(degrees))}")

@@ -63,7 +63,8 @@ from ..errors import (
     NoFeasibleAction,
     ShapeError,
     VocabularyError,
-    index,
+    cells,
+    indices,
 )
 from ..pda import verify
 from ..seqcodec import AdjacencyMatrix, assemble_array, edges_to_mask, extract_edge_sequence
@@ -208,21 +209,13 @@ class _Batch:
         self.rev = np.array(self.offsets[:-1], dtype=np.int64)[n[ks] - 1 - self.steps] + ks
         # the positions of steps 0..L-2 whose row runs one step more
         self.prev = self.valid[1:][self.valid[:-1]].nonzero()[0]
-        cells = np.zeros((L, b, 2), dtype=np.int64)
-        for k, edges in enumerate(self.edges):
-            try:
-                row = np.asarray(edges)
-            except ValueError:  # a ragged list
-                row = None
-            if row is None or row.shape != (n[k], 2) or row.dtype.kind not in "iu":
-                raise VocabularyError("edge cells must be (row, column) pairs of integers")
-            cells[: n[k], k] = row
-        packed = cells[self.valid]
         cfg = params.config
-        if len(packed) and (packed.min() < 0 or packed[:, 0].max() >= cfg.f_max
-                            or packed[:, 1].max() >= cfg.k_max):
-            for i, j in packed:
-                embed_edge(params, i, j)  # raises for the first bad one
+        try:  # row-major: each sorted row's cells in turn
+            read = cells([e for edges in self.edges for e in edges], "edge cell",
+                         (cfg.f_max, cfg.k_max))
+        except InvalidParameter as exc:
+            raise VocabularyError(str(exc)) from None
+        packed = read[(np.cumsum(n) - n)[ks] + self.steps]  # stacked in step order
         # the two embedding table columns each position reads, gathered at once
         i, j = packed[:, 0], packed[:, 1]
         self.slots = (i, cfg.f_max + j)
@@ -346,8 +339,7 @@ def pointer_to_colors(choices: Sequence[int]) -> tuple[int, ...]:
     """Self-pointer mints the next color, back-pointer copies one."""
     colors: list[int] = []
     fresh = 0
-    for l, c in enumerate(choices):
-        c = index(c, "pointer")
+    for l, c in enumerate(indices(choices, "pointer")):
         if not 0 <= c <= l:
             raise InvalidPointer(f"step {l} points to {c}")
         if c == l:
@@ -367,8 +359,7 @@ def colors_to_pointers(colors: Sequence[int]) -> tuple[int, ...]:
     """
     first: dict[int, int] = {}
     out: list[int] = []
-    for l, c in enumerate(colors):
-        c = index(c, "color")
+    for l, c in enumerate(indices(colors, "color")):
         if c in first:
             out.append(first[c])
         elif c == len(first) + 1:
@@ -732,13 +723,8 @@ def sequence_logprobs(rows, params: ModelParams) -> np.ndarray:
     for k, (_, edges, choices, _) in enumerate(rows):
         if len(choices) != len(edges):
             raise BadTarget(f"row {k} has {len(choices)} pointers for {len(edges)} edges")
-    return _score([(shape, edges, _pointers(choices), use_mask)
+    return _score([(shape, edges, indices(choices, "pointer"), use_mask)
                    for shape, edges, choices, use_mask in rows], params)
-
-
-def _pointers(choices) -> list[int]:
-    """A caller's pointer choices, each read by errors.index."""
-    return [index(c, "pointer") for c in choices]
 
 
 def sequence_logprob(shape, edges, choices, params: ModelParams, use_mask: bool) -> float:
@@ -901,7 +887,7 @@ def reinforce_objective_and_grad(episodes, params: ModelParams):
     """
     coef = _reinforce_coefs(episodes)
     logp, grads = _score(
-        [((ep.f, ep.k), ep.edges, _pointers(ep.choices), ep.use_mask) for ep in episodes],
+        [((ep.f, ep.k), ep.edges, indices(ep.choices, "pointer"), ep.use_mask) for ep in episodes],
         params, coef
     )
     return _objective(coef, logp.tolist()), grads

@@ -16,7 +16,15 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from ..errors import DimensionError, InvalidParameter, ParseError, allocating, json_int, read_text
+from ..errors import (
+    DimensionError,
+    InvalidParameter,
+    ParseError,
+    allocating,
+    index,
+    json_int,
+    read_text,
+)
 
 # Uniform init half-width.  Pointer logits are products of several weight
 # tensors, so a much smaller scale starts training on a flat plateau.
@@ -41,8 +49,10 @@ class ModelConfig:
 
     def __post_init__(self):
         for f in fields(self):
-            if getattr(self, f.name) < 1:
+            value = index(getattr(self, f.name), f.name)
+            if value < 1:
                 raise InvalidParameter(f"{f.name} must be >= 1")
+            object.__setattr__(self, f.name, value)
 
 
 def _shapes(config: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:

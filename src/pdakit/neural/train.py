@@ -31,7 +31,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ..errors import DivergenceError, InvalidParameter
+from ..errors import DivergenceError, InvalidParameter, index
 from ..seqcodec import TrainingPair
 from .net import (
     colors_to_pointers,
@@ -61,6 +61,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("supervised_epochs", "reinforce_epochs", "batch_size"):
+            object.__setattr__(self, name, index(getattr(self, name), name))
         if self.supervised_epochs < 0 or self.reinforce_epochs < 0:
             raise InvalidParameter("epoch counts must be >= 0")
         if self.batch_size < 1:

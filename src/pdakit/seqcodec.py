@@ -28,7 +28,9 @@ from .errors import (
     ParseError,
     PdakitError,
     allocating,
+    cells,
     index,
+    indices,
     json_int,
     read_text,
 )
@@ -97,7 +99,7 @@ def placement_to_adjacency(z: int, f: int, k: int, star_pattern) -> AdjacencyMat
         mask = np.ones((f, k), dtype=bool)
     for j, rows in enumerate(columns):
         try:
-            star_set = {index(r, "star row") for r in rows}
+            star_set = set(indices(rows, "star row"))
         except (InvalidParameter, TypeError):
             raise InvalidPlacement(f"column {j} star rows must be integers") from None
         if len(star_set) != z:
@@ -128,25 +130,18 @@ def placement_cells(shape, edges) -> np.ndarray:
     """The placement rule's checks: the flat indices i*K + j of the edge cells, ascending.
 
     Allocates nothing sized by the shape, so a graph too large for a dense
-    mask is checked here.  Raises InvalidParameter for a shape with a
-    negative side or more cells than an index can address, and for edges
-    that are not integer pairs, fall outside the shape or repeat a cell.
+    mask is checked here.  The sides are read by errors.index and the edges
+    by errors.cells.  Raises InvalidParameter for a shape with a negative
+    side or more cells than an index can address, and for edges that are
+    not integer pairs, fall outside the shape or repeat a cell.
     """
-    f, k = shape
+    f, k = (index(n, "placement side") for n in shape)
     if f < 0 or k < 0:
         raise InvalidParameter(f"placement shape ({f}, {k}) has a negative side")
     if f * k > sys.maxsize:
         raise InvalidParameter(f"placement shape ({f}, {k}) has more cells than an index can address")
-    try:
-        cells = np.asarray(edges) if len(edges) else np.zeros((0, 2), dtype=np.int64)
-    except ValueError:  # a ragged list
-        cells = None
-    if cells is None or cells.dtype.kind not in "iu" or cells.shape[1:] != (2,):
-        raise InvalidParameter("edges must be (row, column) pairs of integers")
-    try:
-        flat = np.ravel_multi_index(cells.T, (f, k))
-    except ValueError:
-        raise InvalidParameter(f"an edge falls outside [0, {f}) x [0, {k})") from None
+    i, j = cells(edges, "edge", (f, k)).T
+    flat = i * k + j
     flat.sort()
     if np.count_nonzero(flat[1:] == flat[:-1]):
         raise InvalidParameter("edges repeat a cell")
@@ -179,11 +174,11 @@ def assemble_array(
     """
     if len(e) != len(c):
         raise LengthMismatch(f"{len(e)} edges but {len(c)} colors")
-    if not np.array_equal(edges_to_mask(a.mask.shape, e), a.mask):
+    i, j = cells(e, "edge", a.mask.shape).T
+    if not np.array_equal(np.sort(i * a.k + j), np.flatnonzero(a.mask)):
         raise InvalidParameter("edge sequence does not match the mask")
-    i, j = np.asarray(e, dtype=np.int64).reshape(-1, 2).T
     grid = np.zeros(a.mask.shape, dtype=np.int64)
-    grid[i, j] = [index(x, "color") for x in c]
+    grid[i, j] = indices(c, "color")
     colors = grid[i, j]
     if (colors < 1).any():
         n = (colors < 1).argmax()
@@ -263,10 +258,13 @@ class TrainingPair:
         degree = self.f - self.z
         if len(self.edges) != self.k * degree:
             raise InvalidParameter(f"edge count {len(self.edges)} is not K(F-Z) = {self.k * degree}")
-        mask = edges_to_mask((self.f, self.k), self.edges)
-        if list(self.edges) != sorted(self.edges, key=lambda e: (e[1], e[0])):
+        a = AdjacencyMatrix(mask=edges_to_mask((self.f, self.k), self.edges))
+        edges = extract_edge_sequence(a)
+        if tuple(map(tuple, self.edges)) != edges:
             raise InvalidPlacement("edges break column-major order")
-        for j, count in enumerate(mask.sum(axis=0).tolist()):
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "colors", tuple(indices(self.colors, "color")))
+        for j, count in enumerate(a.mask.sum(axis=0).tolist()):
             if count != degree:
                 raise InvalidPlacement(f"column {j} has {count} edges, expected F-Z = {degree}")
 

@@ -356,6 +356,16 @@ class TestJson:
         g = BipartiteColoredGraph(k=2, f=2, edges=((0, 1, 1), (1, 0, 2)))
         assert graph_from_json(graph_to_json(g)) == g
 
+    def test_a_graph_of_numpy_integers_reads_back(self):
+        # The graph stores what the rules return, Python integers, so the writer
+        # never meets a numpy integer json cannot serialize.
+        i64 = np.int64
+        g = BipartiteColoredGraph(k=i64(2), f=i64(2), edges=((i64(0), i64(1), i64(1)),
+                                                             (i64(1), i64(0), None)))
+        assert graph_from_json(graph_to_json(g)) == g
+        assert graph_to_json(g) == graph_to_json(
+            BipartiteColoredGraph(k=2, f=2, edges=((0, 1, 1), (1, 0, None))))
+
     def test_same_seed_same_bytes(self):
         g1 = subsample(pda_to_graph(construct_mn_pda(5, 2)), delta=2, rng_seed=9)
         g2 = subsample(pda_to_graph(construct_mn_pda(5, 2)), delta=2, rng_seed=9)

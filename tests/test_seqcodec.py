@@ -357,6 +357,18 @@ class TestCorpus:
         assert meta == {"seed": 7}
         assert back == pairs
 
+    def test_a_corpus_of_numpy_integers_reads_back(self, tmp_path):
+        # A pair stores what the rules return, so write_corpus meets no numpy
+        # integer and read_corpus gets back the pair it was given.
+        path = tmp_path / "corpus.jsonl"
+        pair = training_pair_from_pda(construct_mn_pda(3, 1))
+        i64 = np.int64
+        numpy_pair = TrainingPair(k=i64(pair.k), f=i64(pair.f), z=i64(pair.z),
+                                  edges=tuple((i64(i), i64(j)) for i, j in pair.edges),
+                                  colors=tuple(map(i64, pair.colors)))
+        write_corpus(path, [numpy_pair])
+        assert read_corpus(path)[1] == [pair]
+
     def test_pair_reconstructs_source(self):
         p = construct_mn_pda(4, 2)
         pair = training_pair_from_pda(p)

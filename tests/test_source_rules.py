@@ -32,6 +32,17 @@ def test_only_errors_decides_what_a_callers_integer_is():
     assert naming == []
 
 
+def test_only_errors_decides_what_a_callers_cells_are():
+    # errors.cells is the one rule that reads a caller's (i, j) cells; a module
+    # testing an array's dtype kind has its own, and a mixed tuple passes True as 1 there.
+    modules = sorted(PACKAGE.rglob("*.py"))
+    assert PACKAGE / "errors.py" in modules
+    naming = [str(path.relative_to(PACKAGE)) for path in modules
+              if path.name != "errors.py"
+              and re.search(r"\bdtype\.kind\b", path.read_text(encoding="utf-8"))]
+    assert naming == []
+
+
 def test_only_pda_computes_binomials():
     # Whether a shape is a t-subset one is decided in pda, where a lower bound
     # refuses a binomial far past the rows asked for; a module calling
