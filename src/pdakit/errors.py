@@ -135,8 +135,27 @@ def indices(xs, what: str) -> list[int]:
     return xs if set(map(type, xs)) <= {int} else [index(x, what) for x in xs]
 
 
+def int64s(xs, what: str, start: int | None = None) -> np.ndarray:
+    """A caller's integers as an int64 array, each read by indices; an array keeps its shape.
+
+    A signed integer array is cast, an int64 one with no copy; any other is read entry by
+    entry.  InvalidParameter for a value past int64 and, with start, the first below start.
+    """
+    if isinstance(xs, np.ndarray) and np.issubdtype(xs.dtype, np.signedinteger):
+        out = xs.astype(np.int64, copy=False)
+    else:
+        flat = indices(xs.ravel().tolist() if isinstance(xs, np.ndarray) else xs, what)
+        try:
+            out = np.fromiter(flat, np.int64, len(flat)).reshape(getattr(xs, "shape", -1))
+        except OverflowError:
+            raise InvalidParameter(f"{what} does not fit in int64") from None
+    if start is not None and np.count_nonzero(out < start):
+        raise InvalidParameter(f"{what} {out[out < start][0]} is below {start}")
+    return out
+
+
 def cells(pairs, what: str, shape=None) -> np.ndarray:
-    """A caller's (i, j) pairs as an (n, 2) int64 array, each index read by indices.
+    """A caller's (i, j) pairs as an (n, 2) int64 array, each index read by int64s.
 
     An int64 (n, 2) array, as this returns, passes as it is.  InvalidParameter for
     what is not a sequence of pairs, an index past int64 and, with shape given,
@@ -152,11 +171,7 @@ def cells(pairs, what: str, shape=None) -> np.ndarray:
             two = False
         if not two:
             raise InvalidParameter(f"{what}s must be (i, j) pairs: tuples, lists or array rows")
-        flat = indices(chain.from_iterable(rows), what)
-        try:
-            out = np.fromiter(flat, np.int64, len(flat)).reshape(-1, 2)
-        except OverflowError:
-            raise InvalidParameter(f"{what} indices must fit in int64") from None
+        out = int64s(chain.from_iterable(rows), what).reshape(-1, 2)
     if shape is not None:
         outside = (out < 0) | (out >= shape)
         if np.count_nonzero(outside):

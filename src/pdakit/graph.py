@@ -29,6 +29,7 @@ from .errors import (
     allocating,
     cells,
     index,
+    int64s,
     json_int,
 )
 from .pda import COND_COLUMN_STARS, STAR, Pda, _pair_kernel, as_grid, verify
@@ -57,11 +58,10 @@ class BipartiteColoredGraph:
         # no repeats; no dense mask, so a huge declared shape costs nothing
         packet_user = cells([(v, u) for u, v, _ in self.edges], "edge")
         placement_cells((self.f, self.k), packet_user)
-        colors = [None if c is None else index(c, "color") for _, _, c in self.edges]
-        edges = list(zip(packet_user[:, 1].tolist(), packet_user[:, 0].tolist(), colors))
-        for u, v, c in edges:
-            if c is not None and c < 1:
-                raise InvalidParameter(f"edge ({u}, {v}) has non-positive color {c}")
+        colors = [c for _, _, c in self.edges]
+        colored = iter(int64s([c for c in colors if c is not None], "color", start=1).tolist())
+        colors = [c if c is None else next(colored) for c in colors]
+        edges = zip(packet_user[:, 1].tolist(), packet_user[:, 0].tolist(), colors)
         object.__setattr__(self, "edges", tuple(sorted(edges)))
 
     @property
@@ -95,13 +95,9 @@ def pda_to_graph(p) -> BipartiteColoredGraph:
 
 def _grid_to_graph(grid: np.ndarray) -> BipartiteColoredGraph:
     """Mechanical cell-to-edge mapping with no validity check."""
-    grid = np.asarray(grid)
-    f, k = grid.shape
-    edges = []
     ii, jj = np.nonzero(grid != STAR)
-    for i, j in zip(ii.tolist(), jj.tolist()):
-        edges.append((j, i, int(grid[i, j])))
-    return BipartiteColoredGraph(k=k, f=f, edges=tuple(edges))
+    edges = tuple(zip(jj.tolist(), ii.tolist(), grid[ii, jj].tolist()))
+    return BipartiteColoredGraph(k=grid.shape[1], f=grid.shape[0], edges=edges)
 
 
 def _edge_grid(g: BipartiteColoredGraph) -> np.ndarray:

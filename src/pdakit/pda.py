@@ -24,7 +24,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import InvalidParameter, InvalidPda, MalformedGrid, ParseError, allocating, index
+from .errors import InvalidParameter, InvalidPda, MalformedGrid, ParseError, allocating, index, int64s
 
 STAR = 0
 
@@ -75,46 +75,26 @@ def as_grid(raw) -> np.ndarray:
 
     Accepts a Pda, whose read-only grid comes back with no scan, or a 2-D
     collection whose entries are positive integers (colors) or one of
-    ``0``, ``None``, ``"*"`` (stars).  Raises MalformedGrid for ragged
-    rows, empty grids, or any other entry.  An int64 ndarray comes back as
-    itself, not a copy: callers that keep the grid must copy it.
+    ``0``, ``None``, ``"*"`` (stars), read by errors.int64s.  Raises
+    MalformedGrid for ragged rows, empty grids, or any other entry, one past
+    int64 included.  An int64 ndarray comes back as itself, not a copy:
+    callers that keep the grid must copy it.
     """
     if isinstance(raw, Pda):
         return raw.grid
-    if isinstance(raw, np.ndarray):
-        if raw.ndim != 2 or raw.size == 0:
-            raise MalformedGrid(f"expected a non-empty 2-D grid, got shape {raw.shape}")
-        if not np.issubdtype(raw.dtype, np.integer):
-            raw = raw.tolist()
-        else:
-            if (raw < 0).any():
-                raise MalformedGrid("negative entry in grid")
-            return raw.astype(np.int64, copy=False)
-    rows = list(raw)
-    if not rows:
-        raise MalformedGrid("empty grid")
-    width = None
-    out = []
-    for i, row in enumerate(rows):
-        cells = list(row)
-        if width is None:
-            width = len(cells)
-            if width == 0:
-                raise MalformedGrid("empty row")
-        elif len(cells) != width:
-            raise MalformedGrid(f"row {i} has {len(cells)} entries, expected {width}")
-        line = []
-        for j, v in enumerate(cells):
-            if v is None or (isinstance(v, str) and v == "*"):
-                line.append(STAR)
-            elif isinstance(v, (int, np.integer)) and not isinstance(v, bool):
-                if v < 0:
-                    raise MalformedGrid(f"negative entry at ({i}, {j})")
-                line.append(int(v))
-            else:
-                raise MalformedGrid(f"entry at ({i}, {j}) is not a star or positive integer: {v!r}")
-        out.append(line)
-    return np.array(out, dtype=np.int64)
+    if isinstance(raw, np.ndarray) and (raw.ndim != 2 or raw.size == 0):
+        raise MalformedGrid(f"expected a non-empty 2-D grid, got shape {raw.shape}")
+    try:
+        if isinstance(raw, np.ndarray) and np.issubdtype(raw.dtype, np.number):
+            return int64s(raw, "grid entry", start=0)
+        rows = [[STAR if v is None or isinstance(v, str) and v == "*" else v for v in row]
+                for row in raw]
+        widths = set(map(len, rows))
+        if len(widths) != 1 or 0 in widths:
+            raise MalformedGrid(f"expected rows of one length above 0, got lengths {sorted(widths)}")
+        return int64s([v for row in rows for v in row], "grid entry", start=0).reshape(len(rows), -1)
+    except InvalidParameter as exc:
+        raise MalformedGrid(str(exc)) from None
 
 
 def canonicalize_colors(grid: np.ndarray) -> np.ndarray:
@@ -362,15 +342,14 @@ def parse_pda_text(text: str) -> tuple[np.ndarray, int, int, int, int]:
 
     Raises ParseError with the position of the first bad token.
     """
-    header = None
-    rows: list[list[int]] = []
+    lines, values = [], []  # each row's line number; the rows' colors, stars as 0, row after row
     f_expected = k_expected = z_decl = s_decl = None
     for lineno, rawline in enumerate(text.splitlines(), start=1):
         line = rawline.strip()
         if not line or line.startswith("#"):
             continue
         tokens = line.split()
-        if header is None:
+        if f_expected is None:
             if len(tokens) != 4:
                 raise ParseError(
                     f"line {lineno}: header must be 'K F Z S', got {len(tokens)} tokens",
@@ -381,9 +360,8 @@ def parse_pda_text(text: str) -> tuple[np.ndarray, int, int, int, int]:
             k_expected, f_expected, z_decl, s_decl = (int(t) for t in tokens)
             if k_expected < 1 or f_expected < 1:
                 raise ParseError(f"line {lineno}: header values out of range", line=lineno, token=0)
-            header = tokens
             continue
-        if len(rows) >= f_expected:
+        if len(lines) >= f_expected:
             raise ParseError(
                 f"line {lineno}: trailing garbage after {f_expected} rows", line=lineno, token=0
             )
@@ -392,20 +370,28 @@ def parse_pda_text(text: str) -> tuple[np.ndarray, int, int, int, int]:
                 f"line {lineno}: expected {k_expected} tokens, got {len(tokens)}",
                 line=lineno, token=min(len(tokens), k_expected),
             )
-        row = []
         for pos, tok in enumerate(tokens):
             if tok == "*":
-                row.append(STAR)
+                values.append(STAR)
             elif _is_decimal(tok) and not tok.startswith("0"):
-                row.append(int(tok))
+                values.append(int(tok))
             else:
                 raise ParseError(f"line {lineno}: bad token {tok!r}", line=lineno, token=pos)
-        rows.append(row)
-    if header is None:
+        lines.append(lineno)
+    if f_expected is None:
         raise ParseError("missing header line", line=1, token=0)
-    if len(rows) != f_expected:
-        raise ParseError(f"expected {f_expected} rows, got {len(rows)}")
-    return np.array(rows, dtype=np.int64), k_expected, f_expected, z_decl, s_decl
+    if len(lines) != f_expected:
+        raise ParseError(f"expected {f_expected} rows, got {len(lines)}")
+    try:
+        grid = int64s(values, "color").reshape(f_expected, k_expected)
+    except InvalidParameter:  # only a token past int64 is refused here: name the first
+        for n, v in enumerate(values):
+            try:
+                int64s((v,), "color")
+            except InvalidParameter as exc:
+                lineno, pos = lines[n // k_expected], n % k_expected
+                raise ParseError(f"line {lineno}: {exc}: {v}", line=lineno, token=pos) from None
+    return grid, k_expected, f_expected, z_decl, s_decl
 
 
 def pda_from_text(text: str) -> Pda:

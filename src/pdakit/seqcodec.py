@@ -21,6 +21,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .errors import (
+    BadTarget,
     InvalidParameter,
     InvalidPlacement,
     LengthMismatch,
@@ -31,6 +32,7 @@ from .errors import (
     cells,
     index,
     indices,
+    int64s,
     json_int,
     read_text,
 )
@@ -126,26 +128,27 @@ def extract_edge_sequence(a: AdjacencyMatrix) -> tuple[EdgeCell, ...]:
     return tuple(zip(ii.tolist(), jj.tolist()))
 
 
-def placement_cells(shape, edges) -> np.ndarray:
-    """The placement rule's checks: the flat indices i*K + j of the edge cells, ascending.
+def placement_cells(shape, edges) -> tuple[tuple[int, int], np.ndarray]:
+    """The placement rule's checks: (F, K) as read, and the edges' flat indices i*K + j, ascending.
 
     Allocates nothing sized by the shape, so a graph too large for a dense
-    mask is checked here.  The sides are read by errors.index and the edges
-    by errors.cells.  Raises InvalidParameter for a shape with a negative
-    side or more cells than an index can address, and for edges that are
-    not integer pairs, fall outside the shape or repeat a cell.
+    mask is checked here.  The sides are read by errors.indices and the edges
+    by errors.cells.  Raises InvalidParameter for a shape that is not two
+    sides, has a negative side or more cells than an index can address, and
+    for edges that are not integer pairs, fall outside the shape or repeat a cell.
     """
-    f, k = (index(n, "placement side") for n in shape)
-    if f < 0 or k < 0:
-        raise InvalidParameter(f"placement shape ({f}, {k}) has a negative side")
+    sides = tuple(indices(shape, "placement side"))
+    if len(sides) != 2 or min(sides) < 0:
+        raise InvalidParameter(f"placement shape {sides} is not two sides of 0 or more")
+    f, k = sides
     if f * k > sys.maxsize:
-        raise InvalidParameter(f"placement shape ({f}, {k}) has more cells than an index can address")
-    i, j = cells(edges, "edge", (f, k)).T
+        raise InvalidParameter(f"placement shape {sides} has more cells than an index can address")
+    i, j = cells(edges, "edge", sides).T
     flat = i * k + j
     flat.sort()
     if np.count_nonzero(flat[1:] == flat[:-1]):
         raise InvalidParameter("edges repeat a cell")
-    return flat
+    return sides, flat
 
 
 def edges_to_mask(shape, edges) -> np.ndarray:
@@ -155,8 +158,7 @@ def edges_to_mask(shape, edges) -> np.ndarray:
     placement_cells alone where no dense mask is wanted.  Raises what
     placement_cells raises.
     """
-    flat = placement_cells(shape, edges)
-    f, k = shape
+    (f, k), flat = placement_cells(shape, edges)
     with allocating(_too_large(f, k)):
         mask = np.zeros(f * k, dtype=bool)
     mask[flat] = True
@@ -178,11 +180,7 @@ def assemble_array(
     if not np.array_equal(np.sort(i * a.k + j), np.flatnonzero(a.mask)):
         raise InvalidParameter("edge sequence does not match the mask")
     grid = np.zeros(a.mask.shape, dtype=np.int64)
-    grid[i, j] = indices(c, "color")
-    colors = grid[i, j]
-    if (colors < 1).any():
-        n = (colors < 1).argmax()
-        raise InvalidParameter(f"color {colors[n]} at cell ({i[n]}, {j[n]}) is not positive")
+    grid[i, j] = int64s(c, "color", start=1)
     return grid
 
 
@@ -263,7 +261,11 @@ class TrainingPair:
         if tuple(map(tuple, self.edges)) != edges:
             raise InvalidPlacement("edges break column-major order")
         object.__setattr__(self, "edges", edges)
-        object.__setattr__(self, "colors", tuple(indices(self.colors, "color")))
+        colors = int64s(self.colors, "color", start=1)
+        top = np.maximum.accumulate(colors)  # a first use is 1 past the largest color before it
+        if top.size and top[0] > 1 or np.count_nonzero(top[1:] - top[:-1] > 1):
+            raise BadTarget("colors are not numbered 1, 2, ... in order of first use")
+        object.__setattr__(self, "colors", tuple(colors.tolist()))
         for j, count in enumerate(a.mask.sum(axis=0).tolist()):
             if count != degree:
                 raise InvalidPlacement(f"column {j} has {count} edges, expected F-Z = {degree}")

@@ -60,6 +60,15 @@ class TestVerify:
         assert run("verify", tmp_path / "nope.pda") == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["verify", "simulate"])
+    def test_a_color_past_int64_is_a_parse_error(self, tmp_path, capsys, command):
+        path = tmp_path / "a.pda"
+        path.write_text("2 2 1 1\n* 99999999999999999999\n1 *\n")
+        assert run(*{"verify": ["verify", path], "simulate": ["simulate", "--pda", path]}[command]) == 2
+        out, err = capsys.readouterr()
+        assert "line 2" in err and "99999999999999999999" in err and "Traceback" not in err
+        assert "delivery_rate" not in out
+
     def test_superscript_digit_is_a_parse_error(self, tmp_path, capsys):
         path = tmp_path / "a.pda"
         path.write_text("2 2 1 1\n* \u00b2\n1 *\n", encoding="utf-8")
@@ -358,6 +367,18 @@ class TestTrain:
         corpus.write_text("".join(json.dumps(obj) + "\n" for obj in ({"_meta": {}}, good, bad)))
         assert run(*train_args(corpus, tmp_path / "m.json", tmp_path / "l.csv")) == 2
         assert "corpus line 3" in capsys.readouterr().err
+        assert not (tmp_path / "m.json").exists()
+
+    @pytest.mark.parametrize("colors", [[0, 1], [2, 1]], ids=["zero", "out-of-order"])
+    def test_corpus_colors_not_numbered_by_first_use_are_an_input_error(self, tmp_path, capsys,
+                                                                          colors):
+        corpus = tmp_path / "corpus.jsonl"
+        good = {"K": 2, "F": 2, "Z": 1, "edges": [[1, 0], [0, 1]], "colors": [1, 1]}
+        bad = dict(good, colors=colors)
+        corpus.write_text("".join(json.dumps(obj) + "\n" for obj in ({"_meta": {}}, bad, good)))
+        assert run(*train_args(corpus, tmp_path / "m.json", tmp_path / "l.csv")) == 2
+        err = capsys.readouterr().err
+        assert "corpus line 2" in err and "Traceback" not in err
         assert not (tmp_path / "m.json").exists()
 
 

@@ -4,9 +4,13 @@ Each site below reads one caller integer.  Whatever the site, the rule
 refuses what int() would truncate or parse and what bool would pass as,
 and takes a numpy integer exactly as the Python one.  errors.cells is the
 same rule for a caller's (i, j) cells, and the cell sites below read by it.
+errors.int64s is its array form, and every site that reads a color or a grid
+entry reads it by that rule, bounded to int64.
 """
 
+import tempfile
 from collections import namedtuple
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -38,7 +42,7 @@ from pdakit.neural.net import (
 )
 from pdakit.neural.params import ModelConfig, ModelParams
 from pdakit.neural.train import TrainConfig
-from pdakit.pda import STAR, Pda, construct_mn_pda, pda_to_text, verify
+from pdakit.pda import STAR, Pda, as_grid, construct_mn_pda, parse_pda_text, pda_to_text, verify
 from pdakit.seqcodec import (
     TrainingPair,
     assemble_array,
@@ -47,6 +51,7 @@ from pdakit.seqcodec import (
     extract_edge_sequence,
     pda_to_adjacency,
     placement_to_adjacency,
+    read_corpus,
 )
 
 S = STAR
@@ -198,3 +203,51 @@ def test_a_cell_is_a_pair_of_two_in_order():
     rows = [Edge(1, 0), [0, 1], np.array([1, 1], dtype=np.int32)]
     assert cells(rows, "edge").tolist() == [[1, 0], [0, 1], [1, 1]]
     assert cells((), "edge").shape == (0, 2)
+
+
+def _corpus_pairs(colors):
+    """The samples read back from a corpus whose one sample is the cross with these colors."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "corpus.jsonl"
+        path.write_text('{"_meta": {}}\n{"K": 2, "F": 2, "Z": 1, "edges": [[1, 0], [0, 1]], '
+                        f'"colors": [{", ".join(map(str, colors))}]}}\n')
+        return read_corpus(path)[1]
+
+
+PAST_INT64 = (2**63, 2**70)
+
+# (site, call with a caller's color or grid entry x, whether x must be positive,
+#  the largest x the site takes, the values past int64 the call can hand the site)
+COLOR_SITES = [
+    ("as_grid list", lambda x: as_grid([[x, S], [S, x]]).tolist(), False, 2**63 - 1, PAST_INT64),
+    ("as_grid uint64 array",
+     lambda x: as_grid(np.array([[x, S], [S, x]], dtype=np.uint64)).tolist(), False, 2**63 - 1,
+     (2**63, 2**64 - 1)),
+    (".pda text", lambda x: parse_pda_text(f"2 2 1 1\n* {x}\n{x} *\n")[0].tolist(), True,
+     2**63 - 1, PAST_INT64),
+    ("graph color", lambda x: BipartiteColoredGraph(k=2, f=2, edges=((0, 1, x), (1, 0, 1))).edges,
+     True, 2**63 - 1, PAST_INT64),
+    ("assemble_array", lambda x: assemble_array(CROSS_MASK, CROSS_EDGES, (x, 1)).tolist(), True,
+     2**63 - 1, PAST_INT64),
+    # a pair's colors are numbered 1, 2, ... in order of first use, so 2 is its largest second color
+    ("TrainingPair", lambda x: TrainingPair(k=2, f=2, z=1, edges=CROSS_EDGES, colors=(1, x)).colors,
+     True, 2, PAST_INT64),
+    ("corpus line", lambda x: _corpus_pairs((1, x)), True, 2, PAST_INT64),
+]
+
+
+@pytest.mark.parametrize("site, call, positive, largest, past", COLOR_SITES,
+                         ids=[site for site, *_ in COLOR_SITES])
+def test_every_color_site_reads_its_colors_by_the_one_rule(site, call, positive, largest, past):
+    # A color past int64 is an input error, not an OverflowError or a wrapped
+    # negative; where 0 is no star, it is no color either.
+    for x in past:
+        with pytest.raises(PdakitError):
+            call(x)
+            pytest.fail(f"{site} took {x}")
+    if positive:
+        with pytest.raises(PdakitError):
+            call(0)
+            pytest.fail(f"{site} took 0")
+    for v in (1, largest):
+        assert call(np.int64(v)) == call(v), site

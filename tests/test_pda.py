@@ -300,6 +300,17 @@ class TestTextFormat:
                 parse_pda_text(f"2 2 1 1\n* {tok}\n1 *\n")
             assert (exc.value.line, exc.value.token) == (2, 1)
 
+    def test_a_token_past_int64_is_named_by_its_line_and_position(self):
+        # the first such token, past comments and blank lines; 2**63 - 1 is the largest taken
+        text = "2 2 1 1\n# note\n* 9223372036854775807\n\n9223372036854775808 99999999999999999999\n"
+        with pytest.raises(ParseError, match="line 5: .*9223372036854775808") as exc:
+            parse_pda_text(text)
+        assert (exc.value.line, exc.value.token) == (5, 0)
+        text = "2 2 1 1\n* 1\n1 99999999999999999999\n"
+        with pytest.raises(ParseError) as exc:
+            parse_pda_text(text)
+        assert (exc.value.line, exc.value.token) == (3, 1)
+
     def test_wrong_width(self):
         with pytest.raises(ParseError):
             parse_pda_text("2 2 1 1\n* 1 1\n1 *\n")

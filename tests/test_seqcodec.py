@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from pdakit.errors import (
+    BadTarget,
     InvalidParameter,
     InvalidPlacement,
     LengthMismatch,
@@ -206,6 +207,11 @@ class TestEdgesToMask:
     def test_rejects_edges_that_are_no_placement(self, shape, edges):
         with pytest.raises(InvalidParameter):
             edges_to_mask(shape, edges)
+
+    @pytest.mark.parametrize("shape", [(2, 2, 2), (2,), ()])
+    def test_a_shape_that_is_not_two_sides_is_refused(self, shape):
+        with pytest.raises(InvalidParameter, match="is not two sides"):
+            edges_to_mask(shape, [])
 
 
 class TestPlacementFuzz:
@@ -446,3 +452,12 @@ class TestCorpus:
     def test_pair_edge_count_checked(self):
         with pytest.raises(InvalidParameter):
             TrainingPair(k=2, f=2, z=1, edges=((0, 0),), colors=(1,))
+
+    def test_pair_colors_are_numbered_by_first_use(self):
+        # the canonical form supervised_loss and the corpus format assume
+        edges = ((0, 0), (1, 1), (0, 2), (1, 3))
+        for colors in ((2, 1, 1, 2), (1, 3, 2, 1), (1, 1, 3, 2), (2, 2, 2, 2)):
+            with pytest.raises(BadTarget):
+                TrainingPair(k=4, f=2, z=1, edges=edges, colors=colors)
+        for colors in ((1, 1, 1, 1), (1, 2, 1, 3), (1, 2, 3, 4), (1, 1, 2, 2)):
+            assert TrainingPair(k=4, f=2, z=1, edges=edges, colors=colors).colors == colors

@@ -43,6 +43,17 @@ def test_only_errors_decides_what_a_callers_cells_are():
     assert naming == []
 
 
+def test_only_errors_decides_what_a_grid_entry_is():
+    # errors.int64s is the one rule that reads a grid entry or a color; a module
+    # naming np.integer tests an entry's type itself, and takes what int64 cannot hold.
+    modules = sorted(PACKAGE.rglob("*.py"))
+    assert PACKAGE / "errors.py" in modules
+    naming = [str(path.relative_to(PACKAGE)) for path in modules
+              if path.name != "errors.py"
+              and re.search(r"\bnp\.integer\b", path.read_text(encoding="utf-8"))]
+    assert naming == []
+
+
 def test_only_pda_computes_binomials():
     # Whether a shape is a t-subset one is decided in pda, where a lower bound
     # refuses a binomial far past the rows asked for; a module calling
