@@ -148,46 +148,51 @@ def greedy_strong_color(
     and common third edges.  Ordering policies: "lex" (by user then
     packet, the default, reproducible) or "random" (seeded shuffle).
 
-    The colors at each vertex are the set bits of one Python int, so an
-    edge's forbidden colors are the OR of its neighbors' ints and its
-    color is the lowest clear bit above bit 0.  Always completes; each
-    edge still walks both endpoints' neighbors, so it is quadratic in the
-    worst case.
+    State is kept per vertex that has an edge, whatever ``k`` and ``f``
+    declare: each such vertex gets a dense id in order of first use, and
+    its neighbor list and colors live in plain lists at that id.  The
+    colors at a vertex are the set bits of one Python int, so an edge's
+    forbidden colors are the OR of its neighbors' ints and its color is
+    the lowest clear bit above bit 0.  Always completes; each edge still
+    walks both endpoints' neighbors, so it is quadratic in the worst case.
     """
-    edges = [(u, v) for u, v, _ in g.edges]
-    if order == "lex":
-        edges.sort()
-    elif order == "random":
-        rng = np.random.default_rng(seed)
-        edges.sort()
-        rng.shuffle(edges)
-    else:
+    # g.edges is sorted by (user, packet), so "lex" is position order and
+    # shuffling positions permutes exactly as shuffling the sorted edges
+    positions = list(range(len(g.edges)))
+    if order == "random":
+        np.random.default_rng(seed).shuffle(positions)
+    elif order != "lex":
         raise InvalidParameter(f"unknown ordering policy {order!r}")
 
-    nbr_of_user: dict[int, list[int]] = {}
-    nbr_of_packet: dict[int, list[int]] = {}
-    for u, v in edges:
-        nbr_of_user.setdefault(u, []).append(v)
-        nbr_of_packet.setdefault(v, []).append(u)
-    at_user = dict.fromkeys(nbr_of_user, 0)
-    at_packet = dict.fromkeys(nbr_of_packet, 0)
+    user_id: dict[int, int] = {}
+    packet_id: dict[int, int] = {}
+    ends = [(user_id.setdefault(u, len(user_id)), packet_id.setdefault(v, len(packet_id)))
+            for u, v, _ in g.edges]
+    nbr_of_user: list[list[int]] = [[] for _ in user_id]
+    nbr_of_packet: list[list[int]] = [[] for _ in packet_id]
+    for u, v in ends:
+        nbr_of_user[u].append(v)
+        nbr_of_packet[v].append(u)
+    at_user = [0] * len(user_id)
+    at_packet = [0] * len(packet_id)
 
-    assigned: dict[tuple[int, int], int] = {}
-    for u, v in edges:
+    colors = [0] * len(ends)
+    for i in positions:
+        u, v = ends[i]
         forbidden = 1  # bit 0 set, so color 0 is never picked
         for v2 in nbr_of_user[u]:
             forbidden |= at_packet[v2]
         for u2 in nbr_of_packet[v]:
             forbidden |= at_user[u2]
         bit = ~forbidden & (forbidden + 1)
-        assigned[(u, v)] = bit.bit_length() - 1
+        colors[i] = bit.bit_length() - 1
         at_user[u] |= bit
         at_packet[v] |= bit
 
     return BipartiteColoredGraph(
         k=g.k,
         f=g.f,
-        edges=tuple((u, v, assigned[(u, v)]) for u, v, _ in g.edges),
+        edges=tuple((u, v, c) for (u, v, _), c in zip(g.edges, colors)),
     )
 
 

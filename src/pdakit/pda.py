@@ -17,6 +17,7 @@ compare equal byte for byte.
 from __future__ import annotations
 
 import math
+import reprlib
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
@@ -76,8 +77,8 @@ def as_grid(raw) -> np.ndarray:
     Accepts a Pda, whose read-only grid comes back with no scan, or a 2-D
     collection whose entries are positive integers (colors) or one of
     ``0``, ``None``, ``"*"`` (stars), read by errors.int64s.  Raises
-    MalformedGrid for ragged rows, empty grids, or any other entry, one past
-    int64 included.  An int64 ndarray comes back as itself, not a copy:
+    MalformedGrid for input that is not rows of entries, ragged rows, empty
+    grids, or any other entry, one past int64 included.  An int64 ndarray comes back as itself, not a copy:
     callers that keep the grid must copy it.
     """
     if isinstance(raw, Pda):
@@ -87,8 +88,11 @@ def as_grid(raw) -> np.ndarray:
     try:
         if isinstance(raw, np.ndarray) and np.issubdtype(raw.dtype, np.number):
             return int64s(raw, "grid entry", start=0)
-        rows = [[STAR if v is None or isinstance(v, str) and v == "*" else v for v in row]
-                for row in raw]
+        try:
+            rows = [[STAR if v is None or isinstance(v, str) and v == "*" else v for v in row]
+                    for row in raw]
+        except TypeError:
+            raise MalformedGrid(f"expected a 2-D grid of rows, got {reprlib.repr(raw)}") from None
         widths = set(map(len, rows))
         if len(widths) != 1 or 0 in widths:
             raise MalformedGrid(f"expected rows of one length above 0, got lengths {sorted(widths)}")

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -220,16 +222,37 @@ class TestGreedyColorer:
         assert any(set(range(g.k)) - {u for u, _, _ in g.edges} for g in graphs)
         assert any(set(range(g.f)) - {v for _, v, _ in g.edges} for g in graphs)
         graphs += [pda_to_graph(construct_mn_pda(k, t)) for k in range(2, 9) for t in range(1, min(k, 5))]
+        orders = (("lex", None), ("random", 0), ("random", 1), ("random", 2))
+        cases = [(g, orders) for g in graphs]
+        # the color workload's larger placements, where the oracle takes up to a quarter second
         f, z = 16, 12
-        for e in (64, 128, 256, 512, 1024):
+        for e in (64, 128, 256, 512, 1024, 2048, 4096):
             k = e // (f - z)
             edges = tuple((j, (j + m) % f, None) for j in range(k) for m in range(z, f))
-            graphs.append(BipartiteColoredGraph(k=k, f=f, edges=edges))
-        for g in graphs:
+            cases.append((BipartiteColoredGraph(k=k, f=f, edges=edges), orders if e <= 1024 else orders[:2]))
+        cases.append((pda_to_graph(construct_mn_pda(10, 5)), orders[:2]))
+        for g, g_orders in cases:
             pairs = [(u, v) for u, v, _ in g.edges]
-            for order, seed in (("lex", None), ("random", 0), ("random", 1), ("random", 2)):
+            for order, seed in g_orders:
                 got = greedy_strong_color(self.strip(g), order=order, seed=seed)
                 assert got.edges == oracles.oracle_greedy_strong_color(pairs, order, seed)
+
+    @pytest.mark.parametrize("order", ["lex", "random"])
+    def test_state_is_not_sized_by_the_declared_shape(self, order):
+        # three edges in a declared million-by-million graph: state kept per
+        # vertex with an edge stays a few KB, where one list of length k is 8 MB
+        n = 10**6
+        g = BipartiteColoredGraph(k=n, f=n, edges=((0, 0, None), (5, n - 1, None), (n - 1, 7, None)))
+        greedy_strong_color(g, order=order, seed=0)  # numpy loads its random module on first use
+        tracemalloc.start()
+        try:
+            colored = greedy_strong_color(g, order=order, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, f"peak {peak} B"
+        # no two of the edges share an end or a neighbor, so one color serves all
+        assert colored.edges == ((0, 0, 1), (5, n - 1, 1), (n - 1, 7, 1))
 
     def test_unknown_order_rejected(self):
         g = BipartiteColoredGraph(k=1, f=1, edges=((0, 0, None),))

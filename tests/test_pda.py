@@ -72,6 +72,12 @@ class TestVerify:
                 verify(raw)
         assert verify(np.array([["*", 1], [1, None]], dtype=object)).valid
 
+    @pytest.mark.parametrize("raw", [[5], 5, [[1, 0], 7], None], ids=["[5]", "5", "[[1,0],7]", "None"])
+    def test_rows_that_are_not_rows_raise(self, raw):
+        for read in (as_grid, verify, Pda.from_grid):
+            with pytest.raises(MalformedGrid, match="expected a 2-D grid of rows"):
+                read(raw)
+
     def test_agrees_with_bruteforce_oracle(self):
         rng = np.random.default_rng(20260814)
         for _ in range(2000):
