@@ -34,9 +34,15 @@ Every step's decoder input, [context | embedding], is a row of one
 stacked array whose embeddings are filled in before the loop; each step
 writes its context into the next step's rows.  A masked row's support is
 its tracker's screen of n_colors + 1 columns, the last one the next
-color's, whose first use is the current position.  The GRU and softmax
-work in place, and each step's top score and partition sum become log
-probabilities after the loop.
+color's, whose first use is the current position; the tracker holds the
+row's edges, first uses and colors, so a step calls it once to screen and
+once to record the pointer.  A masked step, which walks its rows for
+the trackers anyway, reads each row's chosen score and pointer into two
+lists that fill their arrays after the loop; an unmasked step writes its
+rows' into the arrays at once.  The 2-D products go through np.dot,
+which dispatches faster than @ with the same BLAS result.  The GRU and
+softmax work in place, and each step's top score and partition sum
+become log probabilities after the loop.
 
 The backward pass is backpropagation through time with deferred GEMMs:
 each step computes only what the recurrence needs, and every weight
@@ -100,7 +106,8 @@ def _gru_forward(ux: np.ndarray, y_prev: np.ndarray, w_t: np.ndarray, out=None):
     w_t (g, h, 3h).  The new state goes to out when it is given.
     """
     h = y_prev.shape[-1]
-    wy = y_prev @ w_t
+    # np.dot dispatches faster than @ on one block, with the same BLAS result
+    wy = np.dot(y_prev, w_t) if y_prev.ndim == 2 else y_prev @ w_t
     # the sigmoid runs over all three thirds; only the gates' two are read
     gates = ux + wy
     _sigmoid(gates, gates)
@@ -398,9 +405,15 @@ class FeasibilityTracker:
     reads n_colors flags and n_colors * ceil(S/64) words.  While a cell is
     still to be placed, n_colors < E, so column n_colors exists; it is the
     next color's, which has no members yet, so every cell passes it.
+
+    Built with a decoder row's edge sequence, the tracker also keeps the
+    row's pointer bookkeeping: first[c] is the step of color c's first
+    use and color[l] the color of step l.  support(t) screens step t's
+    cell and record(t, c) takes in its pointer, so a decode step calls
+    the tracker twice per row.
     """
 
-    def __init__(self, adj: np.ndarray):
+    def __init__(self, adj: np.ndarray, edges: Sequence[tuple[int, int]] = ()):
         adj = np.asarray(adj, dtype=bool)
         self.transposed = adj.shape[0] < adj.shape[1]
         if self.transposed:
@@ -416,6 +429,9 @@ class FeasibilityTracker:
         self.members = np.zeros((words, cap), dtype=np.uint64)
         self.col_open = np.ones((s, cap), dtype=bool)
         self.n_colors = 0
+        self.edges = edges
+        self.first = np.empty(len(edges), dtype=np.int64)
+        self.color: list[int] = []
 
     def new_color(self, i: int, j: int) -> int:
         c = self.n_colors
@@ -447,6 +463,22 @@ class FeasibilityTracker:
         open_ = np.logical_not(shared)
         open_ &= self.col_open[j, :n]
         return open_
+
+    def support(self, t: int) -> np.ndarray:
+        """Step t's pointer support: the first uses of the colors open to its cell, then t."""
+        n = self.n_colors
+        self.first[n] = t  # the next color's first use, if step t takes it
+        return self.first[: n + 1][self.feasible(*self.edges[t], n + 1)]
+
+    def record(self, t: int, c: int) -> None:
+        """Step t points to position c: a new color when c is t, else the color at c."""
+        i, j = self.edges[t]
+        if c == t:
+            self.color.append(self.new_color(i, j))
+        else:
+            c = self.color[c]
+            self.color.append(c)
+            self.add_member(c, i, j)
 
 
 # --- episodes ------------------------------------------------------------------
@@ -504,36 +536,27 @@ def _run(batch: _Batch, params: ModelParams, masks, pick, keep_caches: bool):
         xs[: off[1], 2 * h :] = params.start
         # step t >= 1 reads the embedding of each running row's position t - 1
         xs[off[1] :, 2 * h :] = batch.embs[batch.prev]
-    screened = [k for k, m in enumerate(masks) if m is not None]
+    screened = any(m is not None for m in masks)
     if screened:
-        trackers = [None if m is None else FeasibilityTracker(m) for m in masks]
-        # first[k][c] is row k's first use of color c, color[k][l] the color index at l
-        first = [None if m is None else np.empty(len(e), dtype=np.int64)
-                 for m, e in zip(masks, batch.edges)]
-        color = [[] for _ in range(B)]
+        trackers = [None if m is None else FeasibilityTracker(m, e)
+                    for m, e in zip(masks, batch.edges)]
         flat_keys = keys.reshape(B * L, 3 * h)
         base = np.arange(B)[:, None] * L
     choices = np.zeros((B, L), dtype=np.int64)
     # each step's chosen score, top score and partition sum, made log probabilities at the end
     picked, top, zsum = np.zeros((L, B)), np.zeros((L, B, 1)), np.ones((L, B, 1))
+    scores, chosen = [], []  # a screened pass's chosen scores and pointers, stacked
     ar = np.arange(B)
     d = np.zeros((B, h))
     steps = []
     for t in range(L):
         b, o, o1 = active[t], off[t], off[t + 1]
-        ux = xs[o:o1] @ u_t
+        ux = np.dot(xs[o:o1], u_t)
         ux += bias[:b]
         d, gcache = _gru_forward(ux, d[:b], w_t, ds[o:o1])
         if screened:
-            sups = []
-            for k in range(b):
-                tracker = trackers[k]
-                if tracker is None:
-                    sups.append(np.arange(t + 1))
-                    continue
-                n = tracker.n_colors
-                first[k][n] = t
-                sups.append(first[k][: n + 1][tracker.feasible(*batch.edges[k][t], n + 1)])
+            sups = [np.arange(t + 1) if tracker is None else tracker.support(t)
+                    for tracker in trackers[:b]]
             if b == 1:  # nothing to pad, and row 0's flat positions are its own
                 idx = flat = sups[0][None]
                 widths, pad = idx.shape[1], None
@@ -549,23 +572,19 @@ def _run(batch: _Batch, params: ModelParams, masks, pick, keep_caches: bool):
         else:
             idx, widths, pad = None, t + 1, None
             key = keys[:b, : t + 1]
-        p, u = _attend(key[..., :h], d @ q_t, v, pad, top[t, :b], zsum[t, :b])
+        p, u = _attend(key[..., :h], np.dot(d, q_t), v, pad, top[t, :b], zsum[t, :b])
         pos = pick(t, idx, p, widths)
-        rows = ar[:b]
-        picked[t, :b] = u[rows, pos]
-        choice = pos if idx is None else idx[rows, pos]
-        choices[:b, t] = choice
-        if screened:
-            cs = choice.tolist()
-            for k in screened:
-                if k >= b:
-                    break
-                c, (i, j) = cs[k], batch.edges[k][t]
-                if c == t:
-                    color[k].append(trackers[k].new_color(i, j))
-                else:
-                    color[k].append(color[k][c])
-                    trackers[k].add_member(color[k][c], i, j)
+        if screened:  # row by row, as each row's tracker takes in its pointer
+            for k in range(b):
+                q = pos[k]
+                c = idx[k, q]
+                scores.append(u[k, q])
+                chosen.append(c)
+                if trackers[k] is not None:
+                    trackers[k].record(t, c)
+        else:
+            picked[t, :b] = u[ar[:b], pos]
+            choices[:b, t] = pos
         nb = active[t + 1] if t + 1 < L else 0
         if nb:
             # context_t = p @ s_idx, the first half of step t+1's input
@@ -575,8 +594,11 @@ def _run(batch: _Batch, params: ModelParams, masks, pick, keep_caches: bool):
     tape = None
     if keep_caches:
         tape = {"keys": keys, "encoder": enc_caches, "steps": steps, "x": xs, "d": ds}
-    scores = picked - (top[..., 0] + np.log(zsum[..., 0]))
-    logprob = np.cumsum(scores, axis=0)[-1] if L else np.zeros(B)
+    if screened:
+        choices.T[batch.valid] = chosen
+        picked[batch.valid] = scores
+    picked -= top[..., 0] + np.log(zsum[..., 0])
+    logprob = np.cumsum(picked, axis=0)[-1] if L else np.zeros(B)
     return choices, logprob, tape
 
 

@@ -99,17 +99,32 @@ def placement_to_adjacency(z: int, f: int, k: int, star_pattern) -> AdjacencyMat
         raise InvalidPlacement(f"expected {k} star sets, got {len(columns)}")
     with allocating(_too_large(f, k)):
         mask = np.ones((f, k), dtype=bool)
+    stars: list[int] = []  # each column's z star rows in turn, in set order
+
+    def rows_read():
+        """The star rows read so far; InvalidPlacement for the first outside [0, f)."""
+        try:
+            flat = np.array(stars, dtype=np.int64)
+        except OverflowError:  # a row past int64, outside as well
+            flat = np.array(stars, dtype=object)
+        bad = np.flatnonzero((flat < 0) | (flat >= f))
+        if bad.size:
+            n = bad[0]
+            raise InvalidPlacement(f"column {n // z} star row {flat[n]} outside [0, {f})")
+        return flat
+
     for j, rows in enumerate(columns):
         try:
             star_set = set(indices(rows, "star row"))
         except (InvalidParameter, TypeError):
-            raise InvalidPlacement(f"column {j} star rows must be integers") from None
-        if len(star_set) != z:
+            star_set = None
+        if star_set is None or len(star_set) != z:
+            rows_read()  # an earlier column's bad row comes first
+            if star_set is None:
+                raise InvalidPlacement(f"column {j} star rows must be integers")
             raise InvalidPlacement(f"column {j} has {len(star_set)} stars, expected {z}")
-        for i in star_set:
-            if not 0 <= i < f:
-                raise InvalidPlacement(f"column {j} star row {i} outside [0, {f})")
-            mask[i, j] = False
+        stars += star_set
+    mask[rows_read(), np.arange(k).repeat(z)] = False
     return AdjacencyMatrix(mask=mask)
 
 

@@ -69,6 +69,18 @@ class TestAdjacency:
         with pytest.raises(InvalidPlacement):
             placement_to_adjacency(1, 2, 1, [{5}])
 
+    def test_the_first_bad_column_is_named(self):
+        # columns are checked in order, each for integers, its count, then its rows' range
+        for pattern, message in (
+            ([[0], [5], [0, 1]], "column 1 star row 5 outside"),
+            ([[0], [-1], ["1"]], "column 1 star row -1 outside"),
+            ([[2**70], [0], ["1"]], f"column 0 star row {2**70} outside"),
+            ([[1], [0, 1], [7]], "column 1 has 2 stars"),
+            ([[1], [0.5], [7]], "column 1 star rows must be integers"),
+        ):
+            with pytest.raises(InvalidPlacement, match=message):
+                placement_to_adjacency(1, 2, 3, pattern)
+
     def test_wrong_column_count_rejected(self):
         with pytest.raises(InvalidPlacement):
             placement_to_adjacency(1, 2, 3, [{0}, {1}])
