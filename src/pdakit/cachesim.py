@@ -14,8 +14,6 @@ slots 1..S (the array's colors).
 from __future__ import annotations
 
 import csv
-import functools
-import itertools
 import json
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -41,8 +39,12 @@ class FileLibrary:
     data: np.ndarray
 
     def __init__(self, packets):
-        """packets: an (N, F, B) uint8 array, copied, or N sequences of F equal-size packets."""
-        self._hold(np.array(packets) if isinstance(packets, np.ndarray) else _stack(packets))
+        """packets: an (N, F, B) uint8 array-like, copied."""
+        try:
+            packets = np.array(packets)
+        except ValueError:  # nested sequences of unequal lengths
+            raise InvalidParameter("library needs an (N, F, B) uint8 array, got ragged input") from None
+        self._hold(packets)
 
     def _hold(self, packets: np.ndarray) -> "FileLibrary":
         """Take packets, an array no one else writes to, as ``data``."""
@@ -92,31 +94,9 @@ class FileLibrary:
             tuple(flat[(i * f + j) * b:(i * f + j + 1) * b] for j in range(f)) for i in range(n)
         )
 
-    def packet(self, file: int, row: int) -> bytes:
-        """Packet row ``row`` (0..F-1) of file ``file`` (1..N)."""
-        file, row = index(file, "file", self.n_files + 1, 1), index(row, "row", self.f)
-        return self.data[file - 1, row].tobytes()
-
     def file_bytes(self, file: int) -> bytes:
         """File ``file`` (1..N), its F packets joined."""
         return self.data[index(file, "file", self.n_files + 1, 1) - 1].tobytes()
-
-
-def _stack(packets) -> np.ndarray:
-    files = [list(file_packets) for file_packets in packets]
-    if not files or not files[0]:
-        raise InvalidParameter("library needs at least one file and one packet")
-    b = len(files[0][0])
-    for i, file_packets in enumerate(files):
-        if len(file_packets) != len(files[0]):
-            raise InvalidParameter(f"file {i + 1} has a different packet count")
-        for j, pkt in enumerate(file_packets):
-            if len(pkt) != b:
-                raise InvalidParameter(
-                    f"packet ({i + 1}, {j}) has {len(pkt)} bytes, expected {b}"
-                )
-    joined = b"".join(itertools.chain.from_iterable(files))
-    return np.frombuffer(joined, dtype=np.uint8).reshape(len(files), len(files[0]), b)
 
 
 class Cache:
@@ -467,9 +447,8 @@ class RoundResult:
     A result holds the library's read-only (N, F, B) packets by reference,
     the demand, and the cells where a user decoded other bytes than its
     file's packet (as _decode_all returns them).  A valid round has none,
-    so it copies no file.  ``files``, the read-only (K, F·B) uint8 array
-    whose row k is user k's decoded file, is built on its first read and
-    kept; ``decoded[k]`` builds user k's bytes alone on each access.
+    so it copies no file.  ``decoded[k]`` builds user k's bytes alone on
+    each access.
     """
 
     transcript: Transcript
@@ -498,12 +477,6 @@ class RoundResult:
                             ("_got", got)):
             object.__setattr__(self, name, value)
         return self
-
-    @functools.cached_property
-    def files(self) -> np.ndarray:
-        files = _assemble(self._data, self._want, self._moved, self._got)
-        files.setflags(write=False)
-        return files
 
     @property
     def decoded(self) -> Sequence[bytes]:

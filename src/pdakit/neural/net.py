@@ -74,7 +74,7 @@ from ..errors import (
 )
 from ..pda import verify
 from ..seqcodec import AdjacencyMatrix, assemble_array, edges_to_mask, extract_edge_sequence
-from .params import GruParams, ModelParams
+from .params import ModelParams
 
 # Value of the padded slots of the (B, L, 2h) encoder states, where rows
 # shorter than L end.  No step reads one; the tests set this to nan to
@@ -129,24 +129,6 @@ def _taped(cache):
     return y_prev, gates, wy[..., 2 * cand.shape[-1] :].copy(), cand
 
 
-def gru_step(x, y_prev, gp: GruParams) -> np.ndarray:
-    """One recurrence step: reset/update gates, candidate, convex mix.
-
-    The new state interpolates between the previous state (weight z) and
-    the candidate (weight 1 - z), so it stays in (-1, 1) whenever the
-    previous state is there.
-    """
-    x = np.asarray(x, dtype=float)
-    y_prev = np.asarray(y_prev, dtype=float)
-    h, m = gp.w.shape[1], gp.u.shape[1]
-    if x.shape != (m,):
-        raise ShapeError(f"input has shape {x.shape}, expected ({m},)")
-    if y_prev.shape != (h,):
-        raise ShapeError(f"hidden has shape {y_prev.shape}, expected ({h},)")
-    y, _ = _gru_forward(x[None] @ gp.u.T + gp.b, y_prev[None], gp.w.T)
-    return y[0]
-
-
 def _gru_backward(dy, cache, w: np.ndarray):
     """One step back for a block of rows, or a stack of GRUs: (dy_prev, da, dwy).
 
@@ -173,16 +155,6 @@ def _add_gru_grads(grads, prefix: str, da, dwy, x, y_prev) -> None:
 
 
 # --- the batch ----------------------------------------------------------------
-
-
-def embed_edge(params: ModelParams, i: int, j: int) -> np.ndarray:
-    """Row slot plus column slot of the embedding table."""
-    cfg = params.config
-    if not 0 <= i < cfg.f_max:
-        raise VocabularyError(f"row {i} outside embedding range [0, {cfg.f_max})")
-    if not 0 <= j < cfg.k_max:
-        raise VocabularyError(f"column {j} outside embedding range [0, {cfg.k_max})")
-    return params.embed[:, i] + params.embed[:, cfg.f_max + j]
 
 
 class _Batch:
@@ -273,18 +245,6 @@ def _encode(batch: _Batch, params: ModelParams, keep_caches: bool, states: np.nd
     time_major[..., :h][batch.valid] = ys[0]
     time_major[..., h:][batch.valid] = ys[1][rev]
     return caches
-
-
-def encode(edges, params: ModelParams) -> np.ndarray:
-    """Per-position states: forward pass state next to backward pass state.
-
-    Row l is the concatenation [forward_l ; backward_l], width 2h.
-    """
-    if not len(edges):
-        raise InvalidParameter("cannot encode an empty edge sequence")
-    states = np.empty((len(edges), 2 * params.config.hidden_dim))
-    _encode(_Batch([edges], params), params, False, states[None])
-    return states
 
 
 # --- attention pointer ------------------------------------------------------
@@ -408,12 +368,14 @@ class FeasibilityTracker:
 
     Built with a decoder row's edge sequence, the tracker also keeps the
     row's pointer bookkeeping: first[c] is the step of color c's first
-    use and color[l] the color of step l.  support(t) screens step t's
-    cell and record(t, c) takes in its pointer, so a decode step calls
-    the tracker twice per row.
+    use and color[l] the color of step l.  Its interface is support,
+    record and feasible: support(t) screens step t's cell, record(t, c)
+    takes in its pointer, and feasible(i, j, n) is the screen of any
+    cell, which support calls.  A decode step calls support and record
+    once per row.
     """
 
-    def __init__(self, adj: np.ndarray, edges: Sequence[tuple[int, int]] = ()):
+    def __init__(self, adj: np.ndarray, edges: Sequence[tuple[int, int]]):
         adj = np.asarray(adj, dtype=bool)
         self.transposed = adj.shape[0] < adj.shape[1]
         if self.transposed:
@@ -433,18 +395,6 @@ class FeasibilityTracker:
         self.first = np.empty(len(edges), dtype=np.int64)
         self.color: list[int] = []
 
-    def new_color(self, i: int, j: int) -> int:
-        c = self.n_colors
-        self.n_colors += 1
-        self.add_member(c, i, j)
-        return c
-
-    def add_member(self, c: int, i: int, j: int) -> None:
-        if self.transposed:
-            i, j = j, i
-        self.col_open[:, c] &= self.stars[i]
-        self.members[j >> 6, c] |= _BITS[j & 63]
-
     def feasible(self, i: int, j: int, n: int | None = None) -> np.ndarray:
         """Boolean vector over colors 0..n-1: may take cell (i, j).
 
@@ -460,9 +410,8 @@ class FeasibilityTracker:
         shared = self.members[0, :n] & self.row_bits[0, i, ...]
         for w in range(1, len(self.members)):
             shared |= self.members[w, :n] & self.row_bits[w, i, ...]
-        open_ = np.logical_not(shared)
-        open_ &= self.col_open[j, :n]
-        return open_
+        # open where no member column is shared (shared < 1) and the column rule holds
+        return np.less(shared, self.col_open[j, :n])
 
     def support(self, t: int) -> np.ndarray:
         """Step t's pointer support: the first uses of the colors open to its cell, then t."""
@@ -473,12 +422,16 @@ class FeasibilityTracker:
     def record(self, t: int, c: int) -> None:
         """Step t points to position c: a new color when c is t, else the color at c."""
         i, j = self.edges[t]
+        if self.transposed:
+            i, j = j, i
         if c == t:
-            self.color.append(self.new_color(i, j))
+            c = self.n_colors
+            self.n_colors += 1
         else:
             c = self.color[c]
-            self.color.append(c)
-            self.add_member(c, i, j)
+        self.color.append(c)
+        self.col_open[:, c] &= self.stars[i]
+        self.members[j >> 6, c] |= _BITS[j & 63]
 
 
 # --- episodes ------------------------------------------------------------------
@@ -622,17 +575,19 @@ def _replay(choices):
     Pointers outside 0..t are rejected before the pass; masked rows
     check membership here.
     """
+    rows = np.arange(len(choices))
 
     def pick(t, idx, p, widths):
         c = choices[: len(p), t]
         if idx is None:
             return c
-        hit = idx == c[:, None]
-        found = hit.any(axis=1)
+        # each row's first column holding its pointer, or column 0 when none does
+        q = (idx == c[:, None]).argmax(axis=1)
+        found = idx[rows[: len(p)], q] == c
         if not found.all():
             k = int(np.argmin(found))
             raise InvalidPointer(f"choice {c[k]} at step {t} is not an available position")
-        return hit.argmax(axis=1)
+        return q
 
     return pick
 

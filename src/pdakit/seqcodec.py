@@ -69,10 +69,6 @@ class AdjacencyMatrix:
     def k(self) -> int:
         return self.mask.shape[1]
 
-    @property
-    def edge_count(self) -> int:
-        return int(self.mask.sum())
-
     def __eq__(self, other):
         if not isinstance(other, AdjacencyMatrix):
             return NotImplemented
@@ -82,7 +78,7 @@ class AdjacencyMatrix:
         return hash(self.mask.tobytes())
 
     def __repr__(self):
-        return f"AdjacencyMatrix(f={self.f}, k={self.k}, edges={self.edge_count})"
+        return f"AdjacencyMatrix(f={self.f}, k={self.k}, edges={np.count_nonzero(self.mask)})"
 
 
 def placement_to_adjacency(z: int, f: int, k: int, star_pattern) -> AdjacencyMatrix:

@@ -77,7 +77,7 @@ class TestLibrary:
         lib = FileLibrary.random(3, 4, packet_size=5, seed=0)
         assert lib.data.shape == (3, 4, 5) and not lib.data.flags.writeable
         view = lib.packets[2][1]
-        assert view == lib.packet(3, 1) and view.readonly
+        assert view == lib.data[2, 1].tobytes() and view.readonly
         assert np.shares_memory(np.frombuffer(view, dtype=np.uint8), lib.data)
         assert FileLibrary(lib.packets).packets == lib.packets
 
@@ -90,7 +90,7 @@ class TestLibrary:
         a[0, 0, 0] = 7
         a[2] = 9
         assert not lib.data.any() and a.flags.writeable
-        assert result.decoded == (bytes(8), bytes(8)) and not result.files.any()
+        assert result.decoded == (bytes(8), bytes(8))
 
     def test_random_hands_over_its_own_array(self):
         n, f, size = 4, 64, 4096
@@ -108,6 +108,17 @@ class TestLibrary:
     def test_unequal_packet_rejected(self):
         with pytest.raises(InvalidParameter):
             FileLibrary(packets=(((b"aa", b"b"),)))
+
+    @pytest.mark.parametrize("packets", [
+        5, [[1, 2], [3]], [[[300]]], [[[1, 2]]], ((b"ab", b"cd"),),
+        np.zeros((2, 3), dtype=np.uint8),
+        np.zeros((0, 2, 4), dtype=np.uint8),
+        np.zeros((2, 0, 4), dtype=np.uint8),
+    ], ids=["int", "ragged", "past-uint8", "int-lists", "bytes-rows", "2-D", "no-files",
+            "no-packets"])
+    def test_only_an_nfb_uint8_array_makes_a_library(self, packets):
+        with pytest.raises(InvalidParameter, match=re.escape("(N, F, B) uint8 array")):
+            FileLibrary(packets)
 
     def test_demand_range_checked(self):
         with pytest.raises(InvalidParameter):
@@ -129,28 +140,20 @@ class TestLibrary:
             DemandVector(d=demand)
 
     def test_packet_lookups_are_checked(self):
+        # file_bytes is the one checked lookup; single packets are data[file - 1, row]
         lib = FileLibrary.random(3, 2, packet_size=4, seed=0)
         for file in range(1, 4):
             assert lib.file_bytes(file) == lib.data[file - 1].tobytes()
-            for row in range(2):
-                assert lib.packet(file, row) == lib.data[file - 1, row].tobytes()
-        assert lib.packet(np.int64(3), np.uint8(1)) == lib.data[2, 1].tobytes()
-        for file, row, message in [
-            (0, 0, "file 0 is not in 1..3"),
-            (-1, 0, "file -1 is not in 1..3"),
-            (4, 0, "file 4 is not in 1..3"),
-            (1, -1, "row -1 is not in 0..1"),
-            (1, 2, "row 2 is not in 0..1"),
-            (1.5, 0, "file 1.5 is not an integer"),
-            (1, 1.5, "row 1.5 is not an integer"),
-            (True, 0, "file True is not an integer"),
-            (1, True, "row True is not an integer"),
+        assert lib.file_bytes(np.int64(3)) == lib.file_bytes(np.uint8(3)) == lib.data[2].tobytes()
+        for file, message in [
+            (0, "file 0 is not in 1..3"),
+            (-1, "file -1 is not in 1..3"),
+            (4, "file 4 is not in 1..3"),
+            (1.5, "file 1.5 is not an integer"),
+            (True, "file True is not an integer"),
         ]:
             with pytest.raises(InvalidParameter, match=re.escape(message)):
-                lib.packet(file, row)
-            if row == 0:
-                with pytest.raises(InvalidParameter, match=re.escape(message)):
-                    lib.file_bytes(file)
+                lib.file_bytes(file)
 
     def test_numpy_integer_demands_are_accepted(self):
         p = construct_mn_pda(4, 2)
@@ -158,7 +161,7 @@ class TestLibrary:
         demand = (np.int64(1), np.uint8(2), 3, np.int32(4))
         assert DemandVector(d=demand).d == (1, 2, 3, 4)
         assert all(type(x) is int for x in DemandVector(d=demand).d)
-        assert run_round(p, lib, demand).files.tobytes() == run_round(p, lib, (1, 2, 3, 4)).files.tobytes()
+        assert run_round(p, lib, demand).decoded == run_round(p, lib, (1, 2, 3, 4)).decoded
 
 
 class TestPlace:
@@ -166,7 +169,7 @@ class TestPlace:
         lib = small_lib(CROSS, n_files=2)
         caches = place(CROSS, lib)
         assert [cache.held.tolist() for cache in caches] == [[True, False], [False, True]]
-        assert caches[0].data[1, 0].tobytes() == lib.packet(2, 0)
+        assert caches[0].data[1, 0].tobytes() == lib.data[1, 0].tobytes()
 
     def test_no_stars_no_cache(self):
         p = Pda.from_grid([[1, 2], [3, 4]])
@@ -210,14 +213,14 @@ class TestDeliver:
         b = t.broadcasts[0]
         assert b.slot == 1
         assert sorted(b.contributors) == [(1, 1), (2, 0)]
-        want = bytes(x ^ y for x, y in zip(lib.packet(1, 1), lib.packet(2, 0)))
+        want = bytes(x ^ y for x, y in zip(lib.data[0, 1].tobytes(), lib.data[1, 0].tobytes()))
         assert b.payload == want
 
     def test_single_cell_sends_plain_packet(self):
         p = Pda.from_grid([[1], [S]])
         lib = small_lib(p)
         t = deliver(p, lib, (2,))
-        assert t.broadcasts[0].payload == lib.packet(2, 0)
+        assert t.broadcasts[0].payload == lib.data[1, 0].tobytes()
 
     def test_identical_demands_still_send_every_slot(self):
         p = construct_mn_pda(3, 1)
@@ -504,7 +507,7 @@ class TestAgainstOracle:
                 n_files = int(rng.integers(1, max(k - 1, 1) + 1))   # N < K: demands repeat
                 lib = FileLibrary.random(n_files, f, packet_size=size, seed=n)
                 demand = tuple(int(x) for x in rng.integers(1, n_files + 1, size=k))
-                packets = [[lib.packet(file, j) for j in range(f)] for file in range(1, n_files + 1)]
+                packets = [[lib.data[file - 1, j].tobytes() for j in range(f)] for file in range(1, n_files + 1)]
                 broadcasts, decoded = oracles.oracle_round(grid, packets, demand)
 
                 t = deliver(grid, lib, demand)
@@ -560,7 +563,7 @@ class TestAgainstOracle:
                 n_files = int(rng.integers(1, k + 1))
                 lib = FileLibrary.random(n_files, f, packet_size=size, seed=n)
                 demand = tuple(int(x) for x in rng.integers(1, n_files + 1, size=k))
-                packets = [[lib.packet(file, j) for j in range(f)] for file in range(1, n_files + 1)]
+                packets = [[lib.data[file - 1, j].tobytes() for j in range(f)] for file in range(1, n_files + 1)]
                 _, decoded = oracles.oracle_round(grid, packets, demand)
                 first = next(((u, out) for u, out in enumerate(decoded)
                               if isinstance(out, tuple)), None)
@@ -602,7 +605,7 @@ class TestAgainstOracle:
                     continue
                 records, cell = tampered
                 seen[kind] += 1
-                packets = [[lib.packet(file, j) for j in range(len(grid))]
+                packets = [[lib.data[file - 1, j].tobytes() for j in range(len(grid))]
                            for file in range(1, n_files + 1)]
                 decoded = oracles.oracle_decode(
                     grid, packets, demand, [(b.payload, b.contributors) for b in records])
@@ -855,7 +858,7 @@ class TestOneKernel:
 
 
 class TestRoundResult:
-    """A round's files live in one read-only array; decoded builds bytes on request."""
+    """A round holds the library by reference; decoded builds each user's bytes on request."""
 
     def test_a_valid_round_copies_no_file(self):
         # MN(8,4) with 4 KiB packets: K·F·B = 8·70·4096 bytes, 2.3 MB.
@@ -876,10 +879,9 @@ class TestRoundResult:
         bound = p.k * p.f * 4096
         assert round_peak < bound and read_peak < bound
 
-    def test_files_match_the_oracle_and_are_built_once(self, monkeypatch):
-        # run_round over its own transcript and over tampered ones: files
-        # and decoded are the library patched where a user decoded other
-        # bytes, built on the first read of files and kept.
+    def test_decoded_files_match_the_oracle(self, monkeypatch):
+        # run_round over its own transcript and over tampered ones: decoded
+        # is the library patched where a user decoded other bytes.
         rng = np.random.default_rng(20261025)
         grids = [oracles.mn_grid(4, 2), oracles.mn_grid(6, 3), greedy_grid(5, 10, 4, 0)]
         real = cachesim.deliver
@@ -891,7 +893,7 @@ class TestRoundResult:
             for _, size, kind in itertools.product(range(4), (1, 8, 64), ("none", "flip", "drop")):
                 lib = FileLibrary.random(k + 1, len(grid), packet_size=size, seed=n)
                 demand = tuple(int(x) for x in rng.integers(1, k + 2, size=k))
-                packets = [[lib.packet(file, j) for j in range(len(grid))]
+                packets = [[lib.data[file - 1, j].tobytes() for j in range(len(grid))]
                            for file in range(1, k + 2)]
                 tampered = tamper(grid, real(grid, lib, demand).broadcasts, kind, rng, k + 1)
                 if tampered is None:
@@ -908,25 +910,10 @@ class TestRoundResult:
                                     lambda *args: Transcript(broadcasts=records))
                 result = run_round(grid, lib, demand)
                 assert result.decoded == decoded
-                files = result.files
-                assert [row.tobytes() for row in files] == decoded
-                assert not files.flags.writeable and result.files is files
                 assert result.all_ok == (decoded == [lib.file_bytes(w) for w in demand])
                 seen[kind] += 1
                 seen["wrong"] += not result.all_ok
         assert min(seen.values()) > 10, seen
-
-    def test_files_are_one_read_only_array_of_the_demanded_files(self):
-        for p, size in ((construct_mn_pda(4, 2), 8), (CROSS, 1), (Pda.from_grid([[S], [S]]), 16)):
-            lib = FileLibrary.random(p.k + 1, p.f, packet_size=size, seed=p.k)
-            demand = tuple(range(p.k + 1, 1, -1))
-            result = run_round(p, lib, demand)
-            assert result.files.shape == (p.k, p.f * size) and result.files.dtype == np.uint8
-            assert not result.files.flags.writeable
-            with pytest.raises(ValueError):
-                result.files[0, 0] = 1
-            for k, want in enumerate(demand):
-                assert result.files[k].tobytes() == lib.file_bytes(want)
 
     def test_decoded_rows_and_decode_are_bytes(self):
         p = construct_mn_pda(4, 2)
@@ -956,9 +943,8 @@ class TestRoundResult:
         rows = tuple(result.decoded)
         rebuilt = cachesim.RoundResult(transcript=result.transcript, decoded=rows, all_ok=True)
         assert rebuilt.decoded == rows and rebuilt.all_ok
-        assert np.array_equal(rebuilt.files, result.files) and not rebuilt.files.flags.writeable
         empty = cachesim.RoundResult(transcript=result.transcript, decoded=(), all_ok=True)
-        assert empty.files.shape == (0, 0) and empty.decoded == ()
+        assert empty.decoded == ()
         with pytest.raises(InvalidParameter, match="user 1's file has 3 bytes"):
             cachesim.RoundResult(transcript=result.transcript, decoded=(b"abcd", b"abc"), all_ok=True)
 
@@ -1009,7 +995,7 @@ class TestRounds:
         transcript = deliver(p, lib, demand)
         assert transcript.payloads.shape == (p.s, 0)
         result = run_round(p, lib, demand)
-        assert result.all_ok and result.files.shape == (p.k, 0)
+        assert result.all_ok and result.decoded == (b"",) * p.k
         assert result.transcript.payloads.shape == (p.s, 0)
         caches = place(p, lib)
         assert all(decode(k, caches[k], transcript, demand, p) == b"" for k in range(p.k))

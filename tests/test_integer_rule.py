@@ -75,8 +75,6 @@ def _episode(choices, f=2, use_mask=False) -> Episode:
 
 # (site, call with the caller's integer x in one place, a value x that works there)
 SITES = [
-    ("FileLibrary.packet file", lambda x: LIB.packet(x, 0), 1),
-    ("FileLibrary.packet row", lambda x: LIB.packet(1, x), 1),
     ("FileLibrary.file_bytes", lambda x: LIB.file_bytes(x), 1),
     ("FileLibrary.random n_files", lambda x: FileLibrary.random(x, 2).data.tobytes(), 1),
     ("FileLibrary.random f", lambda x: FileLibrary.random(2, x).data.tobytes(), 1),
