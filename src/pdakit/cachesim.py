@@ -66,7 +66,7 @@ class FileLibrary:
         packet_size = index(packet_size, "packet_size")
         if n_files < 1 or f < 1 or packet_size < 1:
             raise InvalidParameter("library dimensions must be positive")
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(index(seed, "seed", start=0))
         with allocating(f"{n_files} files of {f} packets of {packet_size} bytes "
                         "do not fit in memory"):
             words = rng.integers(0, 2**32, size=(n_files * f, -(-packet_size // 4)), dtype=np.uint32)

@@ -17,6 +17,7 @@ import argparse
 import csv
 import sys
 import time
+from dataclasses import MISSING, fields
 
 import numpy as np
 
@@ -36,6 +37,9 @@ from .seqcodec import (
 
 BENCH_ROWS = 16
 BENCH_STARS = 12
+
+# TrainConfig's tuning fields and their defaults; `train` has one flag for each.
+_TRAIN_DEFAULTS = {f.name: f.default for f in fields(TrainConfig) if f.default is not MISSING}
 
 
 def _uncolored_graph(adjacency):
@@ -60,6 +64,13 @@ def _seed(text):
     if seed < 0:
         raise argparse.ArgumentTypeError(f"seed must be >= 0, got {seed}")
     return seed
+
+
+def _check_reach(params, f, k, request):
+    """InvalidParameter unless the checkpoint's vocabulary addresses F rows and K users."""
+    cfg = params.config
+    if cfg.f_max < f or cfg.k_max < k:
+        raise InvalidParameter(f"checkpoint addresses up to F={cfg.f_max}, K={cfg.k_max}; {request}")
 
 
 def _parse_sizes(text):
@@ -110,12 +121,7 @@ def cmd_pipeline(args):
         if not args.checkpoint:
             raise InvalidParameter("the neural colorer needs --checkpoint")
         params, _ = load_checkpoint(args.checkpoint)
-        cfg = params.config
-        if cfg.f_max < f or cfg.k_max < k:
-            raise InvalidParameter(
-                f"checkpoint addresses up to F={cfg.f_max}, K={cfg.k_max}; "
-                f"asked for F={f}, K={k}"
-            )
+        _check_reach(params, f, k, f"asked for F={f}, K={k}")
         ep = rollout(adjacency, params, mode="greedy", seed=args.seed,
                      use_mask=not args.no_mask)
         grid = assemble_array(adjacency, ep.edges, ep.colors)
@@ -205,15 +211,7 @@ def cmd_train(args):
     cfg = TrainConfig(
         f_max=max(p.f for p in pairs),
         k_max=max(p.k for p in pairs),
-        embed_dim=args.embed_dim,
-        hidden_dim=args.hidden_dim,
-        supervised_epochs=args.epochs,
-        reinforce_epochs=args.reinforce_epochs,
-        batch_size=args.batch_size,
-        learning_rate=args.learning_rate,
-        reinforce_learning_rate=args.reinforce_learning_rate,
-        clip_norm=args.clip_norm,
-        seed=args.seed,
+        **{name: getattr(args, name) for name in _TRAIN_DEFAULTS},
     )
     meta = {
         "seed": args.seed,
@@ -285,11 +283,7 @@ def cmd_bench(args):
                 f"size {edges_n} is not a multiple of the per-user degree {deg}"
             )
         k = edges_n // deg
-        if params.config.f_max < f or params.config.k_max < k:
-            raise InvalidParameter(
-                f"checkpoint addresses up to F={params.config.f_max}, "
-                f"K={params.config.k_max}; size {edges_n} needs F={f}, K={k}"
-            )
+        _check_reach(params, f, k, f"size {edges_n} needs F={f}, K={k}")
         adjacency = default_adjacency(k, f, z)
         g = _uncolored_graph(adjacency)
         t0 = time.perf_counter()
@@ -356,18 +350,18 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--corpus", required=True)
     sp.add_argument("--checkpoint", required=True, help="output model file")
     sp.add_argument("--log", required=True, help="output per-epoch CSV")
-    sp.add_argument("--embed-dim", type=int, default=16)
-    sp.add_argument("--hidden-dim", type=int, default=32)
-    sp.add_argument("--epochs", type=int, default=100, help="likelihood epochs")
-    sp.add_argument("--reinforce-epochs", type=int, default=30)
-    sp.add_argument("--batch-size", type=int, default=16)
-    sp.add_argument("--learning-rate", type=float, default=0.5)
-    sp.add_argument("--reinforce-learning-rate", type=float, default=0.05)
-    sp.add_argument("--clip-norm", type=float, default=5.0)
+    sp.add_argument("--embed-dim", type=int)
+    sp.add_argument("--hidden-dim", type=int)
+    sp.add_argument("--epochs", dest="supervised_epochs", type=int, help="likelihood epochs")
+    sp.add_argument("--reinforce-epochs", type=int)
+    sp.add_argument("--batch-size", type=int)
+    sp.add_argument("--learning-rate", type=float)
+    sp.add_argument("--reinforce-learning-rate", type=float)
+    sp.add_argument("--clip-norm", type=float)
     sp.add_argument("--holdout", type=int, default=0,
                     help="score the valid-rate column on this many trailing pairs")
-    sp.add_argument("--seed", type=_seed, default=0)
-    sp.set_defaults(func=cmd_train)
+    sp.add_argument("--seed", type=_seed)
+    sp.set_defaults(func=cmd_train, **_TRAIN_DEFAULTS)
 
     sp = sub.add_parser("simulate", help="run delivery rounds over an array file")
     sp.add_argument("--pda", required=True, help="array in text format")

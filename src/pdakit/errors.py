@@ -112,11 +112,12 @@ def read_text(path) -> str:
             raise ParseError(f"{path}: not UTF-8 text at byte {exc.start}") from None
 
 
-def index(x, what: str, stop: int | None = None, start: int = 0) -> int:
-    """An integer a caller hands the library, read with operator.index; in start..stop-1 if stop.
+def index(x, what: str, stop: int | None = None, start: int | None = None) -> int:
+    """An integer a caller hands the library, read with operator.index; at least start if given.
 
     Python and numpy integers pass.  Anything int() would truncate or parse
     (1.5, np.float64(1.0), "1") is InvalidParameter, and so is bool, as as_grid refuses it.
+    With stop, the integer must also be below stop, and start defaults to 0.
     """
     try:
         i = operator.index(x)
@@ -124,8 +125,10 @@ def index(x, what: str, stop: int | None = None, start: int = 0) -> int:
         i = None
     if i is None or isinstance(x, bool):
         raise InvalidParameter(f"{what} {x!r} is not an integer")
-    if stop is not None and not start <= i < stop:
-        raise InvalidParameter(f"{what} {i} is not in {start}..{stop - 1}")
+    if stop is not None and not (start or 0) <= i < stop:
+        raise InvalidParameter(f"{what} {i} is not in {start or 0}..{stop - 1}")
+    if start is not None and i < start:
+        raise InvalidParameter(f"{what} {i} is below {start}")
     return i
 
 

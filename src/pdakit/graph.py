@@ -160,6 +160,7 @@ def greedy_strong_color(
     # shuffling positions permutes exactly as shuffling the sorted edges
     positions = list(range(len(g.edges)))
     if order == "random":
+        seed = seed if seed is None else index(seed, "seed", start=0)
         np.random.default_rng(seed).shuffle(positions)
     elif order != "lex":
         raise InvalidParameter(f"unknown ordering policy {order!r}")
@@ -225,7 +226,7 @@ def subsample(g: BipartiteColoredGraph, delta: int, rng_seed: int) -> BipartiteC
         )
     if not is_strong_coloring(g):
         raise ColoringViolation("edge coloring is not strong")
-    rng = np.random.default_rng(rng_seed)
+    rng = np.random.default_rng(index(rng_seed, "rng_seed", start=0))
     kept: list[Edge] = []
     for u in range(g.k):
         # Edges are sorted by user and every user has big_delta of them.

@@ -73,7 +73,14 @@ from ..errors import (
     indices,
 )
 from ..pda import verify
-from ..seqcodec import AdjacencyMatrix, assemble_array, edges_to_mask, extract_edge_sequence
+from ..seqcodec import (
+    AdjacencyMatrix,
+    assemble_array,
+    colors_to_pointers,
+    edges_to_mask,
+    extract_edge_sequence,
+    pointer_to_colors,
+)
 from .params import ModelParams
 
 # Value of the padded slots of the (B, L, 2h) encoder states, where rows
@@ -297,44 +304,6 @@ def decode_step(states, d_t, mask, params: ModelParams) -> np.ndarray:
     out = np.zeros(states.shape[0])
     out[idx] = p[0]
     return out
-
-
-# --- pointer/color mapping ---------------------------------------------------
-
-
-def pointer_to_colors(choices: Sequence[int]) -> tuple[int, ...]:
-    """Self-pointer mints the next color, back-pointer copies one."""
-    colors: list[int] = []
-    fresh = 0
-    for l, c in enumerate(indices(choices, "pointer")):
-        if not 0 <= c <= l:
-            raise InvalidPointer(f"step {l} points to {c}")
-        if c == l:
-            fresh += 1
-            colors.append(fresh)
-        else:
-            colors.append(colors[c])
-    return tuple(colors)
-
-
-def colors_to_pointers(colors: Sequence[int]) -> tuple[int, ...]:
-    """Inverse of pointer_to_colors on canonical color sequences.
-
-    The first use of each color points at itself, repeats point at the
-    first use.  Non-canonical numbering cannot be expressed and raises
-    BadTarget.
-    """
-    first: dict[int, int] = {}
-    out: list[int] = []
-    for l, c in enumerate(indices(colors, "color")):
-        if c in first:
-            out.append(first[c])
-        elif c == len(first) + 1:
-            first[c] = l
-            out.append(l)
-        else:
-            raise BadTarget(f"color {c} at position {l} breaks canonical numbering")
-    return tuple(out)
 
 
 # --- feasibility screen -------------------------------------------------------

@@ -137,7 +137,7 @@ class ModelParams:
 
     @classmethod
     def init(cls, config: ModelConfig, seed: int = 0) -> "ModelParams":
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(index(seed, "seed", start=0))
         d, h = config.embed_dim, config.hidden_dim
 
         def mat(*shape):

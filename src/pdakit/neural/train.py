@@ -32,14 +32,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ..errors import DivergenceError, InvalidParameter, index
-from ..seqcodec import TrainingPair
-from .net import (
-    colors_to_pointers,
-    rollout_batch,
-    sample_and_reinforce,
-    sequence_logprobs,
-    supervised_loss,
-)
+from ..seqcodec import TrainingPair, colors_to_pointers
+from .net import rollout_batch, sample_and_reinforce, sequence_logprobs, supervised_loss
 from .params import ModelConfig, ModelParams, clip_grads
 
 # Pairs per evaluation pass: bounds the engine's buffers on a large corpus.
@@ -63,6 +57,7 @@ class TrainConfig:
     def __post_init__(self):
         for name in ("supervised_epochs", "reinforce_epochs", "batch_size"):
             object.__setattr__(self, name, index(getattr(self, name), name))
+        object.__setattr__(self, "seed", index(self.seed, "seed", start=0))
         if self.supervised_epochs < 0 or self.reinforce_epochs < 0:
             raise InvalidParameter("epoch counts must be >= 0")
         if self.batch_size < 1:

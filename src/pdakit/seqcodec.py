@@ -7,7 +7,8 @@ yields a candidate array.  The canonical edge order is column-major:
 user column ascending, row ascending within a column, so each user's
 edges stay contiguous.
 
-Also holds the training-pair JSONL format used to persist corpora of
+Also holds the pointer codec between a coloring and the colorer's output,
+and the training-pair JSONL format used to persist corpora of
 (adjacency, edges, colors) triples.
 """
 
@@ -24,6 +25,7 @@ from .errors import (
     BadTarget,
     InvalidParameter,
     InvalidPlacement,
+    InvalidPointer,
     LengthMismatch,
     MalformedGrid,
     ParseError,
@@ -36,7 +38,7 @@ from .errors import (
     json_int,
     read_text,
 )
-from .pda import STAR, Pda, _binom_up_to, _t_subset_stars, as_grid
+from .pda import STAR, Pda, _binom_up_to, _t_subset_stars
 
 EdgeCell = tuple[int, int]
 
@@ -87,9 +89,7 @@ def placement_to_adjacency(z: int, f: int, k: int, star_pattern) -> AdjacencyMat
     star_pattern: sequence of k collections of row indices; each must
     contain exactly z distinct in-range rows, otherwise InvalidPlacement.
     """
-    z, f, k = index(z, "z"), index(f, "f"), index(k, "k")
-    if f < 1 or k < 1 or not 0 <= z <= f:
-        raise InvalidParameter(f"bad placement shape z={z}, f={f}, k={k}")
+    k, f, z = _placement_shape(k, f, z)
     columns = list(star_pattern)
     if len(columns) != k:
         raise InvalidPlacement(f"expected {k} star sets, got {len(columns)}")
@@ -124,13 +124,16 @@ def placement_to_adjacency(z: int, f: int, k: int, star_pattern) -> AdjacencyMat
     return AdjacencyMatrix(mask=mask)
 
 
+def _placement_shape(k, f, z) -> tuple[int, int, int]:
+    """(K, F, Z) read by errors.index; InvalidParameter unless K >= 1, F >= 1 and 0 <= Z <= F."""
+    k, f, z = index(k, "k"), index(f, "f"), index(z, "z")
+    if k < 1 or f < 1 or not 0 <= z <= f:
+        raise InvalidParameter(f"bad placement shape k={k}, f={f}, z={z}")
+    return k, f, z
+
+
 def _too_large(f: int, k: int) -> str:
     return f"the {f} x {k} placement's cells do not fit in memory"
-
-
-def pda_to_adjacency(p) -> AdjacencyMatrix:
-    """Mask of an existing array: True where the cell holds an integer."""
-    return AdjacencyMatrix(mask=as_grid(p) != STAR)
 
 
 def extract_edge_sequence(a: AdjacencyMatrix) -> tuple[EdgeCell, ...]:
@@ -195,14 +198,6 @@ def assemble_array(
     return grid
 
 
-def sequences_from_pda(p) -> tuple[AdjacencyMatrix, tuple[EdgeCell, ...], tuple[int, ...]]:
-    """Decompose an array into (mask, canonical edges, matching colors)."""
-    if not isinstance(p, Pda):
-        p = Pda.from_grid(p)
-    a = pda_to_adjacency(p)
-    return a, extract_edge_sequence(a), tuple(p.grid.T[a.mask.T].tolist())
-
-
 def default_adjacency(k: int, f: int, z: int) -> AdjacencyMatrix:
     """Mask of the default (k, f, z) placement: True at edge cells.
 
@@ -210,9 +205,7 @@ def default_adjacency(k: int, f: int, z: int) -> AdjacencyMatrix:
     (t = k*z/f integral and f = C(k, t), so z = C(k-1, t-1)), else a
     balanced cyclic one: column j caches rows (j + m) mod f for m < z.
     """
-    k, f, z = index(k, "k"), index(f, "f"), index(z, "z")
-    if f < 1 or k < 1 or not 0 <= z <= f:
-        raise InvalidParameter(f"bad placement shape k={k}, f={f}, z={z}")
+    k, f, z = _placement_shape(k, f, z)
     with allocating(_too_large(f, k)):
         mask = np.empty((f, k), dtype=bool)
     t = z * k // f
@@ -231,6 +224,44 @@ def default_star_pattern(k: int, f: int, z: int) -> tuple[tuple[int, ...], ...]:
     """Per-column star rows of ``default_adjacency(k, f, z)``, ascending: z in each."""
     stars = ~default_adjacency(k, f, z).mask
     return tuple(map(tuple, np.nonzero(stars.T)[1].reshape(k, z).tolist()))
+
+
+# --- pointer codec ----------------------------------------------------------
+
+
+def pointer_to_colors(choices: Sequence[int]) -> tuple[int, ...]:
+    """Self-pointer mints the next color, back-pointer copies one."""
+    colors: list[int] = []
+    fresh = 0
+    for l, c in enumerate(indices(choices, "pointer")):
+        if not 0 <= c <= l:
+            raise InvalidPointer(f"step {l} points to {c}")
+        if c == l:
+            fresh += 1
+            colors.append(fresh)
+        else:
+            colors.append(colors[c])
+    return tuple(colors)
+
+
+def colors_to_pointers(colors: Sequence[int]) -> tuple[int, ...]:
+    """Inverse of pointer_to_colors on canonical color sequences.
+
+    The first use of each color points at itself, repeats point at the
+    first use.  Non-canonical numbering cannot be expressed and raises
+    BadTarget.
+    """
+    first: dict[int, int] = {}
+    out: list[int] = []
+    for l, c in enumerate(indices(colors, "color")):
+        if c in first:
+            out.append(first[c])
+        elif c == len(first) + 1:
+            first[c] = l
+            out.append(l)
+        else:
+            raise BadTarget(f"color {c} at position {l} breaks canonical numbering")
+    return tuple(out)
 
 
 # --- training-pair JSONL --------------------------------------------------
@@ -260,10 +291,8 @@ class TrainingPair:
             raise LengthMismatch(
                 f"{len(self.edges)} edges but {len(self.colors)} colors"
             )
-        for name in ("k", "f", "z"):
-            object.__setattr__(self, name, index(getattr(self, name), name))
-        if self.k < 1 or self.f < 1 or not 0 <= self.z <= self.f:
-            raise InvalidParameter(f"bad placement shape k={self.k}, f={self.f}, z={self.z}")
+        for name, value in zip("kfz", _placement_shape(self.k, self.f, self.z)):
+            object.__setattr__(self, name, value)
         degree = self.f - self.z
         if len(self.edges) != self.k * degree:
             raise InvalidParameter(f"edge count {len(self.edges)} is not K(F-Z) = {self.k * degree}")
@@ -272,11 +301,9 @@ class TrainingPair:
         if tuple(map(tuple, self.edges)) != edges:
             raise InvalidPlacement("edges break column-major order")
         object.__setattr__(self, "edges", edges)
-        colors = int64s(self.colors, "color", start=1)
-        top = np.maximum.accumulate(colors)  # a first use is 1 past the largest color before it
-        if top.size and top[0] > 1 or np.count_nonzero(top[1:] - top[:-1] > 1):
-            raise BadTarget("colors are not numbered 1, 2, ... in order of first use")
-        object.__setattr__(self, "colors", tuple(colors.tolist()))
+        colors = tuple(int64s(self.colors, "color", start=1).tolist())
+        colors_to_pointers(colors)  # BadTarget unless numbered 1, 2, ... in order of first use
+        object.__setattr__(self, "colors", colors)
         for j, count in enumerate(a.mask.sum(axis=0).tolist()):
             if count != degree:
                 raise InvalidPlacement(f"column {j} has {count} edges, expected F-Z = {degree}")
@@ -289,10 +316,12 @@ class TrainingPair:
 
 
 def training_pair_from_pda(p) -> TrainingPair:
+    """An array as a training pair: its canonical edges and the colors in them."""
     if not isinstance(p, Pda):
         p = Pda.from_grid(p)
-    _, edges, colors = sequences_from_pda(p)
-    return TrainingPair(k=p.k, f=p.f, z=p.z, edges=edges, colors=colors)
+    a = AdjacencyMatrix(mask=p.grid != STAR)
+    colors = tuple(p.grid.T[a.mask.T].tolist())
+    return TrainingPair(k=p.k, f=p.f, z=p.z, edges=extract_edge_sequence(a), colors=colors)
 
 
 def _pair_to_obj(pair: TrainingPair) -> dict:

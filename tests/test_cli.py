@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 from pdakit import cli
-from pdakit.errors import PdakitError
+from pdakit.errors import DivergenceError, PdakitError
 from pdakit.graph import graph_from_json
-from pdakit.neural import ModelConfig, ModelParams, load_checkpoint, save_checkpoint
+from pdakit.neural import ModelConfig, ModelParams, TrainConfig, load_checkpoint, save_checkpoint
 from pdakit.pda import construct_mn_pda, parse_pda_text, pda_to_text, verify
 from pdakit.seqcodec import read_corpus
 
@@ -257,6 +257,20 @@ def train_args(corpus, ckpt, log, **over):
 
 
 class TestTrain:
+    def test_no_tuning_flags_build_the_config_defaults(self, tmp_path, monkeypatch):
+        corpus = make_corpus(tmp_path, count=4)
+        seen = []
+
+        def stop(pairs, cfg, eval_pairs=None):
+            seen.append(cfg)
+            raise DivergenceError("stopped before the first epoch")
+
+        monkeypatch.setattr(cli, "train", stop)
+        assert run("train", "--corpus", corpus, "--checkpoint", tmp_path / "m.json",
+                   "--log", tmp_path / "l.csv") == 3
+        pairs = read_corpus(corpus)[1]
+        assert seen == [TrainConfig(f_max=max(p.f for p in pairs), k_max=max(p.k for p in pairs))]
+
     def test_writes_checkpoint_and_log(self, tmp_path, capsys):
         corpus = make_corpus(tmp_path)
         ckpt, log = tmp_path / "m.json", tmp_path / "log.csv"
@@ -450,6 +464,16 @@ class TestBench:
         assert rows[0]["greedy_ms"] == "0" and rows[0]["neural_ms"] == "0"
         assert all(float(r["greedy_ms"]) >= 0.0 for r in rows)
         assert all(float(r["neural_ms"]) >= 0.0 for r in rows)
+
+    def test_undersized_checkpoint_rejected(self, tmp_path, capsys):
+        # 16 edges need K = 4 users of degree F - Z = 4, and 32 edges K = 8
+        ckpt = tmp_path / "model.json"
+        write_checkpoint(ckpt, f_max=16, k_max=4)
+        assert run("bench", "--sizes", "16,32", "--checkpoint", ckpt,
+                   "--out", tmp_path / "b.csv") == 2
+        err = capsys.readouterr().err
+        assert "checkpoint addresses up to F=16, K=4; size 32 needs F=16, K=8" in err
+        assert "Traceback" not in err and not (tmp_path / "b.csv").exists()
 
     def test_size_must_match_the_degree(self, tmp_path, capsys):
         ckpt = tmp_path / "model.json"

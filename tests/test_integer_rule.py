@@ -5,7 +5,8 @@ refuses what int() would truncate or parse and what bool would pass as,
 and takes a numpy integer exactly as the Python one.  errors.cells is the
 same rule for a caller's (i, j) cells, and the cell sites below read by it.
 errors.int64s is its array form, and every site that reads a color or a grid
-entry reads it by that rule, bounded to int64.
+entry reads it by that rule, bounded to int64.  A seed is read by the rule
+with a floor of 0, before numpy sees it.
 """
 
 import tempfile
@@ -32,7 +33,7 @@ from pdakit.errors import (
     VocabularyError,
     cells,
 )
-from pdakit.graph import BipartiteColoredGraph, pda_to_graph, subsample
+from pdakit.graph import BipartiteColoredGraph, greedy_strong_color, pda_to_graph, subsample
 from pdakit.neural.net import (
     Episode,
     colors_to_pointers,
@@ -49,14 +50,14 @@ from pdakit.seqcodec import (
     default_adjacency,
     edges_to_mask,
     extract_edge_sequence,
-    pda_to_adjacency,
     placement_to_adjacency,
     read_corpus,
+    training_pair_from_pda,
 )
 
 S = STAR
 CROSS = Pda.from_grid([[S, 1], [1, S]])
-CROSS_MASK = pda_to_adjacency(CROSS)
+CROSS_MASK = training_pair_from_pda(CROSS).adjacency()
 CROSS_EDGES = extract_edge_sequence(CROSS_MASK)
 MN = construct_mn_pda(3, 1)
 MN_GRAPH = pda_to_graph(MN)
@@ -249,3 +250,25 @@ def test_every_color_site_reads_its_colors_by_the_one_rule(site, call, positive,
             pytest.fail(f"{site} took 0")
     for v in (1, largest):
         assert call(np.int64(v)) == call(v), site
+
+
+# (site, call with a caller's seed s)
+SEED_SITES = [
+    ("FileLibrary.random", lambda s: FileLibrary.random(2, 2, seed=s).data.tobytes()),
+    ("measure", lambda s: measure(CROSS, trials=2, seed=s)),
+    ("subsample", lambda s: subsample(MN_GRAPH, 1, s)),
+    ("greedy_strong_color", lambda s: greedy_strong_color(MN_GRAPH, "random", seed=s)),
+    ("ModelParams.init", lambda s: ModelParams.init(PARAMS.config, seed=s).vector.tobytes()),
+    ("TrainConfig", lambda s: TrainConfig(f_max=2, k_max=2, seed=s)),
+]
+
+
+@pytest.mark.parametrize("site, call", SEED_SITES, ids=[site for site, _ in SEED_SITES])
+def test_every_seed_site_reads_its_seed_by_the_one_rule(site, call):
+    # numpy would raise its own ValueError for a negative seed and TypeError for 1.5.
+    for x in (-1, -2, 1.5, np.float64(1.0), True, "1"):
+        with pytest.raises(InvalidParameter):
+            call(x)
+            pytest.fail(f"{site} took {x!r}")
+    assert call(np.int64(3)) == call(3), site
+    call(2**70)  # numpy takes a seed of any size

@@ -909,24 +909,42 @@ class TestSequenceLogprob:
             numeric = oracles.central_difference_grad(fn, params.flatten(), eps=1e-5)
             assert oracles.relative_error(grads_to_vec(params, grads), numeric) < 1e-4
 
-    @pytest.mark.parametrize("use_mask, most", [(False, 2), (True, 6)])
-    def test_numpy_calls_per_decoder_step_do_not_grow(self, use_mask, most):
-        # Counts the numpy calls a profiler sees in one pass: numpy functions,
-        # ufunc methods and ndarray methods.  A step's share is the growth
+    @pytest.mark.parametrize("use_mask, most", [(False, 16), (True, 21)])
+    def test_numpy_calls_per_decoder_step_do_not_grow(self, monkeypatch, use_mask, most):
+        # Counts the numpy calls of one pass: each call net makes through its
+        # module name np (a function or a ufunc), and each ndarray or ufunc
+        # method a profiler sees.  A ufunc or np.dot call raises no profiler
+        # event, hence the stand-in for net.np.  A step's share is the growth
         # from 8 to 16 edges, so the set-up before the first step cancels.
         params = ModelParams.init(ModelConfig(8, 8, 4, 5), seed=0)
         cells = [(i, j) for j in range(4) for i in range(4)]
+        count = 0
+
+        class Counted:
+            def __init__(self, fn):
+                self.fn = fn
+
+            def __call__(self, *args, **kwargs):
+                nonlocal count
+                count += 1
+                return self.fn(*args, **kwargs)
+
+            def __getattr__(self, name):  # a ufunc's methods, which the profiler counts
+                return getattr(self.fn, name)
+
+        class CountingNumpy:
+            def __getattr__(self, name):
+                value = getattr(np, name)
+                return value if isinstance(value, type) or not callable(value) else Counted(value)
+
+        def profile(frame, event, fn):
+            nonlocal count
+            count += event == "c_call" and isinstance(getattr(fn, "__self__", None),
+                                                      (np.ndarray, np.ufunc))
 
         def numpy_calls(n):
+            nonlocal count
             count = 0
-
-            def profile(frame, event, fn):
-                nonlocal count
-                owner = getattr(fn, "__self__", None)
-                count += event == "c_call" and (
-                    isinstance(owner, (np.ndarray, np.ufunc))
-                    or (getattr(fn, "__module__", None) or "").startswith("numpy"))
-
             before = sys.getprofile()
             sys.setprofile(profile)
             try:
@@ -934,6 +952,8 @@ class TestSequenceLogprob:
             finally:
                 sys.setprofile(before)
             return count
+
+        monkeypatch.setattr(net, "np", CountingNumpy())
 
         short, long = numpy_calls(8), numpy_calls(16)
         per_step = (long - short) / 8

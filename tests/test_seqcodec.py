@@ -25,10 +25,8 @@ from pdakit.seqcodec import (
     default_star_pattern,
     edges_to_mask,
     extract_edge_sequence,
-    pda_to_adjacency,
     placement_to_adjacency,
     read_corpus,
-    sequences_from_pda,
     training_pair_from_pda,
     write_corpus,
 )
@@ -103,7 +101,7 @@ class TestAdjacency:
             a.mask[0, 0] = False
 
     def test_from_pda(self):
-        a = pda_to_adjacency(Pda.from_grid([[S, 1], [1, S]]))
+        a = training_pair_from_pda(Pda.from_grid([[S, 1], [1, S]])).adjacency()
         assert np.array_equal(a.mask, [[False, True], [True, False]])
 
 
@@ -181,12 +179,13 @@ class TestAssemble:
         for k in range(2, 8):
             for t in range(1, k):
                 p = construct_mn_pda(k, t)
-                a, e, c = sequences_from_pda(p)
+                pair = training_pair_from_pda(p)
+                a, e, c = pair.adjacency(), pair.edges, pair.colors
                 assert len(e) == p.k * (p.f - p.z)
                 assert np.array_equal(assemble_array(a, e, c), p.grid)
 
     def test_distinct_colors_give_distinct_arrays(self):
-        a = pda_to_adjacency(construct_mn_pda(4, 2))
+        a = training_pair_from_pda(construct_mn_pda(4, 2)).adjacency()
         e = extract_edge_sequence(a)
         rng = np.random.default_rng(5)
         seen = {}
@@ -201,7 +200,7 @@ class TestEdgesToMask:
     def test_inverts_the_edge_sequence(self):
         for k in range(2, 6):
             for t in range(1, k):
-                a = pda_to_adjacency(construct_mn_pda(k, t))
+                a = training_pair_from_pda(construct_mn_pda(k, t)).adjacency()
                 edges = extract_edge_sequence(a)
                 assert np.array_equal(edges_to_mask((a.f, a.k), edges), a.mask)
                 assert np.array_equal(edges_to_mask((a.f, a.k), edges[::-1]), a.mask)

@@ -66,6 +66,22 @@ def test_only_pda_computes_binomials():
     assert naming == []
 
 
+def test_only_seqcodec_defines_the_pointer_codec():
+    # seqcodec holds the pointer codec (a self-pointer mints the next color, a
+    # back-pointer copies one); a module defining either half has its own copy.
+    codec = {"pointer_to_colors", "colors_to_pointers"}
+    defining = {}
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        names = {node.name for node in ast.walk(tree)
+                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))}
+        names |= {node.id for node in ast.walk(tree)
+                  if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)}
+        if names & codec:
+            defining[str(path.relative_to(PACKAGE))] = names & codec
+    assert defining == {"seqcodec.py": codec}
+
+
 def test_cachesim_xors_bytes_only_in_its_xor_kernel():
     # cachesim._xor_runs is the one XOR kernel of delivery and decoding; an
     # XOR anywhere else in the module is a second copy of it.
