@@ -284,32 +284,32 @@ def decode(k: int, cache: Cache, transcript: Transcript, d, p) -> bytes:
     k = index(k, "user")
     if not 0 <= k < len(d):
         raise InvalidParameter(f"user {k} is not one of the array's {len(d)} users")
-    moved, got, _ = _decode_all([k], cache.data, cache.held[:, None], transcript, [d[k]], grid)
-    return _file_bytes(cache.data, d[k], moved, got)
+    files, which, _ = _decode_all([k], cache.data, cache.held[:, None], transcript, [d[k]], grid)
+    return files[which[0] - 1].tobytes()
 
 
 def _decode_all(users, data: np.ndarray, held: np.ndarray, transcript: Transcript, want,
                 grid: np.ndarray):
-    """decode() for every users[u] at once: (moved, got, all equal to the library).
+    """decode() for every users[u] at once: (files, which, all equal to the library).
 
     data is the library's (N, F, B) packets; column u of the (F, len(users))
     star mask held is user users[u]'s cache, and want[u] its file.  The
     index work runs once per (user, row) pair: each pair's contributors,
     its own packet and the missing-packet check.  When several users fail,
-    the lowest one's first failure is raised.  The decoded files are the
-    demanded library files except at the moved cells: moved[i] = u·F + row
-    is user users[u]'s packet row, and got[i] the B bytes it decoded there
-    (_assemble builds the dense files).  The bytes are XORed once per slot
-    that some pair reads, not once per pair: the slot's
-    residue, its payload XOR every contributor it lists, is zero when the
-    transcript is the array's.  A pair whose slot lists its own packet
-    W(want, row) decodes the residue XOR W(want, row); one whose slot does
-    not (a transcript not made for this array) decodes the residue.  The
-    residues are one table, one row per slot read, made by one kernel
-    call.  Only the rows that move are decoded: those of pairs whose slot's
-    residue is not zero or does not list their own packet.  Every other
-    pair decodes W(want, row) XOR 0, the library's own packet, so a valid
-    round moves nothing and copies no file.
+    the lowest one's first failure is raised.  files is a read-only
+    (n, F, B) packet array and which[u] the 1-based file of it that user
+    users[u] decoded.  The bytes are XORed once per slot that some pair
+    reads, not once per pair: the slot's residue, its payload XOR every
+    contributor it lists, is zero when the transcript is the array's.  A
+    pair whose slot lists its own packet W(want, row) decodes the residue
+    XOR W(want, row); one whose slot does not (a transcript not made for
+    this array) decodes the residue.  The residues are one table, one row
+    per slot read, made by one kernel call.  Only the rows that move are
+    decoded: those of pairs whose slot's residue is not zero or does not
+    list their own packet.  Every other pair decodes W(want, row) XOR 0,
+    the library's own packet, so a valid round moves nothing and returns
+    (data, want), copying no file.  Otherwise files is the demanded files
+    with the moved rows patched, and which is 1..len(users).
     """
     n_files, f, size = data.shape
     want = np.asarray(want, dtype=np.int64)
@@ -353,7 +353,7 @@ def _decode_all(users, data: np.ndarray, held: np.ndarray, transcript: Transcrip
     packets = data.reshape(n_files * f, size)
     _xor_runs(res, packets, (transcript.files - 1) * f + transcript.rows, first, count)
     if len(own) == len(slot) and not res.max(initial=0):
-        return np.zeros(0, dtype=np.int64), np.zeros((0, size), dtype=np.uint8), True
+        return data, want, True
     position = np.zeros(n_slots + 1, dtype=np.int64)
     position[read] = np.arange(len(read))
     run = position[slot]
@@ -366,26 +366,10 @@ def _decode_all(users, data: np.ndarray, held: np.ndarray, transcript: Transcrip
     # where the slot lists it: what the pair decoded.
     got = res.take(run[move], axis=0)
     _xor_runs(got, packets, mine, np.arange(len(got)), lists_own[move])
-    return pu[move] * f + prow[move], got, np.array_equal(got, packets[mine])
-
-
-def _assemble(data: np.ndarray, want, moved: np.ndarray, got: np.ndarray) -> np.ndarray:
-    """The (len(want), F·B) decoded files that _decode_all's moves describe.
-
-    Row u is library file want[u], data[want[u] - 1], with packet row j
-    replaced by got[i] wherever moved[i] = u·F + j.
-    """
-    _, f, size = data.shape
-    out = data.take(np.asarray(want, dtype=np.int64) - 1, axis=0)
-    out.reshape(len(out) * f, size)[moved] = got
-    return out.reshape(len(out), f * size)
-
-
-def _file_bytes(data: np.ndarray, want: int, moved: np.ndarray, got: np.ndarray) -> bytes:
-    """One user's file as bytes, moved counting from its row 0: one copy unless it moved."""
-    if len(moved):
-        return _assemble(data, [want], moved, got).tobytes()
-    return data[want - 1].tobytes()
+    files = data.take(want - 1, axis=0)
+    files.reshape(len(want) * f, size)[pu[move] * f + prow[move]] = got
+    files.setflags(write=False)
+    return files, np.arange(1, len(want) + 1), np.array_equal(got, packets[mine])
 
 
 def _raise_first(users, lacks, sent, slot, pu, pair, missing, pf, pr):
@@ -444,11 +428,11 @@ class _FileRows(Sequence):
 class RoundResult:
     """A round's transcript and every user's decoded file.
 
-    A result holds the library's read-only (N, F, B) packets by reference,
-    the demand, and the cells where a user decoded other bytes than its
-    file's packet (as _decode_all returns them).  A valid round has none,
-    so it copies no file.  ``decoded[k]`` builds user k's bytes alone on
-    each access.
+    A result holds read-only (n, F, B) packets and the 1-based file of
+    them that each user reads, as _decode_all returns them: for a valid
+    round the library's packets, by reference, and the demand, so it
+    copies no file.  ``decoded[k]`` builds user k's bytes alone on each
+    access.
     """
 
     transcript: Transcript
@@ -462,19 +446,16 @@ class RoundResult:
             if len(row) != size:
                 raise InvalidParameter(f"user {k}'s file has {len(row)} bytes, user 0's {size}")
         joined = np.frombuffer(b"".join(rows), dtype=np.uint8).reshape(len(rows), 1, size)
-        self._hold(transcript, joined, range(1, len(rows) + 1), np.zeros(0, dtype=np.int64),
-                   np.zeros((0, size), dtype=np.uint8), all_ok)
+        self._hold(transcript, joined, range(1, len(rows) + 1), all_ok)
 
     @classmethod
-    def _of_moves(cls, transcript: Transcript, data: np.ndarray, want, moved: np.ndarray,
-                  got: np.ndarray, all_ok: bool) -> "RoundResult":
-        """A result over read-only library packets data and _decode_all's moves."""
-        return cls.__new__(cls)._hold(transcript, data, want, moved, got, all_ok)
+    def _of_files(cls, transcript: Transcript, data: np.ndarray, want, all_ok: bool) -> "RoundResult":
+        """A result over read-only packets data, user k reading file want[k] of them."""
+        return cls.__new__(cls)._hold(transcript, data, want, all_ok)
 
-    def _hold(self, transcript, data, want, moved, got, all_ok) -> "RoundResult":
+    def _hold(self, transcript, data, want, all_ok) -> "RoundResult":
         for name, value in (("transcript", transcript), ("all_ok", all_ok), ("_data", data),
-                            ("_want", np.asarray(want, dtype=np.int64)), ("_moved", moved),
-                            ("_got", got)):
+                            ("_want", np.asarray(want, dtype=np.int64))):
             object.__setattr__(self, name, value)
         return self
 
@@ -484,16 +465,7 @@ class RoundResult:
         return _FileRows(self)
 
     def _file(self, k: int) -> bytes:
-        f = self._data.shape[1]
-        mine = self._moved // f == k
-        return _file_bytes(self._data, int(self._want[k]), self._moved[mine] - k * f, self._got[mine])
-
-    def _wrong_users(self) -> set[int]:
-        """The users whose decoded file differs from the library file they asked for."""
-        n_files, f, size = self._data.shape
-        user, row = np.divmod(self._moved, f)
-        packets = self._data.reshape(n_files * f, size)[(self._want[user] - 1) * f + row]
-        return set(user[(self._got != packets).any(axis=1)].tolist())
+        return self._data[self._want[k] - 1].tobytes()
 
 
 def run_round(p, lib: FileLibrary, d) -> RoundResult:
@@ -502,8 +474,8 @@ def run_round(p, lib: FileLibrary, d) -> RoundResult:
     users = grid.shape[1]
     d = _check_demand(d, users, lib.n_files)
     transcript = deliver(grid, lib, d)
-    moved, got, all_ok = _decode_all(range(users), lib.data, grid == STAR, transcript, d.d, grid)
-    return RoundResult._of_moves(transcript, lib.data, d.d, moved, got, all_ok)
+    files, which, all_ok = _decode_all(range(users), lib.data, grid == STAR, transcript, d.d, grid)
+    return RoundResult._of_files(transcript, files, which, all_ok)
 
 
 @dataclass(frozen=True)
@@ -541,9 +513,10 @@ def measure(p, trials: int = 20, seed: int = 0, n_files: Optional[int] = None,
     loads = rate(p)
     trace: list[TraceRow] = []
     for trial, demand in enumerate(demands):
-        wrong = run_round(p, lib, demand)._wrong_users()
+        result = run_round(p, lib, demand)
         for k, want in enumerate(demand):
-            trace.append(TraceRow(trial=trial, user=k, demand=want, decoded_ok=k not in wrong))
+            ok = result.all_ok or result.decoded[k] == lib.file_bytes(want)
+            trace.append(TraceRow(trial=trial, user=k, demand=want, decoded_ok=ok))
     return MeasureReport(
         delivery_rate=loads.delivery_rate,
         uncoded_rate=p.k * (1 - loads.memory_ratio),

@@ -273,18 +273,19 @@ def cmd_bench(args):
     sizes = _parse_sizes(args.sizes)
     f, z = BENCH_ROWS, BENCH_STARS
     deg = f - z
-    rows = []
     for edges_n in sizes:
-        if edges_n == 0:
-            rows.append((0, 0.0, 0.0))
-            continue
         if edges_n % deg:
             raise InvalidParameter(
                 f"size {edges_n} is not a multiple of the per-user degree {deg}"
             )
         k = edges_n // deg
         _check_reach(params, f, k, f"size {edges_n} needs F={f}, K={k}")
-        adjacency = default_adjacency(k, f, z)
+    rows = []
+    for edges_n in sizes:
+        if edges_n == 0:
+            rows.append((0, 0.0, 0.0))
+            continue
+        adjacency = default_adjacency(edges_n // deg, f, z)
         g = _uncolored_graph(adjacency)
         t0 = time.perf_counter()
         greedy_strong_color(g, order="lex")

@@ -70,6 +70,7 @@ from ..errors import (
     ShapeError,
     VocabularyError,
     cells,
+    index,
     indices,
 )
 from ..pda import verify
@@ -572,6 +573,9 @@ def _rollouts(adjs, params: ModelParams, mode: str, seeds, use_mask: bool,
     elif mode == "sample":
         if seeds is None or len(seeds) != len(adjs):
             raise InvalidParameter("sampling needs one seed per placement")
+        # each seed, or each entry of a sequence seed, read by the library's one rule
+        seeds = [[index(x, "seed", start=0) for x in s] if np.ndim(s) else index(s, "seed", start=0)
+                 for s in seeds]
         # one draw per step, from the row's own generator, in step order
         draws = np.zeros((len(batch.rows), len(batch.active)))
         for k, row in enumerate(batch.rows):

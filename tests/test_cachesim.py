@@ -38,9 +38,9 @@ def small_lib(p, n_files=None, seed=1):
 
 
 def decode_all(users, data, held, transcript, want, grid):
-    """cachesim._decode_all's moves assembled into the (K, F·B) files: (out, ok)."""
-    moved, got, ok = cachesim._decode_all(users, data, held, transcript, want, grid)
-    return cachesim._assemble(data, want, moved, got), ok
+    """cachesim._decode_all's files as the (K, F·B) array each user reads: (out, ok)."""
+    files, which, ok = cachesim._decode_all(users, data, held, transcript, want, grid)
+    return files[np.asarray(which) - 1].reshape(len(which), -1), ok
 
 
 class TestLibrary:
@@ -669,16 +669,27 @@ class TestOneKernel:
             lib = FileLibrary.random(len(grid[0]) + 1, len(grid), packet_size=8, seed=n)
             assert run_round(grid, lib, (1,) * len(grid[0])).all_ok
 
-    def test_decode_equals_the_round_for_every_user(self):
+    def test_decode_equals_the_round_for_every_user(self, monkeypatch):
+        # Over the round's own transcript, and over tampered ones where cells move.
         rng = np.random.default_rng(6)
+        real = cachesim.deliver
+        wrong = 0
         for n, grid in enumerate(self.grids()):
             k = len(grid[0])
             lib = FileLibrary.random(k + 1, len(grid), packet_size=16, seed=n)
             demand = tuple(int(x) for x in rng.integers(1, k + 2, size=k))
             caches = place(grid, lib)
-            result = run_round(grid, lib, demand)
-            for u in range(k):
-                assert decode(u, caches[u], result.transcript, demand, grid) == result.decoded[u]
+            for kind in ("none", "flip", "drop", "flip", "drop"):
+                tampered = tamper(grid, real(grid, lib, demand).broadcasts, kind, rng, k + 1)
+                if tampered is None:
+                    continue
+                transcript = Transcript(broadcasts=tampered[0])
+                monkeypatch.setattr(cachesim, "deliver", lambda *args: transcript)
+                result = run_round(grid, lib, demand)
+                for u in range(k):
+                    assert decode(u, caches[u], transcript, demand, grid) == result.decoded[u]
+                wrong += not result.all_ok
+        assert wrong > 15, wrong
 
     def test_broken_array_fails_alike_in_both(self):
         rng = np.random.default_rng(7)
@@ -959,10 +970,10 @@ class TestRoundResult:
         real = cachesim._decode_all
 
         def corrupt_user_one(users, data, held, transcript, want, grid):
-            moved, got, _ = real(users, data, held, transcript, want, grid)
-            out = cachesim._assemble(data, want, moved, got).reshape(-1, data.shape[2])
-            cell = len(out) // 2
-            return np.append(moved, cell), np.vstack([got, out[cell] ^ 1]), False
+            files, which, _ = real(users, data, held, transcript, want, grid)
+            out = files[np.asarray(which) - 1]
+            out.reshape(-1, data.shape[2])[out.shape[1] * len(out) // 2] ^= 1
+            return out, range(1, len(out) + 1), False
 
         monkeypatch.setattr(cachesim, "_decode_all", corrupt_user_one)
         p = construct_mn_pda(2, 1)

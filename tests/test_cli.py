@@ -471,17 +471,19 @@ class TestBench:
         write_checkpoint(ckpt, f_max=16, k_max=4)
         assert run("bench", "--sizes", "16,32", "--checkpoint", ckpt,
                    "--out", tmp_path / "b.csv") == 2
-        err = capsys.readouterr().err
+        out, err = capsys.readouterr()
         assert "checkpoint addresses up to F=16, K=4; size 32 needs F=16, K=8" in err
         assert "Traceback" not in err and not (tmp_path / "b.csv").exists()
+        assert "edges=" not in out   # every size is checked before any is timed
 
     def test_size_must_match_the_degree(self, tmp_path, capsys):
         ckpt = tmp_path / "model.json"
         write_checkpoint(ckpt, f_max=16, k_max=8)
-        for sizes, message in (("18", "multiple"), ("64,x", "comma-separated")):
+        for sizes, message in (("16,18", "multiple"), ("64,x", "comma-separated")):
             assert run("bench", "--sizes", sizes, "--checkpoint", ckpt,
                        "--out", tmp_path / "b.csv") == 2
-            assert message in capsys.readouterr().err
+            out, err = capsys.readouterr()
+            assert message in err and "edges=" not in out
 
 
 class TestExitCodes:

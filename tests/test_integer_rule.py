@@ -39,6 +39,9 @@ from pdakit.neural.net import (
     colors_to_pointers,
     pointer_to_colors,
     reinforce_objective_and_grad,
+    rollout,
+    rollout_batch,
+    sample_and_reinforce,
     sequence_logprobs,
 )
 from pdakit.neural.params import ModelConfig, ModelParams
@@ -260,6 +263,12 @@ SEED_SITES = [
     ("greedy_strong_color", lambda s: greedy_strong_color(MN_GRAPH, "random", seed=s)),
     ("ModelParams.init", lambda s: ModelParams.init(PARAMS.config, seed=s).vector.tobytes()),
     ("TrainConfig", lambda s: TrainConfig(f_max=2, k_max=2, seed=s)),
+    ("rollout", lambda s: rollout(CROSS_MASK, PARAMS, mode="sample", seed=s)),
+    ("rollout_batch", lambda s: rollout_batch([CROSS_MASK], PARAMS, "sample", [s])),
+    ("rollout_batch sequence seed",
+     lambda s: rollout_batch([CROSS_MASK], PARAMS, "sample", [[1, s, 2]])),
+    ("sample_and_reinforce",
+     lambda s: sample_and_reinforce([CROSS_MASK], PARAMS, [s], use_mask=True)[0]),
 ]
 
 

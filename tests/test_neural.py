@@ -909,13 +909,19 @@ class TestSequenceLogprob:
             numeric = oracles.central_difference_grad(fn, params.flatten(), eps=1e-5)
             assert oracles.relative_error(grads_to_vec(params, grads), numeric) < 1e-4
 
-    @pytest.mark.parametrize("use_mask, most", [(False, 16), (True, 21)])
-    def test_numpy_calls_per_decoder_step_do_not_grow(self, monkeypatch, use_mask, most):
-        # Counts the numpy calls of one pass: each call net makes through its
-        # module name np (a function or a ufunc), and each ndarray or ufunc
-        # method a profiler sees.  A ufunc or np.dot call raises no profiler
-        # event, hence the stand-in for net.np.  A step's share is the growth
-        # from 8 to 16 edges, so the set-up before the first step cancels.
+    @pytest.mark.parametrize("taped, use_mask, most", [
+        pytest.param(False, False, 16, id="False-16"),
+        pytest.param(False, True, 21, id="True-21"),
+        pytest.param(True, False, 29, id="taped-False-29"),
+        pytest.param(True, True, 36, id="taped-True-36"),
+    ])
+    def test_numpy_calls_per_decoder_step_do_not_grow(self, monkeypatch, taped, use_mask, most):
+        # Counts the numpy calls of one pass, forward only or taped with its
+        # backward pass: each call net makes through its module name np (a
+        # function or a ufunc), and each ndarray or ufunc method a profiler
+        # sees.  A ufunc or np.dot call raises no profiler event, hence the
+        # stand-in for net.np.  A step's share is the growth from 8 to 16
+        # edges, so the set-up before the first step cancels.
         params = ModelParams.init(ModelConfig(8, 8, 4, 5), seed=0)
         cells = [(i, j) for j in range(4) for i in range(4)]
         count = 0
@@ -948,7 +954,10 @@ class TestSequenceLogprob:
             before = sys.getprofile()
             sys.setprofile(profile)
             try:
-                sequence_logprob((4, 4), cells[:n], tuple(range(n)), params, use_mask)
+                if taped:
+                    net._score([((4, 4), cells[:n], tuple(range(n)), use_mask)], params, [1.0])
+                else:
+                    sequence_logprob((4, 4), cells[:n], tuple(range(n)), params, use_mask)
             finally:
                 sys.setprofile(before)
             return count
